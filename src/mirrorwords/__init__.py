@@ -9,13 +9,13 @@ Submodules, one per geometry:
 - orthon: O(n) (words of hyperplane reflections)
 
 plus numerics (tolerances, canonical directions), moves (the rewrite
-trace vocabulary), kernels (the compiled oracle inner loops), sampling
-(seeded random words) and cli (the command-line front end).
+trace vocabulary and the shared rewrite loop), kernels (the oracle inner
+loops), sampling (seeded random words) and cli (the command-line front
+end).
 """
 
 from . import arrowarc, kernels, moves, numerics, orthon, plane, sampling, so3, sphere
 from .numerics import (
-    DEFAULT_TOLERANCE,
     EPS_COINCIDE,
     EPS_VERIFY,
     DegenerateArc,
@@ -25,7 +25,6 @@ from .numerics import (
     NotConcurrent,
     NotCoplanarNormals,
     NotOrthogonal,
-    Tolerance,
     WrongLength,
     angle_between_directions,
     canonical_unit,
@@ -43,8 +42,6 @@ __all__ = [
     "sampling",
     "so3",
     "sphere",
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "EPS_COINCIDE",
     "EPS_VERIFY",
     "GeometryError",

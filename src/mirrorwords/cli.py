@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -46,6 +47,10 @@ class ExpressionSyntaxError(GeometryError):
 
 class DimensionMismatch(GeometryError):
     """Mirrors of inconsistent dimension inside one expression."""
+
+
+class UsageError(GeometryError):
+    """A command-line argument lies outside its valid range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +376,11 @@ def classification_text(c: dict) -> str:
     return kind
 
 
+def _json_residual(res: float) -> float | None:
+    """The residual, or None when it is NaN or infinite: JSON has no token for those."""
+    return res if math.isfinite(res) else None
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -387,7 +397,7 @@ def _report(expr: Expression, normalized, trace, res: float, tol: float, args) -
                 "normalized": word_json(expr.group, normalized, expr.dim),
                 "normalized_text": pretty(norm_expr),
                 "classification": classification_json(norm_expr),
-                "residual": res,
+                "residual": _json_residual(res),
                 "trace": [_move_json(expr.group, m) for m in trace],
             }
         )
@@ -486,7 +496,7 @@ def _cmd_reduce(args) -> int:
                 "input": pretty(expr),
                 "reduced": word_json("on", reduced, expr.dim),
                 "reduced_text": pretty(out_expr),
-                "residual": res,
+                "residual": _json_residual(res),
                 "trace": [_move_json("on", m) for m in trace],
             }
         )
@@ -501,6 +511,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be at least 0, got {args.count}")
+    if args.max_len < 0:
+        raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
     group = args.group
     rng = np.random.default_rng(args.seed)
     dim = args.dim
@@ -511,9 +525,12 @@ def _cmd_verify(args) -> int:
         word = sampling.random_word(rng, group, length, dim=dim)
         normalized = _NORMALIZERS[group](word, None, dim)
         res = residual(group, word, normalized, dim)
-        if res > args.tol:
+        # comparisons with NaN are false: a NaN residual is a violation and,
+        # once it is the worst, stays the worst
+        if not res <= args.tol:
             violations += 1
-        worst = max(worst, res)
+        if res > worst or math.isnan(res):
+            worst = res
     status = "ok" if violations == 0 else "failed"
     if args.json:
         _emit_json(
@@ -523,7 +540,7 @@ def _cmd_verify(args) -> int:
                 "count": args.count,
                 "max_len": args.max_len,
                 "dimension": dim if group == "on" else None,
-                "max_residual": worst,
+                "max_residual": _json_residual(worst),
                 "violations": violations,
                 "status": status,
             }

@@ -1,31 +1,15 @@
-"""Hot oracle kernels: accumulate a reflection word into a matrix or quaternion.
+"""Oracle kernels: accumulate a reflection word into a matrix or quaternion.
 
-These inner loops dominate the randomized verification batches (tens of
-thousands of words per run), so they are compiled with numba when it is
-available. Setting the environment variable MIRRORWORDS_NO_NUMBA=1 selects
-the pure-numpy interpretation of the very same function bodies; see
-benchmarks/bench_kernels.py for a comparison of the two paths.
+Each kernel is a plain loop over the word that never calls the rewrite
+code, so its result is an independent check of a normal form.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("MIRRORWORDS_NO_NUMBA", "") not in ("", "0")
 
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-
-
-def plane_word_map_py(normals, offsets):
+def plane_word_map(normals, offsets):
     """Affine map (A, t) of a word of plane mirrors, first mirror applied first.
 
     Mirror i maps x to x - 2*(n.x - d)*n, i.e. x -> (I - 2nn^T)x + 2dn.
@@ -61,7 +45,7 @@ def plane_word_map_py(normals, offsets):
     return A, t
 
 
-def householder_word_matrix_py(normals):
+def householder_word_matrix(normals):
     """Product of hyperplane reflections I - 2nn^T, first row applied first."""
     n = normals.shape[1]
     M = np.eye(n)
@@ -80,7 +64,7 @@ def householder_word_matrix_py(normals):
     return M
 
 
-def line_word_matrix_py(directions):
+def line_word_matrix(directions):
     """Product of 3D line reflections 2dd^T - I, first row applied first."""
     M = np.eye(3)
     for i in range(directions.shape[0]):
@@ -98,7 +82,7 @@ def line_word_matrix_py(directions):
     return M
 
 
-def line_word_quaternion_py(directions):
+def line_word_quaternion(directions):
     """Quaternion (w,x,y,z) of a word of 3D line reflections.
 
     A line reflection about unit d is the rotation by pi about d, i.e. the
@@ -125,15 +109,3 @@ def line_word_quaternion_py(directions):
     q[2] = qy
     q[3] = qz
     return q
-
-
-if USING_NUMBA:
-    plane_word_map = _njit(cache=True)(plane_word_map_py)
-    householder_word_matrix = _njit(cache=True)(householder_word_matrix_py)
-    line_word_matrix = _njit(cache=True)(line_word_matrix_py)
-    line_word_quaternion = _njit(cache=True)(line_word_quaternion_py)
-else:
-    plane_word_map = plane_word_map_py
-    householder_word_matrix = householder_word_matrix_py
-    line_word_matrix = line_word_matrix_py
-    line_word_quaternion = line_word_quaternion_py

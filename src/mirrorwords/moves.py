@@ -1,8 +1,10 @@
-"""Elementary rewrite moves shared by all word normalizers.
+"""Elementary rewrite moves and the rewrite loop shared by all word normalizers.
 
 A normalization is a sequence of these moves; recording them lets the CLI
 emit a trace that can be replayed step by step, and lets tests check the
-oracle invariants at every intermediate word.
+oracle invariants at every intermediate word. Each geometry hands
+`normalize` its coincidence predicate, its leading reduction step and its
+normal-form length; the loop itself is the same for all of them.
 """
 
 from __future__ import annotations
@@ -60,3 +62,54 @@ def replay(word, moves, same) -> list:
     for mv in moves:
         states.append(apply_move(states[-1], mv, same))
     return states
+
+
+def emit(w: list, sink: list, move: Move, same) -> None:
+    """Record a move and apply it to w in place."""
+    sink.append(move)
+    w[:] = apply_move(w, move, same)
+
+
+def _cancel_onto(stack: list, mirrors, same, sink: list) -> None:
+    """Push mirrors onto a freely reduced stack, cancelling coincident neighbours."""
+    for x in mirrors:
+        if stack and same(stack[-1], x):
+            sink.append(Move(INVOLUTION, len(stack) - 1))
+            stack.pop()
+        else:
+            stack.append(x)
+
+
+def normalize(word, same, reduce_leading, target: int, sink: list | None = None) -> list:
+    """Rewrite a word to at most `target` mirrors by involutions and reduction steps.
+
+    The word is kept as a freely reduced head plus the rest of the word,
+    stored reversed so that its first mirror pops off the end. While the
+    word is too long, the head is filled to target + 1 mirrors and
+    `reduce_leading(head, sink)` rewrites its leading mirrors in place; the
+    result is freely reduced again and cancelled against the rest only at
+    the junction, since adjacent pairs inside the rest were already found
+    distinct. The head is always a prefix of the current word, so every
+    recorded move index is an index into the whole word. Every geometry's
+    step shortens the head, so the work per input mirror does not grow
+    with the word length.
+    """
+    if sink is None:
+        sink = []
+    head: list = []
+    _cancel_onto(head, word, same, sink)
+    rest = head[target + 1 :]
+    rest.reverse()
+    del head[target + 1 :]
+    while len(head) + len(rest) > target:
+        while len(head) <= target:
+            head.append(rest.pop())
+        reduce_leading(head, sink)
+        reduced, head = head, []
+        _cancel_onto(head, reduced, same, sink)
+        while head and rest and same(head[-1], rest[-1]):
+            sink.append(Move(INVOLUTION, len(head) - 1))
+            head.pop()
+            rest.pop()
+    head.extend(reversed(rest))
+    return head

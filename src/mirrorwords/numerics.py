@@ -8,7 +8,6 @@ what makes exact equality usable in golden tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,35 +54,19 @@ class DegenerateArc(GeometryError):
     """The degenerate (identity) arc does not support this move."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Two-tier tolerance policy: predicates vs. oracle verification."""
-
-    eps_coincide: float = EPS_COINCIDE
-    eps_verify: float = EPS_VERIFY
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_coincide < self.eps_verify < 1e-3):
-            raise ValueError(
-                "tolerances must satisfy 0 < eps_coincide < eps_verify < 1e-3, "
-                f"got {self.eps_coincide!r}, {self.eps_verify!r}"
-            )
-
-
-DEFAULT_TOLERANCE = Tolerance()
-
-
 def canonical_unit(v, eps: float = EPS_COINCIDE) -> np.ndarray:
     """Normalize v and fix its sign so the first significant component is positive.
 
     The sign convention gives unsigned directions (mirror normals, axes) a
     unique representative: canonical_unit(v) == canonical_unit(-v).
-    Raises DegenerateInput on (near-)zero input.
+    Raises DegenerateInput on (near-)zero input or a non-finite norm.
     """
     a = np.asarray(v, dtype=float)
     norm = math.sqrt(float(a @ a))
     if norm <= eps:
         raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
+    if not norm < math.inf:  # also false for NaN
+        raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
     if abs(norm - 1.0) > _UNIT_SLACK:
         a = a / norm
     else:

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
-from .moves import INVOLUTION, PENCIL, Move, apply_move, replay
+from .moves import INVOLUTION, PENCIL, Move, apply_move, emit, normalize, replay
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
@@ -63,10 +62,6 @@ def coincident(a: Hyperplane, b: Hyperplane, eps: float = EPS_COINCIDE) -> bool:
     c = float(a.normal @ b.normal)
     w = a.normal - c * b.normal
     return math.sqrt(float(w @ w)) <= eps
-
-
-def same_mirror(a: Hyperplane, b: Hyperplane) -> bool:
-    return coincident(a, b)
 
 
 def householder(h: Hyperplane) -> np.ndarray:
@@ -130,6 +125,8 @@ def spectral_split(M) -> SpectralSplit:
     though it equals two negated lines; the decomposition contract is on
     the reassembled product, not on the block bookkeeping.
     """
+    import scipy.linalg  # deferred: importing scipy costs more than the rest of the package
+
     M = _check_orthogonal(M)
     n = M.shape[0]
     T, Q = scipy.linalg.schur(M, output="real")
@@ -217,11 +214,6 @@ def pencil_completion(l: Hyperplane, m: Hyperplane, l2: Hyperplane) -> Hyperplan
     return Hyperplane((a * ca - b * sa) * e1 + (a * sa + b * ca) * e2)
 
 
-def _emit(w: list, sink: list, move: Move) -> None:
-    sink.append(move)
-    w[:] = apply_move(w, move, same_mirror)
-
-
 def _suffix_dependent(V: np.ndarray, n: int) -> bool:
     if V.shape[0] > n:
         return True
@@ -239,7 +231,7 @@ def _steer_moves(w: list, sink: list, n: int, limit: int) -> None:
     """
     for i in range(limit - 1):
         if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
+            emit(w, sink, Move(INVOLUTION, i), coincident)
             return
 
     V = np.array([h.normal for h in w[:limit]])
@@ -251,7 +243,7 @@ def _steer_moves(w: list, sink: list, n: int, limit: int) -> None:
 
     while True:
         if coincident(w[s], w[s + 1]):
-            _emit(w, sink, Move(INVOLUTION, s))
+            emit(w, sink, Move(INVOLUTION, s), coincident)
             return
         if s >= limit - 2:
             raise AssertionError("steering invariant broken; input too degenerate")
@@ -269,7 +261,7 @@ def _steer_moves(w: list, sink: list, n: int, limit: int) -> None:
         x = ct * e1 + st * e2
         delta = math.atan2(st, ct) - math.atan2(float(v @ e2), float(v @ e1))
         u_s = math.cos(delta) * e1 + math.sin(delta) * e2
-        _emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), Hyperplane(x))))
+        emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), Hyperplane(x))), coincident)
         s += 1
 
 
@@ -286,26 +278,10 @@ def reduce_word(word, trace: list | None = None) -> list:
     return w
 
 
-def _strip(w: list, sink: list) -> None:
-    i = 0
-    while i < len(w) - 1:
-        if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
-            i = max(i - 1, 0)
-        else:
-            i += 1
-
-
 def normalize_word(word, dim: int | None = None, trace: list | None = None) -> list:
     """Rewrite a word to length at most n, preserving length parity."""
-    w = list(word)
-    n = _word_dimension(w, dim)
-    sink = [] if trace is None else trace
-    _strip(w, sink)
-    while len(w) > n:
-        _steer_moves(w, sink, n, n + 1)
-        _strip(w, sink)
-    return w
+    n = _word_dimension(word, dim)
+    return normalize(word, coincident, lambda w, sink: _steer_moves(w, sink, n, n + 1), n, trace)
 
 
 def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:
@@ -314,7 +290,7 @@ def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:
     Pencil moves must keep all four normals in one 2-plane and preserve
     the product of the pair's mirror maps within eps.
     """
-    after = apply_move(word, move, same_mirror)
+    after = apply_move(word, move, coincident)
     if move.kind == INVOLUTION:
         return after
     if move.kind != PENCIL:
@@ -336,4 +312,4 @@ def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:
 
 
 def replay_moves(word, moves) -> list:
-    return replay(word, moves, same_mirror)
+    return replay(word, moves, coincident)

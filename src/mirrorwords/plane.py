@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .moves import INVOLUTION, PENCIL, Move, apply_move, replay
+from .moves import INVOLUTION, PENCIL, Move, emit, normalize, replay
+# perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
+from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     DegenerateInput,
@@ -54,6 +56,9 @@ class Line:
             nx /= norm
             ny /= norm
             d /= norm
+        # a NaN norm fails both the test above and this one
+        if not (norm < math.inf and math.isfinite(d)):
+            raise DegenerateInput(f"line needs a finite normal and offset: {normal!r}, {offset!r}")
         if (nx < 0.0 and abs(nx) > EPS_COINCIDE) or (
             abs(nx) <= EPS_COINCIDE and ny < 0.0
         ):
@@ -267,15 +272,6 @@ def verify_pencil_relation(l: Line, m: Line, l2: Line, m2: Line) -> bool:
     return abs(_fold_half(_signed_gap(l, m) - _signed_gap(l2, m2))) <= EPS_COINCIDE
 
 
-def same_mirror(a: Line, b: Line) -> bool:
-    return coincident(a, b)
-
-
-def _emit(w: list, sink: list, move: Move) -> None:
-    sink.append(move)
-    w[:] = apply_move(w, move, same_mirror)
-
-
 def _reduce_leading_four(w: list, sink: list) -> None:
     """Rewrite the leading four mirrors of w down to two, recording moves.
 
@@ -285,7 +281,7 @@ def _reduce_leading_four(w: list, sink: list) -> None:
     """
     for i in (0, 1, 2):
         if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
+            emit(w, sink, Move(INVOLUTION, i), coincident)
             return
 
     k, l, m, n = w[0], w[1], w[2], w[3]
@@ -297,8 +293,8 @@ def _reduce_leading_four(w: list, sink: list) -> None:
             # all four parallel: slide the pair (k, l) until l lands on m
             gap = _offset_in_frame(m, l) - l.offset
             k2 = Line((l.nx, l.ny), _offset_in_frame(k, l) + gap)
-            _emit(w, sink, Move(PENCIL, 0, (k2, m)))
-            _emit(w, sink, Move(INVOLUTION, 1))
+            emit(w, sink, Move(PENCIL, 0, (k2, m)), coincident)
+            emit(w, sink, Move(INVOLUTION, 1), coincident)
             return
         # two parallel pairs in different directions: rotate the middle
         # pair by a right angle about its intersection, making both outer
@@ -306,7 +302,7 @@ def _reduce_leading_four(w: list, sink: list) -> None:
         px, py = _intersection(l, m)
         l2 = _rotated_about(l, px, py, _HALF_PI)
         m2 = _rotated_about(m, px, py, _HALF_PI)
-        _emit(w, sink, Move(PENCIL, 1, (l2, m2)))
+        emit(w, sink, Move(PENCIL, 1, (l2, m2)), coincident)
         _reduce_leading_four(w, sink)
         return
 
@@ -317,10 +313,10 @@ def _reduce_leading_four(w: list, sink: list) -> None:
         mid = _parallel_through(l, px, py)
         gap = mid.offset - _offset_in_frame(l, mid)
         k2 = Line((mid.nx, mid.ny), _offset_in_frame(k, mid) + gap)
-        _emit(w, sink, Move(PENCIL, 0, (k2, mid)))
+        emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
         n2 = pencil_completion(w[2], w[3], mid)
-        _emit(w, sink, Move(PENCIL, 2, (mid, n2)))
-        _emit(w, sink, Move(INVOLUTION, 1))
+        emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
+        emit(w, sink, Move(INVOLUTION, 1), coincident)
         return
 
     if mn_par:
@@ -328,10 +324,10 @@ def _reduce_leading_four(w: list, sink: list) -> None:
         mid = _parallel_through(m, px, py)
         gap = mid.offset - _offset_in_frame(m, mid)
         n2 = Line((mid.nx, mid.ny), _offset_in_frame(n, mid) + gap)
-        _emit(w, sink, Move(PENCIL, 2, (mid, n2)))
+        emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
         k2 = pencil_completion(w[1], w[0], mid)
-        _emit(w, sink, Move(PENCIL, 0, (k2, mid)))
-        _emit(w, sink, Move(INVOLUTION, 1))
+        emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
+        emit(w, sink, Move(INVOLUTION, 1), coincident)
         return
 
     p1x, p1y = _intersection(k, l)
@@ -341,50 +337,28 @@ def _reduce_leading_four(w: list, sink: list) -> None:
     ):
         # all four concurrent: rotate the pair (m, n) so that m lands on l
         n2 = pencil_completion(m, n, l)
-        _emit(w, sink, Move(PENCIL, 2, (l, n2)))
-        _emit(w, sink, Move(INVOLUTION, 1))
+        emit(w, sink, Move(PENCIL, 2, (l, n2)), coincident)
+        emit(w, sink, Move(INVOLUTION, 1), coincident)
         return
 
     # generic case: rotate both pairs onto the line through both points
     dx, dy = p2x - p1x, p2y - p1y
     mid = Line((-dy, dx), -dy * p1x + dx * p1y)
     k2 = pencil_completion(l, k, mid)
-    _emit(w, sink, Move(PENCIL, 0, (k2, mid)))
+    emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
     n2 = pencil_completion(w[2], w[3], mid)
-    _emit(w, sink, Move(PENCIL, 2, (mid, n2)))
-    _emit(w, sink, Move(INVOLUTION, 1))
-
-
-def _strip(w: list, sink: list) -> None:
-    i = 0
-    while i < len(w) - 1:
-        if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
-            i = max(i - 1, 0)
-        else:
-            i += 1
+    emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
+    emit(w, sink, Move(INVOLUTION, 1), coincident)
 
 
 def reduce_four(k: Line, l: Line, m: Line, n: Line, trace: list | None = None) -> list:
     """Reduce a four-mirror word to at most two mirrors, oracle-equal."""
-    w = [k, l, m, n]
-    sink = []
-    _reduce_leading_four(w, sink)
-    _strip(w, sink)
-    if trace is not None:
-        trace.extend(sink)
-    return w
+    return normalize_word([k, l, m, n], trace)
 
 
 def normalize_word(word, trace: list | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
-    w = list(word)
-    sink = [] if trace is None else trace
-    _strip(w, sink)
-    while len(w) > 3:
-        _reduce_leading_four(w, sink)
-        _strip(w, sink)
-    return w
+    return normalize(word, coincident, _reduce_leading_four, 3, trace)
 
 
 def classify_word(word) -> Classification:
@@ -420,4 +394,4 @@ def classify_word(word) -> Classification:
 
 def replay_moves(word, moves) -> list:
     """All intermediate words of a recorded rewrite, starting word included."""
-    return replay(word, moves, same_mirror)
+    return replay(word, moves, coincident)

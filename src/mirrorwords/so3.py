@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move, apply_move, replay
+from .moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move, emit, normalize, replay
+# perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
+from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
@@ -58,10 +60,6 @@ class Axis:
 def coincident(a: Axis, b: Axis, eps: float = EPS_COINCIDE) -> bool:
     c = cross3(a.direction, b.direction)
     return norm3(c) <= eps
-
-
-def same_mirror(a: Axis, b: Axis) -> bool:
-    return coincident(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,11 +269,6 @@ def _pencil_transport(a: Axis, b: Axis, a2: Axis) -> Axis:
     return Axis(rotate_about(a2.direction, u, phi))
 
 
-def _emit(w: list, sink: list, move: Move) -> None:
-    sink.append(move)
-    w[:] = apply_move(w, move, same_mirror)
-
-
 def _reduce_leading_three(w: list, sink: list) -> None:
     """Rewrite the leading three lines of w down to two, recording moves.
 
@@ -285,7 +278,7 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     """
     for i in (0, 1):
         if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
+            emit(w, sink, Move(INVOLUTION, i), coincident)
             return
 
     k, l, m = w[0], w[1], w[2]
@@ -293,46 +286,24 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     b, c = split_reflection(k, plane_normal)
     # R_k = R_c . R_b = R_b . R_c (orthogonal pair), insert as [c, b]
     # so the coplanar triple (b, l, m) sits adjacently
-    _emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)))
+    emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)), coincident)
     # rotate the pair (l, m), now at positions 2 and 3, so l lands on b
     phi = signed_angle_about(w[2].direction, b.direction, plane_normal)
     m2_new = Axis(rotate_about(w[3].direction, plane_normal, phi))
-    _emit(w, sink, Move(PENCIL, 2, (b, m2_new)))
-    _emit(w, sink, Move(INVOLUTION, 1))
+    emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
+    emit(w, sink, Move(INVOLUTION, 1), coincident)
     if len(w) >= 2 and coincident(w[0], w[1]):
-        _emit(w, sink, Move(INVOLUTION, 0))
-
-
-def _strip(w: list, sink: list) -> None:
-    i = 0
-    while i < len(w) - 1:
-        if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
-            i = max(i - 1, 0)
-        else:
-            i += 1
+        emit(w, sink, Move(INVOLUTION, 0), coincident)
 
 
 def reduce_three(k: Axis, l: Axis, m: Axis, trace: list | None = None) -> list:
     """Reduce a three-line word to at most two lines, oracle-equal."""
-    w = [k, l, m]
-    sink = []
-    _reduce_leading_three(w, sink)
-    _strip(w, sink)
-    if trace is not None:
-        trace.extend(sink)
-    return w
+    return normalize_word([k, l, m], trace)
 
 
 def normalize_word(word, trace: list | None = None) -> list:
     """Rewrite a word of line reflections to length at most 2 (0 for identity)."""
-    w = list(word)
-    sink = [] if trace is None else trace
-    _strip(w, sink)
-    while len(w) > 2:
-        _reduce_leading_three(w, sink)
-        _strip(w, sink)
-    return w
+    return normalize(word, coincident, _reduce_leading_three, 2, trace)
 
 
 def word_to_rotation(word) -> Rotation:
@@ -359,4 +330,4 @@ def projective_representative(M) -> np.ndarray:
 
 
 def replay_moves(word, moves) -> list:
-    return replay(word, moves, same_mirror)
+    return replay(word, moves, coincident)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, so3
-from .moves import INVOLUTION, PENCIL, Move, apply_move, replay
+from .moves import INVOLUTION, PENCIL, Move, emit, normalize, replay
+# perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
+from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     NotConcurrent,
@@ -58,10 +60,6 @@ class GreatCircle:
 
 def coincident(a: GreatCircle, b: GreatCircle, eps: float = EPS_COINCIDE) -> bool:
     return norm3(cross3(a.pole, b.pole)) <= eps
-
-
-def same_mirror(a: GreatCircle, b: GreatCircle) -> bool:
-    return coincident(a, b)
 
 
 def reflect_point(c: GreatCircle, p) -> np.ndarray:
@@ -125,11 +123,6 @@ def pencil_completion(
     return GreatCircle(rotate_about(l2.pole, u, phi))
 
 
-def _emit(w: list, sink: list, move: Move) -> None:
-    sink.append(move)
-    w[:] = apply_move(w, move, same_mirror)
-
-
 def _transport_onto(a: GreatCircle, b: GreatCircle, target: GreatCircle) -> GreatCircle:
     """b2 such that (a, b) ~ (target, b2) in the pencil of a and b."""
     u = _common_axis(a, b)
@@ -140,7 +133,7 @@ def _transport_onto(a: GreatCircle, b: GreatCircle, target: GreatCircle) -> Grea
 def _reduce_leading_four(w: list, sink: list) -> None:
     for i in (0, 1, 2):
         if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
+            emit(w, sink, Move(INVOLUTION, i), coincident)
             return
 
     k, l, m, n = w[0], w[1], w[2], w[3]
@@ -150,27 +143,17 @@ def _reduce_leading_four(w: list, sink: list) -> None:
     if norm3(link) <= EPS_COINCIDE:
         # both pairs share one pencil: rotate (m, n) so that m lands on l
         n2 = _transport_onto(m, n, l)
-        _emit(w, sink, Move(PENCIL, 2, (l, n2)))
-        _emit(w, sink, Move(INVOLUTION, 1))
+        emit(w, sink, Move(PENCIL, 2, (l, n2)), coincident)
+        emit(w, sink, Move(INVOLUTION, 1), coincident)
         return
 
     # the circle through both intersection pairs
     mid = GreatCircle(link)
     k2 = pencil_completion(l, k, mid)
-    _emit(w, sink, Move(PENCIL, 0, (k2, mid)))
+    emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
     n2 = pencil_completion(w[2], w[3], mid)
-    _emit(w, sink, Move(PENCIL, 2, (mid, n2)))
-    _emit(w, sink, Move(INVOLUTION, 1))
-
-
-def _strip(w: list, sink: list) -> None:
-    i = 0
-    while i < len(w) - 1:
-        if coincident(w[i], w[i + 1]):
-            _emit(w, sink, Move(INVOLUTION, i))
-            i = max(i - 1, 0)
-        else:
-            i += 1
+    emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
+    emit(w, sink, Move(INVOLUTION, 1), coincident)
 
 
 def reduce_four(
@@ -181,24 +164,12 @@ def reduce_four(
     trace: list | None = None,
 ) -> list:
     """Reduce a four-circle word to at most two circles, oracle-equal."""
-    w = [k, l, m, n]
-    sink = []
-    _reduce_leading_four(w, sink)
-    _strip(w, sink)
-    if trace is not None:
-        trace.extend(sink)
-    return w
+    return normalize_word([k, l, m, n], trace)
 
 
 def normalize_word(word, trace: list | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
-    w = list(word)
-    sink = [] if trace is None else trace
-    _strip(w, sink)
-    while len(w) > 3:
-        _reduce_leading_four(w, sink)
-        _strip(w, sink)
-    return w
+    return normalize(word, coincident, _reduce_leading_four, 3, trace)
 
 
 def classify_word(word) -> Classification:
@@ -225,4 +196,4 @@ def classify_word(word) -> Classification:
 
 
 def replay_moves(word, moves) -> list:
-    return replay(word, moves, same_mirror)
+    return replay(word, moves, coincident)

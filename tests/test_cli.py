@@ -164,6 +164,45 @@ def test_exit_code_verification_failure():
     assert payload["status"] == "residual-exceeded"
 
 
+def test_non_finite_mirror_is_a_usage_error():
+    result = run_cli("normalize", "E2: refl(line(1e400,0,1)) * refl(line(1,0,0))", "--json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    err = json.loads(result.stderr)
+    assert err["status"] == "error"
+    assert err["error"] == "DegenerateInput"
+
+
+@pytest.mark.parametrize("option", ["--max-len", "--count"])
+def test_verify_rejects_negative_sizes(option, capsys):
+    code = cli.main(["verify", "--group", "e2", option, "-1", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert option in payload["message"]
+
+
+def test_verify_counts_nan_residual_as_violation(monkeypatch, capsys):
+    calls = []
+
+    def residual(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else 0.0
+
+    monkeypatch.setattr(cli, "residual", residual)
+    code = cli.main(["verify", "--group", "e2", "--count", "3", "--seed", "1", "--json"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert "NaN" not in out
+    payload = json.loads(out)
+    assert payload["violations"] == 1
+    assert payload["status"] == "failed"
+    assert payload["max_residual"] is None
+
+
 def test_arc_rejects_other_groups():
     result = run_cli("arc", "E2: refl(line(1,0,0))")
     assert result.returncode == 2

@@ -1,13 +1,42 @@
-"""The compiled kernels and their pure-python bodies must agree exactly."""
+"""The oracle kernels must agree with plain numpy products of the mirror maps."""
 
 import numpy as np
 
 from mirrorwords import kernels
 
+TOL = 1e-12
+
 
 def _random_normals(rng, k, n):
     v = rng.standard_normal((k, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _plane_product(normals, offsets):
+    """Homogeneous 3x3 product of x -> (I - 2nn^T)x + 2dn, first mirror first."""
+    M = np.eye(3)
+    for u, d in zip(normals, offsets):
+        H = np.eye(3)
+        H[:2, :2] -= 2.0 * np.outer(u, u)
+        H[:2, 2] = 2.0 * d * u
+        M = H @ M
+    return M[:2, :2], M[:2, 2]
+
+
+def _matrix_product(normals, mirror):
+    M = np.eye(normals.shape[1])
+    for u in normals:
+        M = mirror(u) @ M
+    return M
+
+
+def _quaternion_product(dirs):
+    """Product q_k ... q_1 of the pure quaternions (0, d), via left-multiplication matrices."""
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    for x, y, z in dirs:
+        L = np.array([[0.0, -x, -y, -z], [x, 0.0, -z, y], [y, z, 0.0, -x], [z, -y, x, 0.0]])
+        q = L @ q
+    return q
 
 
 def test_plane_word_map_matches_pure():
@@ -17,9 +46,9 @@ def test_plane_word_map_matches_pure():
         normals = _random_normals(rng, k, 2)
         offsets = rng.uniform(-10, 10, size=k)
         A, t = kernels.plane_word_map(normals, offsets)
-        A2, t2 = kernels.plane_word_map_py(normals, offsets)
-        np.testing.assert_array_equal(A, A2)
-        np.testing.assert_array_equal(t, t2)
+        A2, t2 = _plane_product(normals, offsets)
+        np.testing.assert_allclose(A, A2, rtol=0, atol=TOL)
+        np.testing.assert_allclose(t, t2, rtol=0, atol=TOL)
 
 
 def test_householder_word_matrix_matches_pure():
@@ -27,9 +56,11 @@ def test_householder_word_matrix_matches_pure():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         normals = _random_normals(rng, int(rng.integers(0, 8)), n)
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             kernels.householder_word_matrix(normals),
-            kernels.householder_word_matrix_py(normals),
+            _matrix_product(normals, lambda u: np.eye(n) - 2.0 * np.outer(u, u)),
+            rtol=0,
+            atol=TOL,
         )
 
 
@@ -37,11 +68,14 @@ def test_line_word_kernels_match_pure():
     rng = np.random.default_rng(12)
     for _ in range(100):
         dirs = _random_normals(rng, int(rng.integers(0, 8)), 3)
-        np.testing.assert_array_equal(
-            kernels.line_word_matrix(dirs), kernels.line_word_matrix_py(dirs)
+        np.testing.assert_allclose(
+            kernels.line_word_matrix(dirs),
+            _matrix_product(dirs, lambda u: 2.0 * np.outer(u, u) - np.eye(3)),
+            rtol=0,
+            atol=TOL,
         )
-        np.testing.assert_array_equal(
-            kernels.line_word_quaternion(dirs), kernels.line_word_quaternion_py(dirs)
+        np.testing.assert_allclose(
+            kernels.line_word_quaternion(dirs), _quaternion_product(dirs), rtol=0, atol=TOL
         )
 
 

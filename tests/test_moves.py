@@ -1,0 +1,87 @@
+"""The shared rewrite loop: free reduction, trace indices and linear cost."""
+
+import operator
+
+import numpy as np
+import pytest
+
+from mirrorwords import moves, orthon, plane, sampling, so3, sphere
+from mirrorwords.moves import INVOLUTION, PENCIL, Move
+
+GEOMETRIES = {
+    "e2": (plane, lambda w, trace: plane.normalize_word(w, trace), 2),
+    "s2": (sphere, lambda w, trace: sphere.normalize_word(w, trace), 3),
+    "so3": (so3, lambda w, trace: so3.normalize_word(w, trace), 3),
+    "on3": (orthon, lambda w, trace: orthon.normalize_word(w, dim=3, trace=trace), 3),
+}
+
+
+def test_free_reduction_cascades_on_the_stack():
+    trace = []
+    out = moves.normalize([1, 2, 3, 3, 2, 4, 4, 1, 5], operator.eq, None, 10, trace)
+    assert out == [5]
+    assert trace == [Move(INVOLUTION, 2), Move(INVOLUTION, 1), Move(INVOLUTION, 1), Move(INVOLUTION, 0)]
+
+
+def test_reduction_step_sees_only_the_leading_mirrors():
+    # toy step: [a, b, c] -> [a, a, b + c - a] -> [b + c - a]
+    seen = []
+
+    def step(w, sink):
+        seen.append(list(w))
+        moves.emit(w, sink, Move(PENCIL, 1, (w[0], w[1] + w[2] - w[0])), operator.eq)
+        moves.emit(w, sink, Move(INVOLUTION, 0), operator.eq)
+
+    word = [1, 2, 3, 4, 5, 6]
+    trace = []
+    out = moves.normalize(word, operator.eq, step, 2, trace)
+    # the step leaves 4, which cancels against the 4 that follows it
+    assert seen == [[1, 2, 3]]
+    assert out == [5, 6]
+    assert trace == [Move(PENCIL, 1, (1, 4)), Move(INVOLUTION, 0), Move(INVOLUTION, 0)]
+    assert moves.replay(word, trace, operator.eq)[-1] == out
+
+
+def _palindrome(word):
+    """u . v . rev(v) . w: the middle cancels in one cascade of involutions."""
+    q = len(word) // 4
+    u, v, w = word[:q], word[q : 2 * q], word[2 * q : 3 * q]
+    return u + v + v[::-1] + w
+
+
+@pytest.mark.parametrize("shape", ["random", "palindrome"])
+@pytest.mark.parametrize("group", sorted(GEOMETRIES))
+def test_coincident_calls_per_mirror_stay_bounded(group, shape, monkeypatch):
+    module, normalize, dim = GEOMETRIES[group]
+    rng = np.random.default_rng(512)
+    g = "on" if group == "on3" else group
+    word = sampling.random_word(rng, g, 512, dim=dim)
+    if shape == "palindrome":
+        word = _palindrome(word)
+    assert len(word) == 512
+
+    calls = 0
+    original = module.coincident
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "coincident", counted)
+    trace = []
+    out = normalize(word, trace)
+    assert len(out) <= dim
+    assert calls / len(word) <= 10.0
+
+
+@pytest.mark.parametrize("group", sorted(GEOMETRIES))
+def test_long_trace_replays_to_the_normal_form(group):
+    module, normalize, dim = GEOMETRIES[group]
+    rng = np.random.default_rng(257)
+    g = "on" if group == "on3" else group
+    word = _palindrome(sampling.random_word(rng, g, 257, dim=dim))
+    word[40:40] = [word[39], word[39]]
+    trace = []
+    out = normalize(word, trace)
+    assert module.replay_moves(word, trace)[-1] == out

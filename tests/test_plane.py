@@ -5,7 +5,7 @@ import pytest
 
 from oracles import classify_plane_map, plane_word_map, same_direction
 from mirrorwords import sampling
-from mirrorwords.numerics import NotConcurrent
+from mirrorwords.numerics import DegenerateInput, NotConcurrent
 from mirrorwords.plane import (
     GLIDE,
     IDENTITY,
@@ -40,6 +40,15 @@ def origin_line(theta_deg):
     """Line through the origin whose direction makes theta with the x-axis."""
     t = math.radians(theta_deg)
     return Line((-math.sin(t), math.cos(t)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "normal,offset",
+    [((math.inf, 0.0), 1.0), ((math.nan, 1.0), 0.0), ((1.0, 0.0), math.inf), ((0.0, 1.0), math.nan)],
+)
+def test_line_rejects_non_finite(normal, offset):
+    with pytest.raises(DegenerateInput):
+        Line(normal, offset)
 
 
 def test_line_canonicalization():
