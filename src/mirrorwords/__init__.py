@@ -9,8 +9,8 @@ Submodules, one per geometry:
 - orthon: O(n) (words of hyperplane reflections)
 
 plus numerics (tolerances, canonical directions), moves (the rewrite
-trace vocabulary and the shared rewrite loop), kernels (the oracle inner
-loops), sampling (seeded random words) and cli (the command-line front
+trace vocabulary and the shared rewrite loop), kernels (the oracle
+products: batched matmul trees and scalar recurrences), sampling (seeded random words) and cli (the command-line front
 end).
 """
 

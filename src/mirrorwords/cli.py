@@ -34,6 +34,10 @@ from .numerics import EPS_VERIFY, GeometryError
 
 GROUPS = ("e2", "s2", "so3", "on")
 
+# Largest O(n) dimension accepted in ON(n), --dim and hyper(), checked
+# before anything of that size is allocated.
+MAX_DIMENSION = 64
+
 _MIRROR_KEYWORD = {"e2": "line", "s2": "circle", "so3": "axis", "on": "hyper"}
 
 
@@ -148,7 +152,18 @@ def _make_mirror(group: str, values: list, pos: int):
         return so3.Axis(values)
     if len(values) < 2:
         raise ExpressionSyntaxError(f"{keyword}() needs at least two components", pos)
+    if len(values) > MAX_DIMENSION:
+        raise DimensionMismatch(
+            f"{keyword}() has {len(values)} components, at most {MAX_DIMENSION} are allowed"
+        )
     return orthon.Hyperplane(values)
+
+
+def _check_dimension(dim: float) -> None:
+    if not (2 <= dim <= MAX_DIMENSION and float(dim).is_integer()):
+        raise DimensionMismatch(
+            f"ON dimension must be an integer from 2 to {MAX_DIMENSION}, got {dim:g}"
+        )
 
 
 def parse_expression(text: str, default_dim: int | None = None) -> Expression:
@@ -163,7 +178,9 @@ def parse_expression(text: str, default_dim: int | None = None) -> Expression:
         kind, value, _ = p.peek()
         if kind == "punct" and value == "(":
             p.next()
-            dim = int(p.number())
+            value = p.number()
+            _check_dimension(value)
+            dim = int(value)
             p.expect_punct(")")
     p.expect_punct(":")
 
@@ -208,8 +225,7 @@ def parse_expression(text: str, default_dim: int | None = None) -> Expression:
             dim = default_dim
         if dim is None:
             raise DimensionMismatch("empty ON word needs an explicit dimension, e.g. ON(3): id")
-        if dim < 2:
-            raise DimensionMismatch("ON dimension must be at least 2")
+        _check_dimension(dim)
     return Expression(group, word, dim)
 
 
@@ -515,6 +531,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--count must be at least 0, got {args.count}")
     if args.max_len < 0:
         raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
+    if args.group == "on" and not 2 <= args.dim <= MAX_DIMENSION:
+        raise UsageError(f"--dim must be from 2 to {MAX_DIMENSION}, got {args.dim}")
     group = args.group
     rng = np.random.default_rng(args.seed)
     dim = args.dim

@@ -1,12 +1,21 @@
 """Oracle kernels: accumulate a reflection word into a matrix or quaternion.
 
-Each kernel is a plain loop over the word that never calls the rewrite
-code, so its result is an independent check of a normal form.
+The matrix kernels build every mirror map of the word at once, as a
+(k, n, n) stack, and multiply neighbouring pairs level by level, one
+batched matmul per level, until one matrix is left. A long word is folded
+in chunks whose stack holds at most _CHUNK_ELEMENTS numbers, so memory
+stays bounded at any length. The plane and quaternion kernels are scalar
+recurrences over plain floats. No kernel calls the rewrite code, so each
+result is an independent check of a normal form.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Largest number of floats in one (c, n, n) stack of mirror maps (512 KB);
+# a chunk still holds at least two mirrors when n * n exceeds it.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def plane_word_map(normals, offsets):
@@ -20,10 +29,7 @@ def plane_word_map(normals, offsets):
     a11 = 1.0
     t0 = 0.0
     t1 = 0.0
-    for i in range(normals.shape[0]):
-        nx = normals[i, 0]
-        ny = normals[i, 1]
-        d = offsets[i]
+    for (nx, ny), d in zip(normals.tolist(), offsets.tolist()):
         # compose: new = H . old, H = (I - 2nn^T, 2dn)
         w0 = nx * t0 + ny * t1 - d
         t0 -= 2.0 * nx * w0
@@ -34,52 +40,46 @@ def plane_word_map(normals, offsets):
         a01 -= 2.0 * nx * c1
         a10 -= 2.0 * ny * c0
         a11 -= 2.0 * ny * c1
-    A = np.empty((2, 2))
-    A[0, 0] = a00
-    A[0, 1] = a01
-    A[1, 0] = a10
-    A[1, 1] = a11
-    t = np.empty(2)
-    t[0] = t0
-    t[1] = t1
-    return A, t
+    return np.array([[a00, a01], [a10, a11]]), np.array([t0, t1])
+
+
+def _stack_product(H):
+    """H[k-1] @ ... @ H[0] of a (k, n, n) stack, k >= 1, by pairwise levels.
+
+    At a level of odd count the last matrix is carried up unchanged.
+    """
+    while H.shape[0] > 1:
+        even = H.shape[0] & ~1
+        P = H[1:even:2] @ H[0:even:2]
+        if even < H.shape[0]:
+            P = np.concatenate((P, H[even:]))
+        H = P
+    return H[0]
+
+
+def _word_product(rows, sign):
+    """Product of the mirror maps sign*(I - 2uu^T), u a row, first row applied first."""
+    k, n = rows.shape
+    chunk = max(2, _CHUNK_ELEMENTS // (n * n))
+    M = None
+    for start in range(0, k, chunk):
+        u = rows[start : start + chunk]
+        H = u[:, :, None] * (-2.0 * sign * u[:, None, :])
+        # the diagonal of each flattened n x n map has stride n + 1
+        H.reshape(len(u), n * n)[:, :: n + 1] += sign
+        P = _stack_product(H)
+        M = P if M is None else P @ M
+    return np.eye(n) if M is None else M
 
 
 def householder_word_matrix(normals):
     """Product of hyperplane reflections I - 2nn^T, first row applied first."""
-    n = normals.shape[1]
-    M = np.eye(n)
-    for i in range(normals.shape[0]):
-        u = normals[i]
-        w = np.zeros(n)
-        for c in range(n):
-            acc = 0.0
-            for r in range(n):
-                acc += u[r] * M[r, c]
-            w[c] = acc
-        for r in range(n):
-            ur2 = 2.0 * u[r]
-            for c in range(n):
-                M[r, c] -= ur2 * w[c]
-    return M
+    return _word_product(normals, 1.0)
 
 
 def line_word_matrix(directions):
     """Product of 3D line reflections 2dd^T - I, first row applied first."""
-    M = np.eye(3)
-    for i in range(directions.shape[0]):
-        u = directions[i]
-        w = np.zeros(3)
-        for c in range(3):
-            acc = 0.0
-            for r in range(3):
-                acc += u[r] * M[r, c]
-            w[c] = acc
-        for r in range(3):
-            ur2 = 2.0 * u[r]
-            for c in range(3):
-                M[r, c] = ur2 * w[c] - M[r, c]
-    return M
+    return _word_product(directions, -1.0)
 
 
 def line_word_quaternion(directions):
@@ -93,19 +93,11 @@ def line_word_quaternion(directions):
     qx = 0.0
     qy = 0.0
     qz = 0.0
-    for i in range(directions.shape[0]):
-        rx = directions[i, 0]
-        ry = directions[i, 1]
-        rz = directions[i, 2]
+    for rx, ry, rz in directions.tolist():
         # (0, r) * (qw, qx, qy, qz)
         nw = -rx * qx - ry * qy - rz * qz
         nx = rx * qw + ry * qz - rz * qy
         ny = -rx * qz + ry * qw + rz * qx
         nz = rx * qy - ry * qx + rz * qw
         qw, qx, qy, qz = nw, nx, ny, nz
-    q = np.empty(4)
-    q[0] = qw
-    q[1] = qx
-    q[2] = qy
-    q[3] = qz
-    return q
+    return np.array([qw, qx, qy, qz])

@@ -62,7 +62,13 @@ def canonical_unit(v, eps: float = EPS_COINCIDE) -> np.ndarray:
     Raises DegenerateInput on (near-)zero input or a non-finite norm.
     """
     a = np.asarray(v, dtype=float)
-    norm = math.sqrt(float(a @ a))
+    # np.vdot gives the bits of a @ a but sets no overflow warning
+    square = float(np.vdot(a, a))
+    if square == math.inf and np.isfinite(a).all():
+        # finite components whose squares overflow still define a direction
+        a = a / float(np.abs(a).max())
+        square = float(a @ a)
+    norm = math.sqrt(square)
     if norm <= eps:
         raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
     if not norm < math.inf:  # also false for NaN

@@ -86,10 +86,7 @@ def _word_dimension(word, dim: int | None) -> int:
 
 def word_to_matrix(word, dim: int | None = None) -> np.ndarray:
     d = _word_dimension(word, dim)
-    normals = np.empty((len(word), d))
-    for i, h in enumerate(word):
-        normals[i] = h.normal
-    return kernels.householder_word_matrix(normals)
+    return kernels.householder_word_matrix(np.array([h.normal for h in word]).reshape(-1, d))
 
 
 def _check_orthogonal(M) -> np.ndarray:

@@ -165,14 +165,8 @@ class Isometry:
 
 
 def word_to_isometry(word) -> Isometry:
-    k = len(word)
-    normals = np.empty((k, 2))
-    offsets = np.empty(k)
-    for i, l in enumerate(word):
-        normals[i, 0] = l.nx
-        normals[i, 1] = l.ny
-        offsets[i] = l.offset
-    A, t = kernels.plane_word_map(normals, offsets)
+    rows = np.array([(l.nx, l.ny, l.offset) for l in word]).reshape(-1, 3)
+    A, t = kernels.plane_word_map(rows[:, :2], rows[:, 2])
     return Isometry(A, t)
 
 

@@ -105,12 +105,12 @@ def line_reflection_matrix(a: Axis) -> np.ndarray:
     return 2.0 * np.outer(d, d) - np.eye(3)
 
 
+def _directions(word) -> np.ndarray:
+    return np.array([a.direction for a in word]).reshape(-1, 3)
+
+
 def word_to_matrix(word) -> np.ndarray:
-    k = len(word)
-    dirs = np.empty((k, 3))
-    for i, a in enumerate(word):
-        dirs[i] = a.direction
-    return kernels.line_word_matrix(dirs)
+    return kernels.line_word_matrix(_directions(word))
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,7 @@ IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
 def word_to_quaternion(word) -> Quaternion:
-    k = len(word)
-    dirs = np.empty((k, 3))
-    for i, a in enumerate(word):
-        dirs[i] = a.direction
-    q = kernels.line_word_quaternion(dirs)
+    q = kernels.line_word_quaternion(_directions(word))
     return Quaternion(q[0], q[1], q[2], q[3])
 
 

@@ -74,11 +74,7 @@ def reflection_matrix(c: GreatCircle) -> np.ndarray:
 
 
 def word_to_matrix(word) -> np.ndarray:
-    k = len(word)
-    poles = np.empty((k, 3))
-    for i, c in enumerate(word):
-        poles[i] = c.pole
-    return kernels.householder_word_matrix(poles)
+    return kernels.householder_word_matrix(np.array([c.pole for c in word]).reshape(-1, 3))
 
 
 @dataclass(frozen=True, eq=False)

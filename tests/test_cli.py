@@ -174,6 +174,62 @@ def test_non_finite_mirror_is_a_usage_error():
     assert err["error"] == "DegenerateInput"
 
 
+@pytest.mark.parametrize(
+    "expression, same_as",
+    [
+        ("ON: refl(hyper(1e200,1e200))", "ON: refl(hyper(1,1))"),
+        ("S2: refl(circle(1e200,1e200,0))", "S2: refl(circle(1,1,0))"),
+    ],
+)
+def test_finite_mirror_with_overflowing_norm_defines_a_direction(expression, same_as):
+    result = run_cli("normalize", expression, "--json")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert parse_expression(expression).word == parse_expression(same_as).word
+
+
+def test_infinite_component_is_still_rejected():
+    result = run_cli("normalize", "ON: refl(hyper(1e400,1))")
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "DegenerateInput"
+
+
+@pytest.mark.parametrize("dim", ["0", "1", "65"])
+def test_verify_rejects_dimension_outside_bounds(dim, capsys):
+    code = cli.main(["verify", "--group", "on", "--dim", dim, "--count", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert "--dim" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["normalize", "ON(65): id"],
+        ["normalize", "ON(1): id"],
+        ["normalize", "ON: id", "--dim", "65"],
+        ["normalize", f"ON: refl(hyper({','.join(['1'] * (cli.MAX_DIMENSION + 1))}))"],
+    ],
+)
+def test_on_dimension_outside_bounds_is_rejected(args, capsys):
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DimensionMismatch"
+
+
+def test_on_dimension_at_the_cap_is_accepted():
+    assert cli.MAX_DIMENSION == 64
+    expr = parse_expression(f"ON({cli.MAX_DIMENSION}): id")
+    assert expr.dim == cli.MAX_DIMENSION
+
+
 @pytest.mark.parametrize("option", ["--max-len", "--count"])
 def test_verify_rejects_negative_sizes(option, capsys):
     code = cli.main(["verify", "--group", "e2", option, "-1", "--json"])

@@ -1,6 +1,10 @@
 """The oracle kernels must agree with plain numpy products of the mirror maps."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from mirrorwords import kernels
 
@@ -119,3 +123,79 @@ def test_determinant_parity():
         ) < 1e-12
         L = kernels.line_word_matrix(normals)
         assert abs(np.linalg.det(L) - 1.0) < 1e-12
+
+
+LENGTHS = [0, 1, 2, 3, 5, 255, 1000]
+
+
+def _chunk(n):
+    """Mirrors per chunk of the matrix kernels at dimension n."""
+    return max(2, kernels._CHUNK_ELEMENTS // (n * n))
+
+
+def _householder(u):
+    return np.eye(u.shape[0]) - 2.0 * np.outer(u, u)
+
+
+def _line_reflection(u):
+    return 2.0 * np.outer(u, u) - np.eye(3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("length", LENGTHS)
+def test_householder_word_matrix_at_length(length, n):
+    normals = _random_normals(np.random.default_rng(1000 * n + length), length, n)
+    np.testing.assert_allclose(
+        kernels.householder_word_matrix(normals),
+        _matrix_product(normals, _householder),
+        rtol=0,
+        atol=TOL,
+    )
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_householder_word_matrix_at_chunk_boundary(n, offset):
+    length = _chunk(n) + offset
+    normals = _random_normals(np.random.default_rng(n + offset), length, n)
+    np.testing.assert_allclose(
+        kernels.householder_word_matrix(normals),
+        _matrix_product(normals, _householder),
+        rtol=0,
+        atol=TOL,
+    )
+
+
+@pytest.mark.parametrize("length", LENGTHS + [_chunk(3) - 1, _chunk(3), _chunk(3) + 1])
+def test_line_word_kernels_at_length(length):
+    dirs = _random_normals(np.random.default_rng(length), length, 3)
+    np.testing.assert_allclose(
+        kernels.line_word_matrix(dirs), _matrix_product(dirs, _line_reflection), rtol=0, atol=TOL
+    )
+    np.testing.assert_allclose(
+        kernels.line_word_quaternion(dirs), _quaternion_product(dirs), rtol=0, atol=TOL
+    )
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_plane_word_map_at_length(length):
+    rng = np.random.default_rng(length)
+    normals = _random_normals(rng, length, 2)
+    offsets = rng.uniform(-10, 10, size=length)
+    A, t = kernels.plane_word_map(normals, offsets)
+    A2, t2 = _plane_product(normals, offsets)
+    np.testing.assert_allclose(A, A2, rtol=0, atol=TOL)
+    np.testing.assert_allclose(t, t2, rtol=0, atol=TOL)
+
+
+def test_kernels_import_only_numpy():
+    """The oracle stays independent of the rewrite code: kernels imports numpy alone."""
+    tree = ast.parse(Path(kernels.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "kernels must not import from its own package"
+            imported.add(node.module)
+    assert imported - {"__future__"} == {"numpy"}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ def test_canonical_unit_zero_vector():
 def test_canonical_unit_rejects_non_finite(v):
     with pytest.raises(DegenerateInput):
         canonical_unit(v)
+
+
+@pytest.mark.parametrize(
+    "v, direction",
+    [
+        ([1e200, -1e200], [1, -1]),
+        ([0.0, 1e300, 1e300, -3.0], [0, 1, 1, 0]),
+        ([-1e308, 1e308, 1e308], [-1, 1, 1]),
+    ],
+)
+def test_canonical_unit_rescales_an_overflowing_norm(v, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = canonical_unit(v)
+    np.testing.assert_allclose(u, canonical_unit(direction), rtol=0, atol=1e-15)
 
 
 def test_canonical_unit_exactly_idempotent():
