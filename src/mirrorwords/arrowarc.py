@@ -77,7 +77,7 @@ class Arc:
         n = norm3(c)
         if n <= EPS_COINCIDE:
             raise DegenerateArc("the degenerate arc lies on no unique great circle")
-        return c / n
+        return np.asarray(c) / n
 
     def __repr__(self):
         return f"Arc({self.tail.tolist()!r}, {self.head.tolist()!r})"
@@ -96,7 +96,7 @@ def arc_to_rotation(arc: Arc) -> so3.Rotation:
     if s <= EPS_COINCIDE:
         return so3.IDENTITY_ROTATION
     theta = math.atan2(s, dot3(arc.tail, arc.head))
-    return so3.rotation(c / s, 2.0 * theta)
+    return so3.rotation(np.asarray(c) / s, 2.0 * theta)
 
 
 def rotation_to_arc(r: so3.Rotation, anchor=None) -> Arc:
@@ -126,6 +126,7 @@ def antipode_head(arc: Arc) -> Arc:
 def _closing_arc(a, d) -> Arc:
     # the closing pair may degenerate two ways: same point (zero rotation)
     # or antipodal points (the two boundary lines coincide, a full turn)
+    d = np.asarray(d)
     if _points_close(a, d) or _points_close(a, -d):
         return Arc(a, a)
     return Arc(a, d)

@@ -237,9 +237,9 @@ def _mirror_text(group: str, mirror) -> str:
     if group == "e2":
         return f"line({_fmt(mirror.nx)},{_fmt(mirror.ny)},{_fmt(mirror.offset)})"
     if group == "s2":
-        return f"circle({','.join(_fmt(x) for x in mirror.pole)})"
+        return f"circle({','.join(_fmt(x) for x in mirror.xyz)})"
     if group == "so3":
-        return f"axis({','.join(_fmt(x) for x in mirror.direction)})"
+        return f"axis({','.join(_fmt(x) for x in mirror.xyz)})"
     return f"hyper({','.join(_fmt(x) for x in mirror.normal)})"
 
 
@@ -258,9 +258,9 @@ def _mirror_json(group: str, mirror) -> dict:
     if group == "e2":
         return {"normal": [mirror.nx, mirror.ny], "offset": mirror.offset}
     if group == "s2":
-        return {"pole": list(mirror.pole)}
+        return {"pole": list(mirror.xyz)}
     if group == "so3":
-        return {"direction": list(mirror.direction)}
+        return {"direction": list(mirror.xyz)}
     return {"normal": list(mirror.normal)}
 
 
@@ -334,7 +334,7 @@ def classification_json(expr: Expression) -> dict:
         c = sphere.classify_word(expr.word)
         out = {"kind": c.kind}
         if c.circle is not None:
-            out["circle"] = {"pole": list(c.circle.pole)}
+            out["circle"] = {"pole": list(c.circle.xyz)}
         if c.axis is not None:
             out["axis"] = list(c.axis)
         if c.angle is not None:

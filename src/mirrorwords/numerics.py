@@ -1,8 +1,9 @@
 """Shared numeric substrate: tolerances, canonical directions, angle helpers.
 
-Every geometry module stores mirror directions through canonical_unit so
-that one geometric mirror has exactly one stored representative, which is
-what makes exact equality usable in golden tests.
+Every geometry module stores mirror directions through canonical_unit (or
+its plain-float 3-vector form canonical_unit3) so that one geometric
+mirror has exactly one stored representative, which is what makes exact
+equality usable in golden tests.
 """
 
 from __future__ import annotations
@@ -108,14 +109,96 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
-def cross3(a, b) -> np.ndarray:
-    # np.cross has high per-call overhead on single 3-vectors
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
+def components3(v) -> tuple[float, float, float]:
+    """The three components of a 3-vector as floats; DegenerateInput otherwise."""
+    try:
+        x, y, z = v
+        return float(x), float(y), float(z)
+    except (TypeError, ValueError):
+        raise DegenerateInput(f"a 3-vector needs exactly three numeric components: {v!r}") from None
+
+
+def canonical_unit3(
+    x: float, y: float, z: float, eps: float = EPS_COINCIDE
+) -> tuple[float, float, float]:
+    """canonical_unit of the 3-vector (x, y, z), in plain floats.
+
+    Same eps, sign, +0.0, overflow-rescale and non-finite rules; the
+    squared norm is summed left to right, so it may differ from
+    canonical_unit's in the last bit.
+    """
+    square = x * x + y * y + z * z
+    if square == math.inf and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+        # finite components whose squares overflow still define a direction
+        top = max(abs(x), abs(y), abs(z))
+        x, y, z = x / top, y / top, z / top
+        square = x * x + y * y + z * z
+    norm = math.sqrt(square)
+    if norm <= eps:
+        raise DegenerateInput(f"zero vector cannot define a direction: {(x, y, z)!r}")
+    if not norm < math.inf:  # also false for NaN
+        raise DegenerateInput(
+            f"vector with a non-finite norm cannot define a direction: {(x, y, z)!r}"
+        )
+    if abs(norm - 1.0) > _UNIT_SLACK:
+        x, y, z = x / norm, y / norm, z / norm
+    # the first component above eps decides the sign; a unit vector has one
+    if abs(x) > eps:
+        flip = x < 0.0
+    elif abs(y) > eps:
+        flip = y < 0.0
+    else:
+        flip = z < 0.0
+    if flip:
+        x, y, z = -x, -y, -z
+    # +0.0 uniformly, as in canonical_unit
+    return x + 0.0, y + 0.0, z + 0.0
+
+
+class Direction3:
+    """An unsigned direction in 3-space: canonical_unit3 of the input, as floats.
+
+    Base of the 3-vector mirrors (so3.Axis, sphere.GreatCircle). The
+    three floats x, y, z are what the rewrite computes with; equality and
+    hash go by their values, within one mirror class.
+    """
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, v):
+        self.x, self.y, self.z = canonical_unit3(*components3(v))
+
+    @property
+    def xyz(self) -> tuple[float, float, float]:
+        return self.x, self.y, self.z
+
+    def _array(self) -> np.ndarray:
+        a = np.array(self.xyz)
+        a.flags.writeable = False
+        return a
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.z == other.z
+
+    def __hash__(self):
+        return hash(self.xyz)
+
+    def __repr__(self):
+        return f"{type(self).__name__}([{self.x!r}, {self.y!r}, {self.z!r}])"
+
+
+# The 3-vector helpers below take any indexable 3-vectors (tuples, arrays)
+# and compute in plain floats: numpy's per-call overhead dominates on
+# single 3-vectors. Vectors come back as tuples.
+
+
+def cross3(a, b) -> tuple[float, float, float]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
 
 
@@ -127,26 +210,17 @@ def norm3(a) -> float:
     return math.sqrt(float(a[0] * a[0] + a[1] * a[1] + a[2] * a[2]))
 
 
-def normalized3(a) -> np.ndarray:
-    n = norm3(a)
-    if n <= EPS_COINCIDE:
-        raise DegenerateInput("zero 3-vector")
-    return np.array([a[0] / n, a[1] / n, a[2] / n])
-
-
-def rotate_about(v, axis, angle: float) -> np.ndarray:
+def rotate_about(v, axis, angle: float) -> tuple[float, float, float]:
     """Rotate 3-vector v about a unit axis by angle (Rodrigues formula)."""
     c = math.cos(angle)
     s = math.sin(angle)
     k = axis
     kv = dot3(k, v)
     kxv = cross3(k, v)
-    return np.array(
-        [
-            v[0] * c + kxv[0] * s + k[0] * kv * (1.0 - c),
-            v[1] * c + kxv[1] * s + k[1] * kv * (1.0 - c),
-            v[2] * c + kxv[2] * s + k[2] * kv * (1.0 - c),
-        ]
+    return (
+        v[0] * c + kxv[0] * s + k[0] * kv * (1.0 - c),
+        v[1] * c + kxv[1] * s + k[1] * kv * (1.0 - c),
+        v[2] * c + kxv[2] * s + k[2] * kv * (1.0 - c),
     )
 
 

@@ -233,7 +233,8 @@ def _steer_moves(w: list, sink: list, n: int, limit: int) -> None:
 
     V = np.array([h.normal for h in w[:limit]])
     s = 0
-    for cand in range(limit - 1, -1, -1):
+    # a suffix of one normal, or two the loop above found distinct, is never dependent
+    for cand in range(limit - 3, -1, -1):
         if _suffix_dependent(V[cand:], n):
             s = cand
             break

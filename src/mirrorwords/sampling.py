@@ -39,6 +39,9 @@ def random_axis(rng: np.random.Generator) -> Axis:
 
 
 def random_hyperplane(rng: np.random.Generator, dim: int) -> Hyperplane:
+    if dim < 1:
+        # _unit would redraw a zero-length vector forever
+        raise ValueError(f"hyperplanes need a dimension of at least 1, got {dim}")
     return Hyperplane(_unit(rng, dim))
 
 

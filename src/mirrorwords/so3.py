@@ -21,9 +21,11 @@ from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
+    Direction3,
     IdentityInput,
     NotOrthogonal,
-    canonical_unit,
+    canonical_unit3,
+    components3,
     cross3,
     dot3,
     norm3,
@@ -32,34 +34,26 @@ from .numerics import (
     wrap_angle,
 )
 
-_PROBES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+_PROBES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
-class Axis:
-    """A line through the origin, stored as a canonical-sign unit direction."""
+class Axis(Direction3):
+    """A line through the origin, stored as a canonical-sign unit direction.
 
-    __slots__ = ("direction",)
+    The direction is kept as three plain floats x, y, z (see Direction3);
+    `direction` gives them as a read-only array.
+    """
 
-    def __init__(self, direction):
-        d = canonical_unit(direction)
-        d.flags.writeable = False
-        self.direction = d
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, Axis):
-            return NotImplemented
-        return bool(np.array_equal(self.direction, other.direction))
-
-    def __hash__(self):
-        return hash(self.direction.tobytes())
-
-    def __repr__(self):
-        return f"Axis({self.direction.tolist()!r})"
+    direction = property(Direction3._array)
 
 
 def coincident(a: Axis, b: Axis, eps: float = EPS_COINCIDE) -> bool:
-    c = cross3(a.direction, b.direction)
-    return norm3(c) <= eps
+    cx = a.y * b.z - a.z * b.y
+    cy = a.z * b.x - a.x * b.z
+    cz = a.x * b.y - a.y * b.x
+    return math.sqrt(cx * cx + cy * cy + cz * cz) <= eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +79,10 @@ def rotation(axis, angle: float) -> Rotation:
     a = wrap_angle(angle)
     if abs(a) <= EPS_COINCIDE:
         return IDENTITY_ROTATION
-    u = canonical_unit(axis)
+    u = canonical_unit3(*components3(axis))
     if dot3(u, axis) < 0.0:
         a = wrap_angle(-a)
-    return Rotation(u, a)
+    return Rotation(np.array(u), a)
 
 
 def rotation_matrix(r: Rotation) -> np.ndarray:
@@ -106,7 +100,7 @@ def line_reflection_matrix(a: Axis) -> np.ndarray:
 
 
 def _directions(word) -> np.ndarray:
-    return np.array([a.direction for a in word]).reshape(-1, 3)
+    return np.array([(a.x, a.y, a.z) for a in word]).reshape(-1, 3)
 
 
 def word_to_matrix(word) -> np.ndarray:
@@ -209,21 +203,21 @@ def rotation_matrix_distance(A, B) -> float:
 
 def compose_line_reflections(a: Axis, b: Axis) -> Rotation:
     """R_b . R_a: rotation about the common perpendicular by twice the angle."""
-    c = cross3(a.direction, b.direction)
+    c = cross3(a.xyz, b.xyz)
     s = norm3(c)
     if s <= EPS_COINCIDE:
         return IDENTITY_ROTATION
-    theta = math.atan2(s, dot3(a.direction, b.direction))
-    return rotation(c / s, 2.0 * theta)
+    theta = math.atan2(s, dot3(a.xyz, b.xyz))
+    return rotation((c[0] / s, c[1] / s, c[2] / s), 2.0 * theta)
 
 
-def probe_perpendicular(axis) -> np.ndarray:
+def probe_perpendicular(axis) -> tuple[float, float, float]:
     """Deterministic unit vector perpendicular to axis (probe-projection rule)."""
     for p in _PROBES:
-        w = p - dot3(p, axis) * axis
-        n = norm3(w)
-        if n > EPS_COINCIDE:
-            return canonical_unit(w)
+        d = dot3(p, axis)
+        w = (p[0] - d * axis[0], p[1] - d * axis[1], p[2] - d * axis[2])
+        if norm3(w) > EPS_COINCIDE:
+            return canonical_unit3(*w)
     raise IdentityInput("axis projection failed for every probe")  # pragma: no cover
 
 
@@ -243,26 +237,15 @@ def split_reflection(k: Axis, plane_normal) -> tuple[Axis, Axis]:
     orthogonal complement every line of it qualifies and the probe rule
     picks one. c completes (k, b) to an orthogonal triple.
     """
-    n = canonical_unit(plane_normal)
-    d = k.direction
+    n = canonical_unit3(*components3(plane_normal))
+    d = k.xyz
     c = cross3(n, d)
     if norm3(c) > EPS_COINCIDE:
-        b_dir = canonical_unit(c)
+        b_dir = canonical_unit3(*c)
     else:
         b_dir = probe_perpendicular(d)
-    c_dir = canonical_unit(cross3(d, b_dir))
+    c_dir = canonical_unit3(*cross3(d, b_dir))
     return Axis(b_dir), Axis(c_dir)
-
-
-def _pencil_transport(a: Axis, b: Axis, a2: Axis) -> Axis:
-    """b2 with R_b . R_a = R_b2 . R_a2 inside the common plane of a, b, a2."""
-    u = cross3(a.direction, b.direction)
-    s = norm3(u)
-    if s <= EPS_COINCIDE:
-        return a2
-    u = u / s
-    phi = signed_angle_about(a.direction, b.direction, u)
-    return Axis(rotate_about(a2.direction, u, phi))
 
 
 def _reduce_leading_three(w: list, sink: list) -> None:
@@ -278,14 +261,14 @@ def _reduce_leading_three(w: list, sink: list) -> None:
             return
 
     k, l, m = w[0], w[1], w[2]
-    plane_normal = canonical_unit(cross3(l.direction, m.direction))
+    plane_normal = canonical_unit3(*cross3(l.xyz, m.xyz))
     b, c = split_reflection(k, plane_normal)
     # R_k = R_c . R_b = R_b . R_c (orthogonal pair), insert as [c, b]
     # so the coplanar triple (b, l, m) sits adjacently
     emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)), coincident)
     # rotate the pair (l, m), now at positions 2 and 3, so l lands on b
-    phi = signed_angle_about(w[2].direction, b.direction, plane_normal)
-    m2_new = Axis(rotate_about(w[3].direction, plane_normal, phi))
+    phi = signed_angle_about(w[2].xyz, b.xyz, plane_normal)
+    m2_new = Axis(rotate_about(w[3].xyz, plane_normal, phi))
     emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
     if len(w) >= 2 and coincident(w[0], w[1]):
@@ -308,7 +291,7 @@ def word_to_rotation(word) -> Rotation:
     if len(w) == 0:
         return IDENTITY_ROTATION
     if len(w) == 1:
-        return rotation(w[0].direction, math.pi)
+        return rotation(w[0].xyz, math.pi)
     return compose_line_reflections(w[0], w[1])
 
 

@@ -20,8 +20,8 @@ from .moves import INVOLUTION, PENCIL, Move, emit, normalize, replay
 from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
+    Direction3,
     NotConcurrent,
-    canonical_unit,
     cross3,
     dot3,
     norm3,
@@ -36,36 +36,29 @@ ROTATION = "rotation"
 GLIDE = "glide"
 
 
-class GreatCircle:
-    """Great circle {x on S2 : pole . x = 0}, pole stored with canonical sign."""
+class GreatCircle(Direction3):
+    """Great circle {x on S2 : pole . x = 0}, pole stored with canonical sign.
 
-    __slots__ = ("pole",)
+    The pole is kept as three plain floats x, y, z (see Direction3);
+    `pole` gives them as a read-only array.
+    """
 
-    def __init__(self, pole):
-        p = canonical_unit(pole)
-        p.flags.writeable = False
-        self.pole = p
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, GreatCircle):
-            return NotImplemented
-        return bool(np.array_equal(self.pole, other.pole))
-
-    def __hash__(self):
-        return hash(self.pole.tobytes())
-
-    def __repr__(self):
-        return f"GreatCircle({self.pole.tolist()!r})"
+    pole = property(Direction3._array)
 
 
 def coincident(a: GreatCircle, b: GreatCircle, eps: float = EPS_COINCIDE) -> bool:
-    return norm3(cross3(a.pole, b.pole)) <= eps
+    cx = a.y * b.z - a.z * b.y
+    cy = a.z * b.x - a.x * b.z
+    cz = a.x * b.y - a.y * b.x
+    return math.sqrt(cx * cx + cy * cy + cz * cz) <= eps
 
 
 def reflect_point(c: GreatCircle, p) -> np.ndarray:
     """Mirror image on the sphere: p - 2(pole.p) pole."""
-    w = 2.0 * dot3(c.pole, p)
-    return np.array([p[0] - w * c.pole[0], p[1] - w * c.pole[1], p[2] - w * c.pole[2]])
+    w = 2.0 * dot3(c.xyz, p)
+    return np.array([p[0] - w * c.x, p[1] - w * c.y, p[2] - w * c.z])
 
 
 def reflection_matrix(c: GreatCircle) -> np.ndarray:
@@ -74,7 +67,7 @@ def reflection_matrix(c: GreatCircle) -> np.ndarray:
 
 
 def word_to_matrix(word) -> np.ndarray:
-    return kernels.householder_word_matrix(np.array([c.pole for c in word]).reshape(-1, 3))
+    return kernels.householder_word_matrix(np.array([(c.x, c.y, c.z) for c in word]).reshape(-1, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +81,19 @@ class Classification:
 def compose_reflections(l: GreatCircle, m: GreatCircle) -> Classification:
     """R_m . R_l: identity when the circles coincide, else a rotation about
     their intersection pair by twice the dihedral angle."""
-    c = cross3(l.pole, m.pole)
+    c = cross3(l.xyz, m.xyz)
     s = norm3(c)
     if s <= EPS_COINCIDE:
         return Classification(IDENTITY)
-    theta = math.atan2(s, dot3(l.pole, m.pole))
-    r = so3.rotation(c / s, 2.0 * theta)
+    theta = math.atan2(s, dot3(l.xyz, m.xyz))
+    r = so3.rotation((c[0] / s, c[1] / s, c[2] / s), 2.0 * theta)
     return Classification(ROTATION, axis=r.axis, angle=r.angle)
 
 
-def _common_axis(l: GreatCircle, m: GreatCircle) -> np.ndarray:
-    c = cross3(l.pole, m.pole)
-    return c / norm3(c)
+def _common_axis(l: GreatCircle, m: GreatCircle) -> tuple[float, float, float]:
+    c = cross3(l.xyz, m.xyz)
+    s = norm3(c)
+    return c[0] / s, c[1] / s, c[2] / s
 
 
 def pencil_completion(
@@ -113,17 +107,17 @@ def pencil_completion(
     if coincident(l, m):
         return l2
     u = _common_axis(l, m)
-    if abs(dot3(l2.pole, u)) > EPS_COINCIDE:
+    if abs(dot3(l2.xyz, u)) > EPS_COINCIDE:
         raise NotConcurrent("third circle misses the pencil's intersection pair")
-    phi = signed_angle_about(l.pole, m.pole, u)
-    return GreatCircle(rotate_about(l2.pole, u, phi))
+    phi = signed_angle_about(l.xyz, m.xyz, u)
+    return GreatCircle(rotate_about(l2.xyz, u, phi))
 
 
 def _transport_onto(a: GreatCircle, b: GreatCircle, target: GreatCircle) -> GreatCircle:
     """b2 such that (a, b) ~ (target, b2) in the pencil of a and b."""
     u = _common_axis(a, b)
-    phi = signed_angle_about(a.pole, target.pole, u)
-    return GreatCircle(rotate_about(b.pole, u, phi))
+    phi = signed_angle_about(a.xyz, target.xyz, u)
+    return GreatCircle(rotate_about(b.xyz, u, phi))
 
 
 def _reduce_leading_four(w: list, sink: list) -> None:

@@ -179,6 +179,7 @@ def test_non_finite_mirror_is_a_usage_error():
     [
         ("ON: refl(hyper(1e200,1e200))", "ON: refl(hyper(1,1))"),
         ("S2: refl(circle(1e200,1e200,0))", "S2: refl(circle(1,1,0))"),
+        ("SO3: refl(axis(1e200,1e200,0))", "SO3: refl(axis(1,1,0))"),
     ],
 )
 def test_finite_mirror_with_overflowing_norm_defines_a_direction(expression, same_as):
@@ -190,6 +191,13 @@ def test_finite_mirror_with_overflowing_norm_defines_a_direction(expression, sam
 
 def test_infinite_component_is_still_rejected():
     result = run_cli("normalize", "ON: refl(hyper(1e400,1))")
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "DegenerateInput"
+
+
+@pytest.mark.parametrize("expression", ["SO3: refl(axis(1e400,0,1))", "S2: refl(circle(1e400,0,1))"])
+def test_infinite_3vector_component_is_rejected(expression):
+    result = run_cli("normalize", expression)
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "DegenerateInput"
 

@@ -1,0 +1,138 @@
+"""The 3-vector mirrors so3.Axis and sphere.GreatCircle.
+
+Both store their unit vector as three plain floats and compute the rewrite
+on floats; the public `direction` and `pole` arrays are read-only views
+built on demand.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mirrorwords import numerics, sampling, so3, sphere
+from mirrorwords.numerics import DegenerateInput
+
+MIRRORS = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
+
+
+@pytest.mark.parametrize("cls, attr", MIRRORS)
+def test_equality_and_hash_by_value(cls, attr):
+    rng = np.random.default_rng(70)
+    for _ in range(100):
+        v = rng.standard_normal(3)
+        a, b = cls(v), cls(list(v))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert cls(-v) == a and hash(cls(-v)) == hash(a)
+        assert cls(tuple(getattr(a, attr))) == a
+    assert len({cls((1, 0, 0)), cls((-2, 0, 0)), cls((0, 1, 0))}) == 2
+    assert cls((1, 0, 0)) != cls((0, 1, 0))
+
+
+def test_an_axis_is_never_a_great_circle():
+    assert so3.Axis((1, 0, 0)) != sphere.GreatCircle((1, 0, 0))
+    assert sphere.GreatCircle((1, 0, 0)) != so3.Axis((1, 0, 0))
+
+
+@pytest.mark.parametrize("cls, attr", MIRRORS)
+def test_vector_is_a_read_only_float64_array(cls, attr):
+    m = cls((0, -3, 4))
+    v = getattr(m, attr)
+    assert isinstance(v, np.ndarray)
+    assert v.dtype == np.float64 and v.shape == (3,)
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    np.testing.assert_array_equal(v, [0.0, 0.6, -0.8])
+    assert (m.x, m.y, m.z) == (0.0, 0.6, -0.8)
+    assert math.copysign(1.0, m.x) == 1.0  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize("cls, attr", MIRRORS)
+@pytest.mark.parametrize("v", [[1.0, 2.0], [1, 2, 3, 4], [], 5.0, np.ones(4), np.ones((3, 3))])
+def test_wrong_number_of_components_is_rejected(cls, attr, v):
+    with pytest.raises(DegenerateInput):
+        cls(v)
+
+
+@pytest.mark.parametrize("cls, attr", MIRRORS)
+def test_vector_rules_of_canonical_unit_hold(cls, attr):
+    with pytest.raises(DegenerateInput):
+        cls((0.0, 0.0, 0.0))
+    with pytest.raises(DegenerateInput):
+        cls((float("nan"), 0.0, 1.0))
+    with pytest.raises(DegenerateInput):
+        cls((1e400, 0.0, 1.0))
+    np.testing.assert_allclose(getattr(cls((1e200, 1e200, 0)), attr), getattr(cls((1, 1, 0)), attr), atol=1e-15)
+
+
+def test_wrong_length_input_fails_before_the_rewrite():
+    # a two-component axis used to surface as a bare IndexError in cross3
+    with pytest.raises(DegenerateInput):
+        so3.normalize_word([so3.Axis([1.0, 0.0, 0.0]), so3.Axis([1.0, 2.0])])
+
+
+def test_repr_names_the_floats():
+    assert repr(so3.Axis((0, 0, -2))) == "Axis([0.0, 0.0, 1.0])"
+    assert repr(sphere.GreatCircle((3, 4, 0))) == "GreatCircle([0.6, 0.8, 0.0])"
+
+
+def test_oracle_gathers_read_the_floats():
+    rng = np.random.default_rng(71)
+    word = sampling.random_word(rng, "so3", 5)
+    np.testing.assert_array_equal(so3._directions(word), np.array([a.direction for a in word]))
+    circles = sampling.random_word(rng, "s2", 5)
+    expected = np.eye(3)
+    for c in circles:
+        expected = (np.eye(3) - 2.0 * np.outer(c.pole, c.pole)) @ expected
+    np.testing.assert_allclose(sphere.word_to_matrix(circles), expected, rtol=0, atol=1e-14)
+
+
+# Functions of the S2 and SO(3) rewrite path, which compute on plain floats
+FLOAT_PATH = {
+    so3: ["coincident", "probe_perpendicular", "split_reflection", "_reduce_leading_three"],
+    sphere: [
+        "coincident",
+        "_common_axis",
+        "pencil_completion",
+        "_transport_onto",
+        "_reduce_leading_four",
+    ],
+    numerics: [
+        "Direction3.__init__",
+        "Direction3.__eq__",
+        "components3",
+        "canonical_unit3",
+        "cross3",
+        "dot3",
+        "norm3",
+        "rotate_about",
+        "signed_angle_about",
+    ],
+}
+
+
+def _functions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+@pytest.mark.parametrize("module", list(FLOAT_PATH), ids=lambda m: m.__name__)
+def test_rewrite_path_makes_no_numpy_call(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    functions = dict(_functions(tree))
+    for name in FLOAT_PATH[module]:
+        uses = [
+            node.lineno
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id == "np"
+        ]
+        assert uses == [], f"{module.__name__}.{name} uses numpy on lines {uses}"

@@ -8,6 +8,7 @@ from mirrorwords.numerics import (
     DegenerateInput,
     angle_between_directions,
     canonical_unit,
+    canonical_unit3,
     cross3,
     rotate_about,
     signed_angle_about,
@@ -47,6 +48,47 @@ def test_canonical_unit_rescales_an_overflowing_norm(v, direction):
         warnings.simplefilter("error")
         u = canonical_unit(v)
     np.testing.assert_allclose(u, canonical_unit(direction), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e150, 1e300])
+def test_canonical_unit3_agrees_with_canonical_unit(scale):
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        v = rng.standard_normal(3) * scale
+        u = canonical_unit3(*v.tolist())
+        assert all(type(x) is float for x in u)
+        # the squared norms may differ in their last bit (canonical_unit's
+        # BLAS dot may fuse multiply-adds), so a component may move 2 ulps,
+        # never more than one machine epsilon
+        w = canonical_unit(v)
+        assert np.all(np.abs(np.array(u) - w) <= 2.0 * np.spacing(np.abs(w)))
+        assert canonical_unit3(*u) == u
+        assert canonical_unit3(*(-v).tolist()) == u
+
+
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ((0.0, -2.0, 0.0), (0.0, 1.0, 0.0)),
+        ((-1e-12, 0.0, -5.0), (2e-13, 0.0, 1.0)),
+        ((-0.0, 3.0, -4.0), (0.0, 0.6, -0.8)),
+        ((1e200, -1e200, 0.0), canonical_unit3(1.0, -1.0, 0.0)),
+    ],
+)
+def test_canonical_unit3_sign_and_zero_rules(v, expected):
+    u = canonical_unit3(*v)
+    assert u == pytest.approx(expected, abs=1e-16)
+    assert all(math.copysign(1.0, x) == 1.0 for x in u if x == 0.0)
+
+
+@pytest.mark.parametrize(
+    "v", [(0.0, 0.0, 0.0), (1e-10, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (1e400, 1.0, 0.0)]
+)
+def test_canonical_unit3_rejects_what_canonical_unit_rejects(v):
+    with pytest.raises(DegenerateInput):
+        canonical_unit(v)
+    with pytest.raises(DegenerateInput):
+        canonical_unit3(*v)
 
 
 def test_canonical_unit_exactly_idempotent():

@@ -247,3 +247,12 @@ def test_det_parity_through_replay():
         for st in states:
             M = word_to_matrix(st, n)
             assert np.linalg.det(M) == pytest.approx((-1.0) ** len(st), abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_random_word_rejects_dimension_below_one(dim):
+    # a zero-length Gaussian vector never passes the sampler's norm check
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="dimension"):
+        sampling.random_word(rng, "on", 3, dim=dim)
+    assert sampling.random_word(rng, "on", 0, dim=dim) == []
