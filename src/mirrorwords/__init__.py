@@ -20,6 +20,7 @@ from .numerics import (
     EPS_VERIFY,
     DegenerateArc,
     DegenerateInput,
+    DegenerateSteering,
     GeometryError,
     IdentityInput,
     NotConcurrent,
@@ -47,6 +48,7 @@ __all__ = [
     "GeometryError",
     "DegenerateInput",
     "DegenerateArc",
+    "DegenerateSteering",
     "IdentityInput",
     "NotConcurrent",
     "NotCoplanarNormals",

@@ -21,7 +21,6 @@ from .numerics import (
     DegenerateInput,
     canonical_unit,
     cross3,
-    dot3,
     norm3,
     rotate_about,
     signed_angle_about,
@@ -91,12 +90,7 @@ def identity_arc(anchor=None) -> Arc:
 
 def arc_to_rotation(arc: Arc) -> so3.Rotation:
     """The rotation encoded by an arc: twice the arc length about its axis."""
-    c = cross3(arc.tail, arc.head)
-    s = norm3(c)
-    if s <= EPS_COINCIDE:
-        return so3.IDENTITY_ROTATION
-    theta = math.atan2(s, dot3(arc.tail, arc.head))
-    return so3.rotation(np.asarray(c) / s, 2.0 * theta)
+    return so3.twice_angle_rotation(arc.tail, arc.head)
 
 
 def rotation_to_arc(r: so3.Rotation, anchor=None) -> Arc:

@@ -14,7 +14,7 @@ Expression grammar (whitespace-insensitive)::
 in the text acts last, so the stored word (first mirror acts first) is the
 reversed term list.
 
-Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
+Exit codes: 0 success, 1 verification failure, 2 parse, usage or geometry error.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ from . import arrowarc, orthon, plane, sampling, so3, sphere
 from .moves import Move
 from .numerics import EPS_VERIFY, GeometryError
 
-GROUPS = ("e2", "s2", "so3", "on")
+# The one place a group tag is looked up. Each geometry module exports
+# KEYWORD, ARITY, mirror_from_values, mirror_json, normalize_word,
+# word_distance and classification_json; each mirror has `values`.
+GEOMETRIES = {"e2": plane, "s2": sphere, "so3": so3, "on": orthon}
+GROUPS = tuple(GEOMETRIES)
 
 # Largest O(n) dimension accepted in ON(n), --dim and hyper(), checked
 # before anything of that size is allocated.
 MAX_DIMENSION = 64
-
-_MIRROR_KEYWORD = {"e2": "line", "s2": "circle", "so3": "axis", "on": "hyper"}
 
 
 class ExpressionSyntaxError(GeometryError):
@@ -136,27 +138,18 @@ class _Parser:
         return values
 
 
-def _make_mirror(group: str, values: list, pos: int):
-    keyword = _MIRROR_KEYWORD[group]
-    if group == "e2":
-        if len(values) != 3:
-            raise ExpressionSyntaxError("line() takes normal_x, normal_y, offset", pos)
-        return plane.Line(values[:2], values[2])
-    if group == "s2":
-        if len(values) != 3:
-            raise ExpressionSyntaxError("circle() takes three pole components", pos)
-        return sphere.GreatCircle(values)
-    if group == "so3":
-        if len(values) != 3:
-            raise ExpressionSyntaxError("axis() takes three direction components", pos)
-        return so3.Axis(values)
-    if len(values) < 2:
-        raise ExpressionSyntaxError(f"{keyword}() needs at least two components", pos)
-    if len(values) > MAX_DIMENSION:
-        raise DimensionMismatch(
-            f"{keyword}() has {len(values)} components, at most {MAX_DIMENSION} are allowed"
-        )
-    return orthon.Hyperplane(values)
+def _make_mirror(geometry, values: list, pos: int):
+    keyword = geometry.KEYWORD
+    if geometry.ARITY is None:
+        if len(values) < 2:
+            raise ExpressionSyntaxError(f"{keyword}() needs at least two components", pos)
+        if len(values) > MAX_DIMENSION:
+            raise DimensionMismatch(
+                f"{keyword}() has {len(values)} components, at most {MAX_DIMENSION} are allowed"
+            )
+    elif len(values) != geometry.ARITY:
+        raise ExpressionSyntaxError(f"{keyword}() takes {geometry.ARITY} components", pos)
+    return geometry.mirror_from_values(values)
 
 
 def _check_dimension(dim: float) -> None:
@@ -166,6 +159,15 @@ def _check_dimension(dim: float) -> None:
         )
 
 
+def _on_dimension(word, dim: int | None) -> int:
+    """An ON word's dimension: the given one, else that of its mirrors."""
+    if dim is not None:
+        return dim
+    if not word:
+        raise DimensionMismatch("empty ON word needs an explicit dimension, e.g. ON(3): id")
+    return word[0].dimension
+
+
 def parse_expression(text: str, default_dim: int | None = None) -> Expression:
     """Parse an expression into a group tag and a first-acts-first word."""
     p = _Parser(text)
@@ -173,6 +175,7 @@ def parse_expression(text: str, default_dim: int | None = None) -> Expression:
     if kind != "name" or value not in GROUPS:
         raise ExpressionSyntaxError("expected a group tag (E2, S2, SO3 or ON)", pos)
     group = value
+    geometry = GEOMETRIES[group]
     dim = None
     if group == "on":
         kind, value, _ = p.peek()
@@ -195,11 +198,11 @@ def parse_expression(text: str, default_dim: int | None = None) -> Expression:
             p.expect_name("refl")
             p.expect_punct("(")
             kind, value, mpos = p.next()
-            if kind != "name" or value != _MIRROR_KEYWORD[group]:
+            if kind != "name" or value != geometry.KEYWORD:
                 raise ExpressionSyntaxError(
-                    f"group {group.upper()} expects {_MIRROR_KEYWORD[group]}() mirrors", mpos
+                    f"group {group.upper()} expects {geometry.KEYWORD}() mirrors", mpos
                 )
-            terms.append(_make_mirror(group, p.numbers(), mpos))
+            terms.append(_make_mirror(geometry, p.numbers(), mpos))
             p.expect_punct(")")
             kind, value, pos = p.peek()
             if kind == "punct" and value == "*":
@@ -222,95 +225,52 @@ def parse_expression(text: str, default_dim: int | None = None) -> Expression:
                 raise DimensionMismatch(f"ON({dim}) expression carries {d}-dimensional mirrors")
             dim = d
         elif dim is None:
-            dim = default_dim
-        if dim is None:
-            raise DimensionMismatch("empty ON word needs an explicit dimension, e.g. ON(3): id")
+            dim = _on_dimension(word, default_dim)
         _check_dimension(dim)
     return Expression(group, word, dim)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _mirror_text(group: str, mirror) -> str:
-    if group == "e2":
-        return f"line({_fmt(mirror.nx)},{_fmt(mirror.ny)},{_fmt(mirror.offset)})"
-    if group == "s2":
-        return f"circle({','.join(_fmt(x) for x in mirror.xyz)})"
-    if group == "so3":
-        return f"axis({','.join(_fmt(x) for x in mirror.xyz)})"
-    return f"hyper({','.join(_fmt(x) for x in mirror.normal)})"
+def _mirror_text(geometry, mirror) -> str:
+    return f"{geometry.KEYWORD}({','.join(repr(float(x)) for x in mirror.values)})"
 
 
 def pretty(expr: Expression) -> str:
     """Canonical text form; parse(pretty(parse(s))) is a fixed point."""
     tag = expr.group.upper()
     if expr.group == "on":
-        tag = f"ON({expr.dim})"
+        tag = f"ON({_on_dimension(expr.word, expr.dim)})"
     if not expr.word:
         return f"{tag}: id"
-    terms = [f"refl({_mirror_text(expr.group, m)})" for m in reversed(expr.word)]
+    geometry = GEOMETRIES[expr.group]
+    terms = [f"refl({_mirror_text(geometry, m)})" for m in reversed(expr.word)]
     return f"{tag}: " + " * ".join(terms)
 
 
-def _mirror_json(group: str, mirror) -> dict:
-    if group == "e2":
-        return {"normal": [mirror.nx, mirror.ny], "offset": mirror.offset}
-    if group == "s2":
-        return {"pole": list(mirror.xyz)}
-    if group == "so3":
-        return {"direction": list(mirror.xyz)}
-    return {"normal": list(mirror.normal)}
-
-
 def word_json(group: str, word, dim: int | None = None) -> dict:
-    out = {"group": group, "mirrors": [_mirror_json(group, m) for m in word]}
+    out = {"group": group, "mirrors": [GEOMETRIES[group].mirror_json(m) for m in word]}
     if group == "on":
-        out["dimension"] = dim
+        out["dimension"] = _on_dimension(word, dim)
     return out
 
 
-def _move_json(group: str, mv: Move) -> dict:
+def _move_json(geometry, mv: Move) -> dict:
     return {
         "move": mv.kind,
         "index": mv.index,
-        "mirrors": [_mirror_json(group, m) for m in mv.mirrors],
+        "mirrors": [geometry.mirror_json(m) for m in mv.mirrors],
     }
 
 
-def _move_text(group: str, mv: Move) -> str:
+def _move_text(geometry, mv: Move) -> str:
     if mv.mirrors:
-        inner = "; ".join(_mirror_text(group, m) for m in mv.mirrors)
+        inner = "; ".join(_mirror_text(geometry, m) for m in mv.mirrors)
         return f"{mv.kind}({mv.index}; {inner})"
     return f"{mv.kind}({mv.index})"
 
 
-_NORMALIZERS = {
-    "e2": lambda w, trace, dim: plane.normalize_word(w, trace),
-    "s2": lambda w, trace, dim: sphere.normalize_word(w, trace),
-    "so3": lambda w, trace, dim: so3.normalize_word(w, trace),
-    "on": lambda w, trace, dim: orthon.normalize_word(w, dim=dim, trace=trace),
-}
-
-
 def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
     """Oracle distance between two words of one group."""
-    if group == "e2":
-        return plane.isometry_distance(
-            plane.word_to_isometry(word_in), plane.word_to_isometry(word_out)
-        )
-    if group == "s2":
-        return so3.rotation_matrix_distance(
-            sphere.word_to_matrix(word_in), sphere.word_to_matrix(word_out)
-        )
-    if group == "so3":
-        return so3.quaternion_distance(
-            so3.word_to_quaternion(word_in), so3.word_to_quaternion(word_out)
-        )
-    return float(
-        np.linalg.norm(orthon.word_to_matrix(word_in, dim) - orthon.word_to_matrix(word_out, dim))
-    )
+    return GEOMETRIES[group].word_distance(word_in, word_out, dim)
 
 
 def _vec(v) -> str:
@@ -318,46 +278,7 @@ def _vec(v) -> str:
 
 
 def classification_json(expr: Expression) -> dict:
-    if expr.group == "e2":
-        c = plane.classify_word(expr.word)
-        out = {"kind": c.kind}
-        if c.axis is not None:
-            out["axis"] = {"normal": [c.axis.nx, c.axis.ny], "offset": c.axis.offset}
-        if c.vector is not None:
-            out["vector"] = list(c.vector)
-        if c.center is not None:
-            out["center"] = list(c.center)
-        if c.angle is not None:
-            out["angle"] = c.angle
-        return out
-    if expr.group == "s2":
-        c = sphere.classify_word(expr.word)
-        out = {"kind": c.kind}
-        if c.circle is not None:
-            out["circle"] = {"pole": list(c.circle.xyz)}
-        if c.axis is not None:
-            out["axis"] = list(c.axis)
-        if c.angle is not None:
-            out["angle"] = c.angle
-        return out
-    if expr.group == "so3":
-        r = so3.word_to_rotation(expr.word)
-        if r.is_identity:
-            return {"kind": "identity"}
-        return {"kind": "rotation", "axis": list(r.axis), "angle": r.angle}
-    M = orthon.word_to_matrix(expr.word, expr.dim)
-    split = orthon.spectral_split(M)
-    blocks = []
-    for b in split.blocks:
-        entry = {"kind": b.kind, "dim": int(b.basis.shape[0])}
-        if b.angle is not None:
-            entry["angle"] = b.angle
-        blocks.append(entry)
-    return {
-        "kind": "orthogonal",
-        "det": round(float(np.linalg.det(M))),
-        "blocks": blocks,
-    }
+    return GEOMETRIES[expr.group].classification_json(expr.word, expr.dim)
 
 
 def classification_text(c: dict) -> str:
@@ -401,8 +322,12 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _report(expr: Expression, normalized, trace, res: float, tol: float, args) -> int:
-    status = "ok" if res <= tol else "residual-exceeded"
+def _normalize_and_report(expr: Expression, args) -> int:
+    geometry = GEOMETRIES[expr.group]
+    trace: list = []
+    normalized = geometry.normalize_word(expr.word, trace=trace, dim=expr.dim)
+    res = residual(expr.group, expr.word, normalized, expr.dim)
+    status = "ok" if res <= args.tol else "residual-exceeded"
     norm_expr = Expression(expr.group, normalized, expr.dim)
     if args.json:
         _emit_json(
@@ -414,7 +339,7 @@ def _report(expr: Expression, normalized, trace, res: float, tol: float, args) -
                 "normalized_text": pretty(norm_expr),
                 "classification": classification_json(norm_expr),
                 "residual": _json_residual(res),
-                "trace": [_move_json(expr.group, m) for m in trace],
+                "trace": [_move_json(geometry, m) for m in trace],
             }
         )
     else:
@@ -425,7 +350,7 @@ def _report(expr: Expression, normalized, trace, res: float, tol: float, args) -
         print(f"residual:       {res:.6e}")
         if args.trace:
             for mv in trace:
-                print(f"  {_move_text(expr.group, mv)}")
+                print(f"  {_move_text(geometry, mv)}")
         else:
             print(f"moves:          {len(trace)} (use --trace to list)")
     return 0 if status == "ok" else 1
@@ -433,10 +358,7 @@ def _report(expr: Expression, normalized, trace, res: float, tol: float, args) -
 
 def _cmd_normalize(args) -> int:
     expr = parse_expression(args.expression, default_dim=args.dim)
-    trace: list = []
-    normalized = _NORMALIZERS[expr.group](expr.word, trace, expr.dim)
-    res = residual(expr.group, expr.word, normalized, expr.dim)
-    return _report(expr, normalized, trace, res, args.tol, args)
+    return _normalize_and_report(expr, args)
 
 
 def _cmd_classify(args) -> int:
@@ -459,11 +381,7 @@ def _cmd_compose(args) -> int:
         raise DimensionMismatch(f"cannot compose ON({a.dim}) with ON({b.dim})")
     # compose LEFT . RIGHT: the right expression acts first
     word = list(b.word) + list(a.word)
-    expr = Expression(a.group, word, a.dim)
-    trace: list = []
-    normalized = _NORMALIZERS[expr.group](expr.word, trace, expr.dim)
-    res = residual(expr.group, expr.word, normalized, expr.dim)
-    return _report(expr, normalized, trace, res, args.tol, args)
+    return _normalize_and_report(Expression(a.group, word, a.dim), args)
 
 
 def _cmd_arc(args) -> int:
@@ -513,7 +431,7 @@ def _cmd_reduce(args) -> int:
                 "reduced": word_json("on", reduced, expr.dim),
                 "reduced_text": pretty(out_expr),
                 "residual": _json_residual(res),
-                "trace": [_move_json("on", m) for m in trace],
+                "trace": [_move_json(orthon, m) for m in trace],
             }
         )
     else:
@@ -522,7 +440,7 @@ def _cmd_reduce(args) -> int:
         print(f"length:   {len(expr.word)} -> {len(reduced)}")
         print(f"residual: {res:.6e}")
         for mv in trace:
-            print(f"  {_move_text('on', mv)}")
+            print(f"  {_move_text(orthon, mv)}")
     return 0 if status == "ok" else 1
 
 
@@ -541,7 +459,7 @@ def _cmd_verify(args) -> int:
     for _ in range(args.count):
         length = int(rng.integers(0, args.max_len + 1))
         word = sampling.random_word(rng, group, length, dim=dim)
-        normalized = _NORMALIZERS[group](word, None, dim)
+        normalized = GEOMETRIES[group].normalize_word(word, dim=dim)
         res = residual(group, word, normalized, dim)
         # comparisons with NaN are false: a NaN residual is a violation and,
         # once it is the worst, stays the worst

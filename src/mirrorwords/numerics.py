@@ -55,6 +55,10 @@ class DegenerateArc(GeometryError):
     """The degenerate (identity) arc does not support this move."""
 
 
+class DegenerateSteering(GeometryError):
+    """O(n) steering found no pair to cancel: the input is too near degenerate."""
+
+
 def canonical_unit(v, eps: float = EPS_COINCIDE) -> np.ndarray:
     """Normalize v and fix its sign so the first significant component is positive.
 
@@ -171,6 +175,9 @@ class Direction3:
     @property
     def xyz(self) -> tuple[float, float, float]:
         return self.x, self.y, self.z
+
+    # the floats of the mirror's text form
+    values = xyz
 
     def _array(self) -> np.ndarray:
         a = np.array(self.xyz)

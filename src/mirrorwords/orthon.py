@@ -20,6 +20,7 @@ from .moves import INVOLUTION, PENCIL, Move, apply_move, emit, normalize, replay
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
+    DegenerateSteering,
     NotCoplanarNormals,
     NotOrthogonal,
     WrongLength,
@@ -30,6 +31,10 @@ from .numerics import (
 # linearly dependent only when it is so almost exactly, otherwise the
 # final cancellation could miss the coincidence tolerance.
 _RANK_TOL = 1e-12
+
+KEYWORD = "hyper"
+# a hyperplane takes as many components as its dimension
+ARITY = None
 
 
 class Hyperplane:
@@ -46,6 +51,10 @@ class Hyperplane:
     def dimension(self) -> int:
         return self.normal.shape[0]
 
+    @property
+    def values(self) -> tuple:
+        return tuple(self.normal.tolist())
+
     def __eq__(self, other):
         if not isinstance(other, Hyperplane):
             return NotImplemented
@@ -56,6 +65,13 @@ class Hyperplane:
 
     def __repr__(self):
         return f"Hyperplane({self.normal.tolist()!r})"
+
+
+mirror_from_values = Hyperplane
+
+
+def mirror_json(h: Hyperplane) -> dict:
+    return {"normal": list(h.normal)}
 
 
 def coincident(a: Hyperplane, b: Hyperplane, eps: float = EPS_COINCIDE) -> bool:
@@ -87,6 +103,11 @@ def _word_dimension(word, dim: int | None) -> int:
 def word_to_matrix(word, dim: int | None = None) -> np.ndarray:
     d = _word_dimension(word, dim)
     return kernels.householder_word_matrix(np.array([h.normal for h in word]).reshape(-1, d))
+
+
+def word_distance(a, b, dim: int | None = None) -> float:
+    """Frobenius distance between the oracle matrices of two words."""
+    return float(np.linalg.norm(word_to_matrix(a, dim) - word_to_matrix(b, dim)))
 
 
 def _check_orthogonal(M) -> np.ndarray:
@@ -244,7 +265,7 @@ def _steer_moves(w: list, sink: list, n: int, limit: int) -> None:
             emit(w, sink, Move(INVOLUTION, s), coincident)
             return
         if s >= limit - 2:
-            raise AssertionError("steering invariant broken; input too degenerate")
+            raise DegenerateSteering("steering invariant broken; input too degenerate")
         e1 = w[s].normal
         v = w[s + 1].normal
         u = v - float(v @ e1) * e1
@@ -276,10 +297,27 @@ def reduce_word(word, trace: list | None = None) -> list:
     return w
 
 
-def normalize_word(word, dim: int | None = None, trace: list | None = None) -> list:
+def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most n, preserving length parity."""
     n = _word_dimension(word, dim)
     return normalize(word, coincident, lambda w, sink: _steer_moves(w, sink, n, n + 1), n, trace)
+
+
+def classification_json(word, dim: int | None = None) -> dict:
+    """Determinant and spectral blocks of the word's orthogonal map."""
+    M = word_to_matrix(word, dim)
+    split = spectral_split(M)
+    blocks = []
+    for b in split.blocks:
+        entry = {"kind": b.kind, "dim": int(b.basis.shape[0])}
+        if b.angle is not None:
+            entry["angle"] = b.angle
+        blocks.append(entry)
+    return {
+        "kind": "orthogonal",
+        "det": round(float(np.linalg.det(M))),
+        "blocks": blocks,
+    }
 
 
 def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:

@@ -34,6 +34,9 @@ GLIDE = "glide"
 
 _HALF_PI = math.pi / 2.0
 
+KEYWORD = "line"
+ARITY = 3
+
 
 class Line:
     """Mirror line {x : normal . x = offset}, one stored representative per line.
@@ -76,6 +79,10 @@ class Line:
     def direction(self) -> np.ndarray:
         return np.array([-self.ny, self.nx])
 
+    @property
+    def values(self) -> tuple[float, float, float]:
+        return self.nx, self.ny, self.offset
+
     def __eq__(self, other):
         if not isinstance(other, Line):
             return NotImplemented
@@ -86,6 +93,14 @@ class Line:
 
     def __repr__(self):
         return f"Line(({self.nx!r}, {self.ny!r}), {self.offset!r})"
+
+
+def mirror_from_values(values) -> Line:
+    return Line(values[:2], values[2])
+
+
+def mirror_json(l: Line) -> dict:
+    return {"normal": [l.nx, l.ny], "offset": l.offset}
 
 
 def coincident(a: Line, b: Line, eps: float = EPS_COINCIDE) -> bool:
@@ -175,6 +190,10 @@ def isometry_distance(a: Isometry, b: Isometry) -> float:
     dl = a.linear - b.linear
     dt = a.translation - b.translation
     return math.sqrt(float((dl * dl).sum())) + math.sqrt(float(dt @ dt))
+
+
+def word_distance(a, b, dim: int | None = None) -> float:
+    return isometry_distance(word_to_isometry(a), word_to_isometry(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +369,7 @@ def reduce_four(k: Line, l: Line, m: Line, n: Line, trace: list | None = None) -
     return normalize_word([k, l, m, n], trace)
 
 
-def normalize_word(word, trace: list | None = None) -> list:
+def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
     return normalize(word, coincident, _reduce_leading_four, 3, trace)
 
@@ -384,6 +403,20 @@ def classify_word(word) -> Classification:
     if abs(g) <= EPS_COINCIDE:
         return Classification(REFLECTION, axis=axis)
     return Classification(GLIDE, axis=axis, vector=np.array([-g * u[1], g * u[0]]))
+
+
+def classification_json(word, dim: int | None = None) -> dict:
+    c = classify_word(word)
+    out = {"kind": c.kind}
+    if c.axis is not None:
+        out["axis"] = mirror_json(c.axis)
+    if c.vector is not None:
+        out["vector"] = list(c.vector)
+    if c.center is not None:
+        out["center"] = list(c.center)
+    if c.angle is not None:
+        out["angle"] = c.angle
+    return out
 
 
 def replay_moves(word, moves) -> list:

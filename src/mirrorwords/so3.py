@@ -36,6 +36,9 @@ from .numerics import (
 
 _PROBES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
+KEYWORD = "axis"
+ARITY = 3
+
 
 class Axis(Direction3):
     """A line through the origin, stored as a canonical-sign unit direction.
@@ -47,6 +50,13 @@ class Axis(Direction3):
     __slots__ = ()
 
     direction = property(Direction3._array)
+
+
+mirror_from_values = Axis
+
+
+def mirror_json(a: Axis) -> dict:
+    return {"direction": list(a.xyz)}
 
 
 def coincident(a: Axis, b: Axis, eps: float = EPS_COINCIDE) -> bool:
@@ -138,6 +148,10 @@ def word_to_quaternion(word) -> Quaternion:
     return Quaternion(q[0], q[1], q[2], q[3])
 
 
+def word_distance(a, b, dim: int | None = None) -> float:
+    return quaternion_distance(word_to_quaternion(a), word_to_quaternion(b))
+
+
 def rotation_to_quaternion(r: Rotation) -> Quaternion:
     h = r.angle / 2.0
     s = math.sin(h)
@@ -201,14 +215,23 @@ def rotation_matrix_distance(A, B) -> float:
     return abs(math.atan2(s, c))
 
 
-def compose_line_reflections(a: Axis, b: Axis) -> Rotation:
-    """R_b . R_a: rotation about the common perpendicular by twice the angle."""
-    c = cross3(a.xyz, b.xyz)
+def twice_angle_rotation(u, v) -> Rotation:
+    """The rotation about u x v by twice the angle from u to v; identity if parallel.
+
+    It is R_b . R_a for two mirrors a, b through the origin with
+    directions (or poles) u, v, and the rotation an arc from u to v encodes.
+    """
+    c = cross3(u, v)
     s = norm3(c)
     if s <= EPS_COINCIDE:
         return IDENTITY_ROTATION
-    theta = math.atan2(s, dot3(a.xyz, b.xyz))
+    theta = math.atan2(s, dot3(u, v))
     return rotation((c[0] / s, c[1] / s, c[2] / s), 2.0 * theta)
+
+
+def compose_line_reflections(a: Axis, b: Axis) -> Rotation:
+    """R_b . R_a: rotation about the common perpendicular by twice the angle."""
+    return twice_angle_rotation(a.xyz, b.xyz)
 
 
 def probe_perpendicular(axis) -> tuple[float, float, float]:
@@ -280,7 +303,7 @@ def reduce_three(k: Axis, l: Axis, m: Axis, trace: list | None = None) -> list:
     return normalize_word([k, l, m], trace)
 
 
-def normalize_word(word, trace: list | None = None) -> list:
+def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word of line reflections to length at most 2 (0 for identity)."""
     return normalize(word, coincident, _reduce_leading_three, 2, trace)
 
@@ -293,6 +316,13 @@ def word_to_rotation(word) -> Rotation:
     if len(w) == 1:
         return rotation(w[0].xyz, math.pi)
     return compose_line_reflections(w[0], w[1])
+
+
+def classification_json(word, dim: int | None = None) -> dict:
+    r = word_to_rotation(word)
+    if r.is_identity:
+        return {"kind": "identity"}
+    return {"kind": "rotation", "axis": list(r.axis), "angle": r.angle}
 
 
 def projective_representative(M) -> np.ndarray:

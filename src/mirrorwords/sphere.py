@@ -35,6 +35,9 @@ REFLECTION = "reflection"
 ROTATION = "rotation"
 GLIDE = "glide"
 
+KEYWORD = "circle"
+ARITY = 3
+
 
 class GreatCircle(Direction3):
     """Great circle {x on S2 : pole . x = 0}, pole stored with canonical sign.
@@ -46,6 +49,13 @@ class GreatCircle(Direction3):
     __slots__ = ()
 
     pole = property(Direction3._array)
+
+
+mirror_from_values = GreatCircle
+
+
+def mirror_json(c: GreatCircle) -> dict:
+    return {"pole": list(c.xyz)}
 
 
 def coincident(a: GreatCircle, b: GreatCircle, eps: float = EPS_COINCIDE) -> bool:
@@ -70,6 +80,10 @@ def word_to_matrix(word) -> np.ndarray:
     return kernels.householder_word_matrix(np.array([(c.x, c.y, c.z) for c in word]).reshape(-1, 3))
 
 
+def word_distance(a, b, dim: int | None = None) -> float:
+    return so3.rotation_matrix_distance(word_to_matrix(a), word_to_matrix(b))
+
+
 @dataclass(frozen=True, eq=False)
 class Classification:
     kind: str
@@ -81,12 +95,9 @@ class Classification:
 def compose_reflections(l: GreatCircle, m: GreatCircle) -> Classification:
     """R_m . R_l: identity when the circles coincide, else a rotation about
     their intersection pair by twice the dihedral angle."""
-    c = cross3(l.xyz, m.xyz)
-    s = norm3(c)
-    if s <= EPS_COINCIDE:
+    r = so3.twice_angle_rotation(l.xyz, m.xyz)
+    if r.is_identity:
         return Classification(IDENTITY)
-    theta = math.atan2(s, dot3(l.xyz, m.xyz))
-    r = so3.rotation((c[0] / s, c[1] / s, c[2] / s), 2.0 * theta)
     return Classification(ROTATION, axis=r.axis, angle=r.angle)
 
 
@@ -157,7 +168,7 @@ def reduce_four(
     return normalize_word([k, l, m, n], trace)
 
 
-def normalize_word(word, trace: list | None = None) -> list:
+def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
     return normalize(word, coincident, _reduce_leading_four, 3, trace)
 
@@ -183,6 +194,18 @@ def classify_word(word) -> Classification:
     if abs(psi) <= EPS_COINCIDE:
         return Classification(REFLECTION, circle=GreatCircle(r.axis))
     return Classification(GLIDE, axis=r.axis, angle=psi)
+
+
+def classification_json(word, dim: int | None = None) -> dict:
+    c = classify_word(word)
+    out = {"kind": c.kind}
+    if c.circle is not None:
+        out["circle"] = mirror_json(c.circle)
+    if c.axis is not None:
+        out["axis"] = list(c.axis)
+    if c.angle is not None:
+        out["angle"] = c.angle
+    return out
 
 
 def replay_moves(word, moves) -> list:

@@ -8,8 +8,6 @@ numpy, quaternion products, numpy eigendecompositions).
 
 import json
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from oracles import (
     sphere_word_matrix,
 )
 from mirrorwords import arrowarc, orthon, plane, sampling, so3, sphere
+from test_cli import run_cli as _run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -297,12 +296,6 @@ def test_criterion_9_cross_module_consistency():
             float(np.abs(R - M).max()) <= 1e-8 or float(np.abs(R + M).max()) <= 1e-8
         )
     _report(9, "sphere/orthon/so3 agree on 500 random plane-reflection words")
-
-
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "mirrorwords", *args], capture_output=True, text=True
-    )
 
 
 def test_criterion_10_cli_conformance():

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mirrorwords
 from mirrorwords import cli, orthon, plane, sampling, so3, sphere
 from mirrorwords.cli import (
     DimensionMismatch,
@@ -23,10 +26,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args):
+    # the child process imports the same mirrorwords as this one, also when
+    # only pytest's `pythonpath` setting put it on sys.path
+    src = str(Path(mirrorwords.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "mirrorwords", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -71,6 +79,23 @@ def test_parse_rejects_mixed_dimensions():
         parse_expression("ON(4): refl(hyper(1,0,0))")
     with pytest.raises(DimensionMismatch):
         parse_expression("ON: id")
+    with pytest.raises(DimensionMismatch):
+        pretty(Expression("on", []))
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("E2: refl(line(1,2))", 9),
+        ("S2: refl(circle(1,2,3,4))", 9),
+        ("SO3: refl(axis(1))", 10),
+        ("ON: refl(hyper(1))", 9),
+    ],
+)
+def test_parse_rejects_wrong_component_count(text, position):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text)
+    assert err.value.position == position
 
 
 def test_parse_empty_words():
@@ -89,8 +114,8 @@ def _random_expression(rng):
     group = ["e2", "s2", "so3", "on"][int(rng.integers(0, 4))]
     dim = int(rng.integers(2, 6)) if group == "on" else None
     word = sampling.random_word(rng, group, int(rng.integers(0, 5)), dim=dim or 3)
-    if group == "on" and not word:
-        dim = 3
+    if group == "on" and word and rng.integers(0, 2):
+        dim = None  # the dimension is then the mirrors'
     return Expression(group, word, dim)
 
 
@@ -102,6 +127,7 @@ def test_pretty_parse_round_trip_is_fixed_point():
         again = parse_expression(text)
         assert pretty(again) == text
         assert again.group == expr.group
+        assert cli.word_json(expr.group, expr.word, expr.dim).get("dimension") == again.dim
         assert len(again.word) == len(expr.word)
         for a, b in zip(again.word, expr.word):
             assert a == b
@@ -265,6 +291,47 @@ def test_verify_counts_nan_residual_as_violation(monkeypatch, capsys):
     assert payload["violations"] == 1
     assert payload["status"] == "failed"
     assert payload["max_residual"] is None
+
+
+def test_degenerate_steering_exits_2_with_a_json_error(capsys):
+    # two clusters of three O(3) normals, each jittered by about 1e-9
+    text = (
+        "ON: refl(hyper(0.4405892751591639,-0.45276409187309086,0.7751682189854393))"
+        " * refl(hyper(0.4405892767117977,-0.4527640938368297,0.7751682169559648))"
+        " * refl(hyper(0.4405892731312615,-0.45276409635522424,0.7751682175201096))"
+        " * refl(hyper(0.9711763196164271,-0.1713357683591672,0.16571243374311176))"
+        " * refl(hyper(0.9711763203942653,-0.17133576630504838,0.16571243130832833))"
+        " * refl(hyper(0.9711763199650971,-0.17133576670383258,0.16571243341119934))"
+    )
+    with pytest.raises(mirrorwords.DegenerateSteering):
+        orthon.normalize_word(parse_expression(text).word)
+    code = cli.main(["normalize", text])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DegenerateSteering"
+
+
+def _compared_strings(func: ast.FunctionDef) -> set:
+    found = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                seq = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                items = operand.elts if seq else [operand]
+                found.update(x.value for x in items if isinstance(x, ast.Constant))
+    return found
+
+
+def test_cli_looks_groups_up_in_the_geometry_table():
+    """Only O(n)-specific code in cli tests a group tag; the rest goes through GEOMETRIES."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            tags = _compared_strings(func) & {"e2", "s2", "so3"}
+            allowed = {"so3"} if func.name == "_cmd_arc" else set()
+            assert tags <= allowed, f"{func.name} compares with {sorted(tags - allowed)}"
 
 
 def test_arc_rejects_other_groups():
