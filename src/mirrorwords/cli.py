@@ -547,6 +547,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a NaN or negative tolerance fails every word, an infinite one passes
+        # every word; arc has no --tol
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
+            raise UsageError(f"--tol must be finite and at least 0, got {args.tol}")
         return args.func(args)
     except GeometryError as exc:
         print(

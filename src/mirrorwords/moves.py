@@ -93,6 +93,10 @@ def normalize(word, same, reduce_leading, target: int, sink: list | None = None)
     recorded move index is an index into the whole word. Every geometry's
     step shortens the head, so the work per input mirror does not grow
     with the word length.
+
+    Contract with the step: the head it gets is freely reduced, so no two
+    adjacent mirrors of it coincide, and it need not cancel a coincident
+    pair it leaves behind, since this loop cancels the result again.
     """
     if sink is None:
         sink = []

@@ -27,9 +27,8 @@ from .numerics import (
     canonical_unit,
 )
 
-# Rank decisions for the steering reduction: a suffix of normals counts as
-# linearly dependent only when it is so almost exactly, otherwise the
-# final cancellation could miss the coincidence tolerance.
+# Steering starts at the first mirror whose coefficient in the normals'
+# linear dependency (a unit null vector) exceeds this.
 _RANK_TOL = 1e-12
 
 KEYWORD = "hyper"
@@ -232,55 +231,51 @@ def pencil_completion(l: Hyperplane, m: Hyperplane, l2: Hyperplane) -> Hyperplan
     return Hyperplane((a * ca - b * sa) * e1 + (a * sa + b * ca) * e2)
 
 
-def _suffix_dependent(V: np.ndarray, n: int) -> bool:
-    if V.shape[0] > n:
-        return True
-    s = np.linalg.svd(V, compute_uv=False)
-    return bool(s[-1] < _RANK_TOL)
+def _reflect(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return p - 2.0 * float(n @ p) * n
 
 
-def _steer_moves(w: list, sink: list, n: int, limit: int) -> None:
-    """Cancel two mirrors among w[0:limit] by pencil steering.
+def _steer_moves(w: list, sink: list) -> None:
+    """Cancel two mirrors of the n+1 in w by pencil steering.
 
-    The suffix invariant: w[s] lies in the span of the normals after it.
-    A pencil move rotates the pair (s, s+1) inside its own 2-plane until
-    the second member lands in the span of the remaining normals, pushing
-    the dependency right until two adjacent mirrors coincide.
+    The n+1 normals obey one linear dependency sum c_i v_i = 0, found as
+    the null vector of their stack. From the first nonzero c_s on, each
+    pencil move rotates the pair (s, s+1) so that its second mirror is
+    x ~ c_s v_s + c_{s+1} v_{s+1}, which lies in the span of the normals
+    after it; x carries the pair's share of the dependency to the right
+    until two adjacent mirrors coincide. The first mirror of the pair is
+    read off the product: H_x H_v H_e1 is the reflection in it.
     """
-    for i in range(limit - 1):
+    for i in range(len(w) - 1):
         if coincident(w[i], w[i + 1]):
             emit(w, sink, Move(INVOLUTION, i), coincident)
             return
 
-    V = np.array([h.normal for h in w[:limit]])
-    s = 0
-    # a suffix of one normal, or two the loop above found distinct, is never dependent
-    for cand in range(limit - 3, -1, -1):
-        if _suffix_dependent(V[cand:], n):
-            s = cand
-            break
-
+    c = np.linalg.svd(np.array([h.normal for h in w]).T)[2][-1]
+    s = int(np.flatnonzero(np.abs(c) > _RANK_TOL)[0])
+    cs = float(c[s])
     while True:
         if coincident(w[s], w[s + 1]):
             emit(w, sink, Move(INVOLUTION, s), coincident)
             return
-        if s >= limit - 2:
-            raise DegenerateSteering("steering invariant broken; input too degenerate")
         e1 = w[s].normal
         v = w[s + 1].normal
+        y = cs * e1 + float(c[s + 1]) * v
+        share = math.sqrt(float(y @ y))
+        # no mirrors are left to carry the dependency, or the pair holds all of it
+        if s >= len(w) - 2 or share <= EPS_COINCIDE:
+            raise DegenerateSteering("steering invariant broken; input too degenerate")
         u = v - float(v @ e1) * e1
-        e2 = u / np.linalg.norm(u)
-        rest = np.array([h.normal for h in w[s + 2 : limit]]).T
-        U, sv, _ = np.linalg.svd(rest, full_matrices=False)
-        cols = U[:, sv > _RANK_TOL]
-        r1 = e1 - cols @ (cols.T @ e1)
-        r2 = e2 - cols @ (cols.T @ e2)
-        _, _, Vh = np.linalg.svd(np.column_stack([r1, r2]))
-        ct, st = Vh[-1]
-        x = ct * e1 + st * e2
-        delta = math.atan2(st, ct) - math.atan2(float(v @ e2), float(v @ e1))
-        u_s = math.cos(delta) * e1 + math.sin(delta) * e2
-        emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), Hyperplane(x))), coincident)
+        e2 = u / math.sqrt(float(u @ u))
+        x = Hyperplane(y)
+        cs = math.copysign(share, float(x.normal @ y))
+        # M = H_x H_v H_e1 is the reflection in u_s, so p - M p = 2 (u_s . p) u_s;
+        # of the orthonormal pair p = e1, e2 the one nearer u_s gives the longer
+        # vector. All three maps are applied, since for nearly parallel e1 and v
+        # the computed e2 is orthogonal to e1 only to about ulp / angle(e1, v).
+        r1, r2 = (p - _reflect(x.normal, _reflect(v, _reflect(e1, p))) for p in (e1, e2))
+        u_s = r1 if float(r1 @ r1) >= float(r2 @ r2) else r2
+        emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)), coincident)
         s += 1
 
 
@@ -291,7 +286,7 @@ def reduce_word(word, trace: list | None = None) -> list:
     if len(w) != n + 1:
         raise WrongLength(f"need exactly {n + 1} mirrors in dimension {n}, got {len(w)}")
     sink = []
-    _steer_moves(w, sink, n, n + 1)
+    _steer_moves(w, sink)
     if trace is not None:
         trace.extend(sink)
     return w
@@ -299,8 +294,7 @@ def reduce_word(word, trace: list | None = None) -> list:
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most n, preserving length parity."""
-    n = _word_dimension(word, dim)
-    return normalize(word, coincident, lambda w, sink: _steer_moves(w, sink, n, n + 1), n, trace)
+    return normalize(word, coincident, _steer_moves, _word_dimension(word, dim), trace)
 
 
 def classification_json(word, dim: int | None = None) -> dict:

@@ -288,15 +288,10 @@ def verify_pencil_relation(l: Line, m: Line, l2: Line, m2: Line) -> bool:
 def _reduce_leading_four(w: list, sink: list) -> None:
     """Rewrite the leading four mirrors of w down to two, recording moves.
 
-    Follows the four-reflection case analysis: cancel adjacent coincident
-    mirrors; otherwise slide or rotate both pairs onto a common middle
-    mirror and cancel it.
+    Follows the four-reflection case analysis: slide or rotate both pairs
+    onto a common middle mirror and cancel it. The rewrite loop hands over
+    a freely reduced head, so no two adjacent mirrors coincide.
     """
-    for i in (0, 1, 2):
-        if coincident(w[i], w[i + 1]):
-            emit(w, sink, Move(INVOLUTION, i), coincident)
-            return
-
     k, l, m, n = w[0], w[1], w[2], w[3]
     kl_par = parallel(k, l)
     mn_par = parallel(m, n)

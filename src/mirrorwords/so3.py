@@ -276,13 +276,9 @@ def _reduce_leading_three(w: list, sink: list) -> None:
 
     Splits the first line into an orthogonal pair whose second member lies
     in the plane of the other two, then collapses the coplanar triple by a
-    pencil move and an involution.
+    pencil move and an involution. The rewrite loop hands over a freely
+    reduced head and cancels the two lines left if they coincide.
     """
-    for i in (0, 1):
-        if coincident(w[i], w[i + 1]):
-            emit(w, sink, Move(INVOLUTION, i), coincident)
-            return
-
     k, l, m = w[0], w[1], w[2]
     plane_normal = canonical_unit3(*cross3(l.xyz, m.xyz))
     b, c = split_reflection(k, plane_normal)
@@ -294,8 +290,6 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     m2_new = Axis(rotate_about(w[3].xyz, plane_normal, phi))
     emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
-    if len(w) >= 2 and coincident(w[0], w[1]):
-        emit(w, sink, Move(INVOLUTION, 0), coincident)
 
 
 def reduce_three(k: Axis, l: Axis, m: Axis, trace: list | None = None) -> list:

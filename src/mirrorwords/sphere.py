@@ -71,11 +71,6 @@ def reflect_point(c: GreatCircle, p) -> np.ndarray:
     return np.array([p[0] - w * c.x, p[1] - w * c.y, p[2] - w * c.z])
 
 
-def reflection_matrix(c: GreatCircle) -> np.ndarray:
-    p = c.pole
-    return np.eye(3) - 2.0 * np.outer(p, p)
-
-
 def word_to_matrix(word) -> np.ndarray:
     return kernels.householder_word_matrix(np.array([(c.x, c.y, c.z) for c in word]).reshape(-1, 3))
 
@@ -132,11 +127,6 @@ def _transport_onto(a: GreatCircle, b: GreatCircle, target: GreatCircle) -> Grea
 
 
 def _reduce_leading_four(w: list, sink: list) -> None:
-    for i in (0, 1, 2):
-        if coincident(w[i], w[i + 1]):
-            emit(w, sink, Move(INVOLUTION, i), coincident)
-            return
-
     k, l, m, n = w[0], w[1], w[2], w[3]
     axis_kl = _common_axis(k, l)
     axis_mn = _common_axis(m, n)

@@ -275,6 +275,29 @@ def test_verify_rejects_negative_sizes(option, capsys):
     assert option in payload["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["normalize", "E2: refl(line(0,1,0))"],
+        ["compose", "E2: refl(line(1,0,1))", "E2: refl(line(1,0,0))"],
+        ["reduce", "ON: refl(hyper(0,1)) * refl(hyper(1,1)) * refl(hyper(1,0))"],
+        ["verify", "--group", "e2", "--count", "5"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys):
+    # a NaN or negative --tol failed every word and an infinite one passed every word
+    code = cli.main([*command, "--json", f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert "--tol" in payload["message"]
+    assert cli.main([*command, "--tol", "0"]) in (0, 1)
+
+
 def test_verify_counts_nan_residual_as_violation(monkeypatch, capsys):
     calls = []
 

@@ -75,6 +75,37 @@ def test_coincident_calls_per_mirror_stay_bounded(group, shape, monkeypatch):
     assert calls / len(word) <= 10.0
 
 
+@pytest.mark.parametrize("shape", ["random", "palindrome"])
+@pytest.mark.parametrize("group", sorted(GEOMETRIES))
+def test_reduction_step_gets_a_freely_reduced_head(group, shape, monkeypatch):
+    # the steps rely on it: none of them looks for an involution in its head
+    module, normalize, dim = GEOMETRIES[group]
+    rng = np.random.default_rng(513)
+    g = "on" if group == "on3" else group
+    word = sampling.random_word(rng, g, 256, dim=dim)
+    if shape == "palindrome":
+        word = _palindrome(word)
+    word[40:40] = [word[39], word[39]]
+    targets = []
+
+    def checked(word, same, reduce_leading, target, sink=None):
+        targets.append(target)
+
+        def step(head, sink):
+            assert len(head) == target + 1
+            assert not any(same(a, b) for a, b in zip(head, head[1:]))
+            reduce_leading(head, sink)
+
+        return moves.normalize(word, same, step, target, sink)
+
+    monkeypatch.setattr(module, "normalize", checked)
+    normalize(word, [])
+    # again with a mirror that cancels against the first step's output at the junction
+    t = targets[0]
+    word[t + 1 : t + 1] = normalize(word[: t + 1], [])[-1:]
+    assert len(normalize(word, [])) <= t
+
+
 @pytest.mark.parametrize("group", sorted(GEOMETRIES))
 def test_long_trace_replays_to_the_normal_form(group):
     module, normalize, dim = GEOMETRIES[group]

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mirrorwords import sampling
-from mirrorwords.numerics import NotCoplanarNormals, NotOrthogonal, WrongLength
+from mirrorwords import orthon, sampling
+from mirrorwords.numerics import (
+    EPS_VERIFY,
+    DegenerateSteering,
+    NotCoplanarNormals,
+    NotOrthogonal,
+    WrongLength,
+)
 from mirrorwords.orthon import (
     Hyperplane,
     coincident,
@@ -205,6 +211,81 @@ def test_reduce_word_random_with_replay():
                 state = validate_move(state, mv)
                 assert len(state) <= n + 1
             assert state == out
+
+
+def test_reduction_makes_at_most_one_svd(monkeypatch):
+    calls = 0
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(68)
+    for n in (2, 3, 5, 8):
+        for _ in range(20):
+            w = sampling.random_word(rng, "on", n + 1, dim=n)
+            calls = 0
+            reduce_word(w)
+            assert calls == 1
+            # a reduction that starts with an involution factors nothing
+            w[n - 1] = w[n]
+            calls = 0
+            reduce_word(w)
+            assert calls == 0
+
+    steps = 0
+    steer = orthon._steer_moves
+
+    def counted_steer(w, sink):
+        nonlocal steps
+        steps += 1
+        steer(w, sink)
+
+    monkeypatch.setattr(orthon, "_steer_moves", counted_steer)
+    calls = 0
+    normalize_word(sampling.random_word(rng, "on", 64, dim=5))
+    assert steps > 0
+    assert calls <= steps
+
+
+def _jittered(rng, n, jitter, length):
+    base = rng.standard_normal(n)
+    base /= np.linalg.norm(base)
+    return [Hyperplane(base + jitter * rng.standard_normal(n)) for _ in range(length)]
+
+
+@pytest.mark.parametrize("jitter", [1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("n", [3, 5])
+def test_normals_jittered_about_one_direction_meet_eps_verify(n, jitter):
+    # six normals within ~jitter of each other, as in verify-mix's near-degenerate slice
+    rng = np.random.default_rng(69)
+    for _ in range(150):
+        w = _jittered(rng, n, jitter, 6)
+        out = normalize_word(w, dim=n)
+        assert len(out) <= n
+        assert orthon.word_distance(w, out, n) <= EPS_VERIFY
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_clustered_normals_meet_eps_verify_or_raise(n):
+    # k clusters of three normals: the steering either reduces them within
+    # eps_verify or gives up with a typed error, never silently off
+    rng = np.random.default_rng(70)
+    reduced = 0
+    for k in range(1, n):
+        for jitter in (1e-7, 1e-9, 3e-9):
+            for _ in range(40):
+                w = [h for _ in range(k) for h in _jittered(rng, n, jitter, 3)]
+                try:
+                    out = normalize_word(w, dim=n)
+                except DegenerateSteering:
+                    continue
+                reduced += 1
+                assert orthon.word_distance(w, out, n) <= EPS_VERIFY
+    assert reduced > 0
 
 
 def test_normalize_trivial():
