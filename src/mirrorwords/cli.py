@@ -497,11 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dim_default=None):
+    def add_output(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--dim", type=int, help="dimension for empty ON words")
+
+    # the rewriting commands also check a residual and can list their steps
+    def add_common(p):
+        add_output(p)
         p.add_argument("--tol", type=float, default=EPS_VERIFY, help="verification tolerance")
         p.add_argument("--trace", action="store_true", help="list rewrite steps")
-        p.add_argument("--dim", type=int, default=dim_default, help="dimension for empty ON words")
 
     p = sub.add_parser("normalize", help="rewrite a word to normal form")
     p.add_argument("expression")
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the isometry of a word")
     p.add_argument("expression")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("compose", help="normalize the composition of two expressions (right acts first)")
@@ -548,7 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # a NaN or negative tolerance fails every word, an infinite one passes
-        # every word; arc has no --tol
+        # every word; arc and classify have no --tol
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise UsageError(f"--tol must be finite and at least 0, got {args.tol}")
         return args.func(args)

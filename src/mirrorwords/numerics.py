@@ -1,9 +1,9 @@
 """Shared numeric substrate: tolerances, canonical directions, angle helpers.
 
 Every geometry module stores mirror directions through canonical_unit (or
-its plain-float 3-vector form canonical_unit3) so that one geometric
-mirror has exactly one stored representative, which is what makes exact
-equality usable in golden tests.
+its plain-float forms canonical_unit3 and canonical_unit_n) so that one
+geometric mirror has exactly one stored representative, which is what
+makes exact equality usable in golden tests.
 """
 
 from __future__ import annotations
@@ -157,6 +157,66 @@ def canonical_unit3(
         x, y, z = -x, -y, -z
     # +0.0 uniformly, as in canonical_unit
     return x + 0.0, y + 0.0, z + 0.0
+
+
+def components_n(v) -> list[float]:
+    """The components of a flat, non-empty vector as floats; DegenerateInput otherwise."""
+    if type(v) is not list:
+        if isinstance(v, (str, bytes)):
+            raise DegenerateInput(f"a vector needs numeric components: {v!r}")
+        # an array's tolist() nests its rows, which float() then rejects
+        tolist = getattr(v, "tolist", None)
+        if tolist is not None:
+            v = tolist()
+    try:
+        out = list(map(float, v))
+    except (TypeError, ValueError):
+        raise DegenerateInput(f"a vector needs flat, numeric components: {v!r}") from None
+    if not out:
+        raise DegenerateInput("an empty vector cannot define a direction")
+    return out
+
+
+def dot_n(p, q) -> float:
+    """Dot product of two float sequences, summed left to right.
+
+    An explicit loop rather than sum(), which is compensated from Python
+    3.12 on and would tie the result's last bits to the Python version.
+    """
+    d = 0.0
+    for a, b in zip(p, q):
+        d += a * b
+    return d
+
+
+def canonical_unit_n(v: list[float], eps: float = EPS_COINCIDE) -> tuple[float, ...]:
+    """canonical_unit of a list of floats, as a tuple of floats.
+
+    Same eps, sign, +0.0, overflow-rescale and non-finite rules; the
+    squared norm is summed left to right (dot_n), so it may differ from
+    canonical_unit's in the last bit.
+    """
+    square = dot_n(v, v)
+    if square == math.inf and all(map(math.isfinite, v)):
+        # finite components whose squares overflow still define a direction
+        top = max(map(abs, v))
+        v = [x / top for x in v]
+        square = dot_n(v, v)
+    norm = math.sqrt(square)
+    if norm <= eps:
+        raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
+    if not norm < math.inf:  # also false for NaN
+        raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
+    if abs(norm - 1.0) > _UNIT_SLACK:
+        v = [x / norm for x in v]
+    # the first component above eps decides the sign; a unit vector has one
+    for x in v:
+        if abs(x) > eps:
+            if x < 0.0:
+                return tuple([-y + 0.0 for y in v])
+            break
+    # +0.0 uniformly, as in canonical_unit
+    return tuple([y + 0.0 for y in v])
 
 
 class Direction3:

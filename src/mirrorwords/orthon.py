@@ -24,7 +24,9 @@ from .numerics import (
     NotCoplanarNormals,
     NotOrthogonal,
     WrongLength,
-    canonical_unit,
+    canonical_unit_n,
+    components_n,
+    dot_n,
 )
 
 # Steering starts at the first mirror whose coefficient in the normals'
@@ -37,52 +39,71 @@ ARITY = None
 
 
 class Hyperplane:
-    """Mirror hyperplane {x : normal . x = 0}, canonical-sign unit normal."""
+    """Mirror hyperplane {x : normal . x = 0}, canonical-sign unit normal.
 
-    __slots__ = ("normal",)
+    The normal is stored as a tuple of plain floats, `values`, which is
+    what the rewrite computes with; the public `normal` array is a
+    read-only copy built on each access.
+    """
+
+    __slots__ = ("values",)
 
     def __init__(self, normal):
-        u = canonical_unit(normal)
-        u.flags.writeable = False
-        self.normal = u
+        self.values = canonical_unit_n(components_n(normal))
+
+    @property
+    def normal(self) -> np.ndarray:
+        a = np.array(self.values)
+        a.flags.writeable = False
+        return a
 
     @property
     def dimension(self) -> int:
-        return self.normal.shape[0]
-
-    @property
-    def values(self) -> tuple:
-        return tuple(self.normal.tolist())
+        return len(self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Hyperplane):
             return NotImplemented
-        return bool(np.array_equal(self.normal, other.normal))
+        return self.values == other.values
 
     def __hash__(self):
-        return hash(self.normal.tobytes())
+        return hash(self.values)
 
     def __repr__(self):
-        return f"Hyperplane({self.normal.tolist()!r})"
+        return f"Hyperplane({list(self.values)!r})"
 
 
 mirror_from_values = Hyperplane
 
 
 def mirror_json(h: Hyperplane) -> dict:
-    return {"normal": list(h.normal)}
+    return {"normal": list(h.values)}
+
+
+# The rewrite below computes on the normals' float tuples: numpy's per-call
+# overhead dominates on vectors of a few components. Dot products are summed
+# left to right, as dot_n does; the two hottest functions inline its loop.
 
 
 def coincident(a: Hyperplane, b: Hyperplane, eps: float = EPS_COINCIDE) -> bool:
-    c = float(a.normal @ b.normal)
-    w = a.normal - c * b.normal
-    return math.sqrt(float(w @ w)) <= eps
+    p, q = a.values, b.values
+    c = 0.0
+    for x, y in zip(p, q):
+        c += x * y
+    square = 0.0
+    for x, y in zip(p, q):
+        d = x - c * y
+        square += d * d
+    return math.sqrt(square) <= eps
+
+
+def _householder(n: np.ndarray) -> np.ndarray:
+    return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
 
 
 def householder(h: Hyperplane) -> np.ndarray:
     """The mirror map I - 2nn^T: symmetric, orthogonal, det -1."""
-    n = h.normal
-    return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
+    return _householder(h.normal)
 
 
 def _word_dimension(word, dim: int | None) -> int:
@@ -101,7 +122,7 @@ def _word_dimension(word, dim: int | None) -> int:
 
 def word_to_matrix(word, dim: int | None = None) -> np.ndarray:
     d = _word_dimension(word, dim)
-    return kernels.householder_word_matrix(np.array([h.normal for h in word]).reshape(-1, d))
+    return kernels.householder_word_matrix(np.array([h.values for h in word]).reshape(-1, d))
 
 
 def word_distance(a, b, dim: int | None = None) -> float:
@@ -218,21 +239,25 @@ def pencil_completion(l: Hyperplane, m: Hyperplane, l2: Hyperplane) -> Hyperplan
     """The m2 with H_m . H_l = H_m2 . H_l2; all four normals in one 2-plane."""
     if coincident(l, m):
         return l2
-    e1 = l.normal
-    w = m.normal - float(m.normal @ e1) * e1
+    e1, mn, ln = l.normal, m.normal, l2.normal
+    w = mn - float(mn @ e1) * e1
     e2 = w / np.linalg.norm(w)
-    a = float(l2.normal @ e1)
-    b = float(l2.normal @ e2)
-    resid = l2.normal - a * e1 - b * e2
+    a = float(ln @ e1)
+    b = float(ln @ e2)
+    resid = ln - a * e1 - b * e2
     if float(np.linalg.norm(resid)) > EPS_COINCIDE:
         raise NotCoplanarNormals("third normal leaves the pencil's 2-plane")
-    delta = math.atan2(float(m.normal @ e2), float(m.normal @ e1))
+    delta = math.atan2(float(mn @ e2), float(mn @ e1))
     ca, sa = math.cos(delta), math.sin(delta)
     return Hyperplane((a * ca - b * sa) * e1 + (a * sa + b * ca) * e2)
 
 
-def _reflect(n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p - 2.0 * float(n @ p) * n
+def _reflect(n, p) -> list:
+    d = 0.0
+    for a, b in zip(n, p):
+        d += a * b
+    t = 2.0 * d
+    return [b - t * a for a, b in zip(n, p)]
 
 
 def _steer_moves(w: list, sink: list) -> None:
@@ -251,30 +276,38 @@ def _steer_moves(w: list, sink: list) -> None:
             emit(w, sink, Move(INVOLUTION, i), coincident)
             return
 
-    c = np.linalg.svd(np.array([h.normal for h in w]).T)[2][-1]
-    s = int(np.flatnonzero(np.abs(c) > _RANK_TOL)[0])
-    cs = float(c[s])
+    c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
+    s = 0
+    while abs(c[s]) <= _RANK_TOL:
+        s += 1
+    cs = c[s]
     while True:
         if coincident(w[s], w[s + 1]):
             emit(w, sink, Move(INVOLUTION, s), coincident)
             return
-        e1 = w[s].normal
-        v = w[s + 1].normal
-        y = cs * e1 + float(c[s + 1]) * v
-        share = math.sqrt(float(y @ y))
+        e1 = w[s].values
+        v = w[s + 1].values
+        cv = c[s + 1]
+        y = [cs * a + cv * b for a, b in zip(e1, v)]
+        share = math.sqrt(dot_n(y, y))
         # no mirrors are left to carry the dependency, or the pair holds all of it
         if s >= len(w) - 2 or share <= EPS_COINCIDE:
             raise DegenerateSteering("steering invariant broken; input too degenerate")
-        u = v - float(v @ e1) * e1
-        e2 = u / math.sqrt(float(u @ u))
+        d = dot_n(v, e1)
+        u = [b - d * a for a, b in zip(e1, v)]
+        norm = math.sqrt(dot_n(u, u))
+        e2 = [a / norm for a in u]
         x = Hyperplane(y)
-        cs = math.copysign(share, float(x.normal @ y))
+        cs = math.copysign(share, dot_n(x.values, y))
         # M = H_x H_v H_e1 is the reflection in u_s, so p - M p = 2 (u_s . p) u_s;
         # of the orthonormal pair p = e1, e2 the one nearer u_s gives the longer
         # vector. All three maps are applied, since for nearly parallel e1 and v
         # the computed e2 is orthogonal to e1 only to about ulp / angle(e1, v).
-        r1, r2 = (p - _reflect(x.normal, _reflect(v, _reflect(e1, p))) for p in (e1, e2))
-        u_s = r1 if float(r1 @ r1) >= float(r2 @ r2) else r2
+        r1, r2 = (
+            [a - b for a, b in zip(p, _reflect(x.values, _reflect(v, _reflect(e1, p))))]
+            for p in (e1, e2)
+        )
+        u_s = r1 if dot_n(r1, r1) >= dot_n(r2, r2) else r2
         emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)), coincident)
         s += 1
 
@@ -328,14 +361,14 @@ def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:
     i = move.index
     old_a, old_b = word[i], word[i + 1]
     new_a, new_b = move.mirrors
-    four = np.array([old_a.normal, old_b.normal, new_a.normal, new_b.normal])
+    four = np.array([old_a.values, old_b.values, new_a.values, new_b.values])
     sv = np.linalg.svd(four, compute_uv=False)
     # in dimension 2 every normal lies in the plane; otherwise the four
     # normals of a pencil move must span no more than a 2-plane
     if len(sv) > 2 and sv[2] > math.sqrt(eps):
         raise ValueError(f"pencil move normals span more than a 2-plane: s3={sv[2]:.3e}")
-    before_prod = householder(old_b) @ householder(old_a)
-    after_prod = householder(new_b) @ householder(new_a)
+    before_prod = _householder(four[1]) @ _householder(four[0])
+    after_prod = _householder(four[3]) @ _householder(four[2])
     if float(np.linalg.norm(before_prod - after_prod)) > eps:
         raise ValueError("pencil move does not preserve the pair product")
     return after

@@ -298,6 +298,16 @@ def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys):
     assert cli.main([*command, "--tol", "0"]) in (0, 1)
 
 
+@pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--trace"]])
+def test_classify_rejects_the_rewriting_options(option, capsys):
+    # classify checks no residual and lists no steps: argparse refuses both
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "E2: refl(line(1,0,1)) * refl(line(1,0,0))", *option])
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+    assert cli.main(["classify", "ON: refl(hyper(1,0))", "--json", "--dim", "2"]) == 0
+
+
 def test_verify_counts_nan_residual_as_violation(monkeypatch, capsys):
     calls = []
 

@@ -9,6 +9,8 @@ from mirrorwords.numerics import (
     angle_between_directions,
     canonical_unit,
     canonical_unit3,
+    canonical_unit_n,
+    components_n,
     cross3,
     rotate_about,
     signed_angle_about,
@@ -89,6 +91,68 @@ def test_canonical_unit3_rejects_what_canonical_unit_rejects(v):
         canonical_unit(v)
     with pytest.raises(DegenerateInput):
         canonical_unit3(*v)
+
+
+def test_canonical_unit_n_agrees_with_canonical_unit():
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for n in range(2, 65):
+        for scale in (1e-6, 1.0, 1e150, 1e300):
+            for _ in range(40):
+                v = rng.standard_normal(n) * scale
+                u = canonical_unit_n(v.tolist())
+                assert type(u) is tuple and len(u) == n
+                assert all(type(x) is float for x in u)
+                # the squared norm is summed left to right and canonical_unit's
+                # BLAS dot may block and fuse it: at n = 32 they differ by up to
+                # 6 ulps, which moves a component by up to 4 of its own ulps but
+                # never by more than 2 ulps of [0.5, 1), one machine epsilon
+                w = canonical_unit(v)
+                assert np.all(np.abs(np.array(u) - w) <= eps)
+                assert canonical_unit_n(list(u)) == u
+                assert canonical_unit_n((-v).tolist()) == u
+
+
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ((0.0, -2.0), (0.0, 1.0)),
+        ((-1e-12, 0.0, 0.0, -5.0), (2e-13, 0.0, 0.0, 1.0)),
+        ((-0.0, 3.0, -4.0, -0.0), (0.0, 0.6, -0.8, 0.0)),
+        ((1e200, -1e200, 0.0, 1e200, 0.0), canonical_unit_n([1.0, -1.0, 0.0, 1.0, 0.0])),
+        ((-1e308,) * 8, canonical_unit_n([1.0] * 8)),
+    ],
+)
+def test_canonical_unit_n_sign_and_zero_rules(v, expected):
+    u = canonical_unit_n(list(v))
+    assert u == pytest.approx(expected, abs=1e-16)
+    assert all(math.copysign(1.0, x) == 1.0 for x in u if x == 0.0)
+    np.testing.assert_allclose(u, canonical_unit(v), rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        (0.0, 0.0),
+        (1e-10, 0.0, 0.0, 0.0),
+        (math.nan, 0.0, 1.0, 0.0),
+        (math.inf, 0.0),
+        (0.0, 0.0, 0.0, 0.0, -math.inf),
+        (1e400, 1.0, 0.0, 0.0),
+    ],
+)
+def test_canonical_unit_n_rejects_what_canonical_unit_rejects(v):
+    with pytest.raises(DegenerateInput):
+        canonical_unit(v)
+    with pytest.raises(DegenerateInput):
+        canonical_unit_n(list(v))
+
+
+def test_components_n_takes_flat_numeric_vectors():
+    assert components_n((1, 2.5, np.float64(3))) == [1.0, 2.5, 3.0]
+    assert components_n(np.array([0.5, -1.0])) == [0.5, -1.0]
+    assert components_n(x for x in (1, 2)) == [1.0, 2.0]
+    assert all(type(x) is float for x in components_n(np.arange(3)))
 
 
 def test_canonical_unit_exactly_idempotent():
