@@ -189,12 +189,12 @@ def dot_n(p, q) -> float:
     return d
 
 
-def canonical_unit_n(v: list[float], eps: float = EPS_COINCIDE) -> tuple[float, ...]:
+def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
     """canonical_unit of a list of floats, as a tuple of floats.
 
-    Same eps, sign, +0.0, overflow-rescale and non-finite rules; the
-    squared norm is summed left to right (dot_n), so it may differ from
-    canonical_unit's in the last bit.
+    Same eps (EPS_COINCIDE), sign, +0.0, overflow-rescale and non-finite
+    rules; the squared norm is summed left to right (dot_n), so it may
+    differ from canonical_unit's in the last bits.
     """
     square = dot_n(v, v)
     if square == math.inf and all(map(math.isfinite, v)):
@@ -203,7 +203,7 @@ def canonical_unit_n(v: list[float], eps: float = EPS_COINCIDE) -> tuple[float, 
         v = [x / top for x in v]
         square = dot_n(v, v)
     norm = math.sqrt(square)
-    if norm <= eps:
+    if norm <= EPS_COINCIDE:
         raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
     if not norm < math.inf:  # also false for NaN
         raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
@@ -211,7 +211,7 @@ def canonical_unit_n(v: list[float], eps: float = EPS_COINCIDE) -> tuple[float, 
         v = [x / norm for x in v]
     # the first component above eps decides the sign; a unit vector has one
     for x in v:
-        if abs(x) > eps:
+        if abs(x) > EPS_COINCIDE:
             if x < 0.0:
                 return tuple([-y + 0.0 for y in v])
             break

@@ -239,15 +239,15 @@ def pencil_completion(l: Hyperplane, m: Hyperplane, l2: Hyperplane) -> Hyperplan
     """The m2 with H_m . H_l = H_m2 . H_l2; all four normals in one 2-plane."""
     if coincident(l, m):
         return l2
-    e1, mn, ln = l.normal, m.normal, l2.normal
-    w = mn - float(mn @ e1) * e1
+    e1 = l.normal
+    w = m.normal - float(m.normal @ e1) * e1
     e2 = w / np.linalg.norm(w)
-    a = float(ln @ e1)
-    b = float(ln @ e2)
-    resid = ln - a * e1 - b * e2
+    a = float(l2.normal @ e1)
+    b = float(l2.normal @ e2)
+    resid = l2.normal - a * e1 - b * e2
     if float(np.linalg.norm(resid)) > EPS_COINCIDE:
         raise NotCoplanarNormals("third normal leaves the pencil's 2-plane")
-    delta = math.atan2(float(mn @ e2), float(mn @ e1))
+    delta = math.atan2(float(m.normal @ e2), float(m.normal @ e1))
     ca, sa = math.cos(delta), math.sin(delta)
     return Hyperplane((a * ca - b * sa) * e1 + (a * sa + b * ca) * e2)
 

@@ -1,8 +1,8 @@
-"""The 3-vector mirrors so3.Axis and sphere.GreatCircle.
+"""Mirrors stored as plain floats: so3.Axis, sphere.GreatCircle, orthon.Hyperplane.
 
-Both store their unit vector as three plain floats and compute the rewrite
-on floats; the public `direction` and `pole` arrays are read-only views
-built on demand.
+Each stores its canonical unit vector as plain floats and computes the
+rewrite on floats; the public `direction`, `pole` and `normal` arrays are
+read-only copies built on demand.
 """
 
 import ast
@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorwords import numerics, sampling, so3, sphere
+from mirrorwords import numerics, orthon, sampling, so3, sphere
 from mirrorwords.numerics import DegenerateInput
 
-MIRRORS = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
+MIRRORS3 = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
+# a hyperplane of 3-space takes the same inputs as the 3-vector mirrors
+MIRRORS = MIRRORS3 + [(orthon.Hyperplane, "normal")]
 
 
 @pytest.mark.parametrize("cls, attr", MIRRORS)
@@ -47,11 +49,12 @@ def test_vector_is_a_read_only_float64_array(cls, attr):
     with pytest.raises(ValueError):
         v[0] = 1.0
     np.testing.assert_array_equal(v, [0.0, 0.6, -0.8])
-    assert (m.x, m.y, m.z) == (0.0, 0.6, -0.8)
-    assert math.copysign(1.0, m.x) == 1.0  # +0.0, not -0.0
+    assert m.values == (0.0, 0.6, -0.8)
+    assert all(type(x) is float for x in m.values)
+    assert math.copysign(1.0, m.values[0]) == 1.0  # +0.0, not -0.0
 
 
-@pytest.mark.parametrize("cls, attr", MIRRORS)
+@pytest.mark.parametrize("cls, attr", MIRRORS3)
 @pytest.mark.parametrize("v", [[1.0, 2.0], [1, 2, 3, 4], [], 5.0, np.ones(4), np.ones((3, 3))])
 def test_wrong_number_of_components_is_rejected(cls, attr, v):
     with pytest.raises(DegenerateInput):
@@ -78,6 +81,7 @@ def test_wrong_length_input_fails_before_the_rewrite():
 def test_repr_names_the_floats():
     assert repr(so3.Axis((0, 0, -2))) == "Axis([0.0, 0.0, 1.0])"
     assert repr(sphere.GreatCircle((3, 4, 0))) == "GreatCircle([0.6, 0.8, 0.0])"
+    assert repr(orthon.Hyperplane((0, 0, 0, -2))) == "Hyperplane([0.0, 0.0, 0.0, 1.0])"
 
 
 def test_oracle_gathers_read_the_floats():
@@ -91,8 +95,12 @@ def test_oracle_gathers_read_the_floats():
     np.testing.assert_allclose(sphere.word_to_matrix(circles), expected, rtol=0, atol=1e-14)
 
 
-# Functions of the S2 and SO(3) rewrite path, which compute on plain floats
+# Functions of the S2, SO(3) and O(n) rewrite paths, which compute on plain
+# floats. Reading a mirror's array property builds an array, so it counts as
+# a numpy call too. The one exception is the SVD that finds the O(n) head's
+# linear dependency, once per reduction.
 FLOAT_PATH = {
+    orthon: ["Hyperplane.__init__", "coincident", "_reflect", "_steer_moves"],
     so3: ["coincident", "probe_perpendicular", "split_reflection", "_reduce_leading_three"],
     sphere: [
         "coincident",
@@ -111,8 +119,12 @@ FLOAT_PATH = {
         "norm3",
         "rotate_about",
         "signed_angle_about",
+        "components_n",
+        "dot_n",
+        "canonical_unit_n",
     ],
 }
+ARRAYS = {attr for _, attr in MIRRORS}
 
 
 def _functions(tree):
@@ -125,14 +137,36 @@ def _functions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+def _is_svd_call(node) -> bool:
+    f = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(f, ast.Attribute)
+        and f.attr == "svd"
+        and isinstance(f.value, ast.Attribute)
+        and f.value.attr == "linalg"
+        and isinstance(f.value.value, ast.Name)
+        and f.value.value.id == "np"
+    )
+
+
 @pytest.mark.parametrize("module", list(FLOAT_PATH), ids=lambda m: m.__name__)
 def test_rewrite_path_makes_no_numpy_call(module):
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     functions = dict(_functions(tree))
     for name in FLOAT_PATH[module]:
+        body = list(ast.walk(functions[name]))
+        svds = [node for node in body if _is_svd_call(node)]
+        # the SVD call may gather its argument with numpy too
+        allowed = {id(node) for call in svds for node in ast.walk(call)}
         uses = [
             node.lineno
-            for node in ast.walk(functions[name])
-            if isinstance(node, ast.Name) and node.id == "np"
+            for node in body
+            if id(node) not in allowed
+            and (
+                (isinstance(node, ast.Name) and node.id == "np")
+                or (isinstance(node, ast.Attribute) and node.attr in ARRAYS)
+            )
         ]
         assert uses == [], f"{module.__name__}.{name} uses numpy on lines {uses}"
+        expected = (module, name) == (orthon, "_steer_moves")
+        assert len(svds) == expected, f"{name} makes {len(svds)} SVD calls"

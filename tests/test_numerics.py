@@ -95,7 +95,6 @@ def test_canonical_unit3_rejects_what_canonical_unit_rejects(v):
 
 def test_canonical_unit_n_agrees_with_canonical_unit():
     rng = np.random.default_rng(5)
-    eps = np.finfo(float).eps
     for n in range(2, 65):
         for scale in (1e-6, 1.0, 1e150, 1e300):
             for _ in range(40):
@@ -103,12 +102,11 @@ def test_canonical_unit_n_agrees_with_canonical_unit():
                 u = canonical_unit_n(v.tolist())
                 assert type(u) is tuple and len(u) == n
                 assert all(type(x) is float for x in u)
-                # the squared norm is summed left to right and canonical_unit's
-                # BLAS dot may block and fuse it: at n = 32 they differ by up to
-                # 6 ulps, which moves a component by up to 4 of its own ulps but
-                # never by more than 2 ulps of [0.5, 1), one machine epsilon
+                # the squared norm is summed left to right, while canonical_unit's
+                # BLAS dot blocks and fuses it; the two differ in their last bits,
+                # which moves a component by up to 4 of its own ulps (2 at n < 7)
                 w = canonical_unit(v)
-                assert np.all(np.abs(np.array(u) - w) <= eps)
+                assert np.all(np.abs(np.array(u) - w) <= 4 * np.spacing(np.abs(w)))
                 assert canonical_unit_n(list(u)) == u
                 assert canonical_unit_n((-v).tolist()) == u
 
