@@ -24,7 +24,6 @@ from .numerics import (
     GeometryError,
     IdentityInput,
     NotConcurrent,
-    NotCoplanarNormals,
     NotOrthogonal,
     WrongLength,
     angle_between_directions,
@@ -51,7 +50,6 @@ __all__ = [
     "DegenerateSteering",
     "IdentityInput",
     "NotConcurrent",
-    "NotCoplanarNormals",
     "NotOrthogonal",
     "WrongLength",
     "canonical_unit",

@@ -30,10 +30,17 @@ _DEFAULT_ANCHOR = np.array([1.0, 0.0, 0.0])
 
 
 def _unit_point(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float)
+    try:
+        a = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise DegenerateInput(f"a point on the sphere needs numeric coordinates: {p!r}") from None
+    if a.shape != (3,):
+        raise DegenerateInput(f"a point on the sphere needs exactly three coordinates: {p!r}")
     n = math.sqrt(float(a @ a))
     if n <= EPS_COINCIDE:
         raise DegenerateInput(f"zero vector is not a point on the sphere: {p!r}")
+    if not n < math.inf:  # also false for NaN
+        raise DegenerateInput(f"a point on the sphere needs a finite norm: {p!r}")
     if abs(n - 1.0) > 1e-13:
         a = a / n
     else:
@@ -42,11 +49,11 @@ def _unit_point(p) -> np.ndarray:
     return a
 
 
-def _points_close(a, b, eps: float = EPS_COINCIDE) -> bool:
+def _points_close(a, b) -> bool:
     d0 = a[0] - b[0]
     d1 = a[1] - b[1]
     d2 = a[2] - b[2]
-    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= eps
+    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= EPS_COINCIDE
 
 
 class Arc:

@@ -39,10 +39,6 @@ class NotOrthogonal(GeometryError):
     """A matrix claimed to be orthogonal is not, within tolerance."""
 
 
-class NotCoplanarNormals(GeometryError):
-    """Hyperplane normals do not span a common 2-plane."""
-
-
 class WrongLength(GeometryError):
     """A word has the wrong number of mirrors for the requested operation."""
 
@@ -59,7 +55,7 @@ class DegenerateSteering(GeometryError):
     """O(n) steering found no pair to cancel: the input is too near degenerate."""
 
 
-def canonical_unit(v, eps: float = EPS_COINCIDE) -> np.ndarray:
+def canonical_unit(v) -> np.ndarray:
     """Normalize v and fix its sign so the first significant component is positive.
 
     The sign convention gives unsigned directions (mirror normals, axes) a
@@ -74,7 +70,7 @@ def canonical_unit(v, eps: float = EPS_COINCIDE) -> np.ndarray:
         a = a / float(np.abs(a).max())
         square = float(a @ a)
     norm = math.sqrt(square)
-    if norm <= eps:
+    if norm <= EPS_COINCIDE:
         raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
     if not norm < math.inf:  # also false for NaN
         raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
@@ -83,7 +79,7 @@ def canonical_unit(v, eps: float = EPS_COINCIDE) -> np.ndarray:
     else:
         a = a.copy()
     for x in a:
-        if abs(x) > eps:
+        if abs(x) > EPS_COINCIDE:
             if x < 0.0:
                 a = -a
             break
@@ -122,13 +118,11 @@ def components3(v) -> tuple[float, float, float]:
         raise DegenerateInput(f"a 3-vector needs exactly three numeric components: {v!r}") from None
 
 
-def canonical_unit3(
-    x: float, y: float, z: float, eps: float = EPS_COINCIDE
-) -> tuple[float, float, float]:
+def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
     """canonical_unit of the 3-vector (x, y, z), in plain floats.
 
-    Same eps, sign, +0.0, overflow-rescale and non-finite rules; the
-    squared norm is summed left to right, so it may differ from
+    Same eps (EPS_COINCIDE), sign, +0.0, overflow-rescale and non-finite
+    rules; the squared norm is summed left to right, so it may differ from
     canonical_unit's in the last bit.
     """
     square = x * x + y * y + z * z
@@ -138,7 +132,7 @@ def canonical_unit3(
         x, y, z = x / top, y / top, z / top
         square = x * x + y * y + z * z
     norm = math.sqrt(square)
-    if norm <= eps:
+    if norm <= EPS_COINCIDE:
         raise DegenerateInput(f"zero vector cannot define a direction: {(x, y, z)!r}")
     if not norm < math.inf:  # also false for NaN
         raise DegenerateInput(
@@ -147,9 +141,9 @@ def canonical_unit3(
     if abs(norm - 1.0) > _UNIT_SLACK:
         x, y, z = x / norm, y / norm, z / norm
     # the first component above eps decides the sign; a unit vector has one
-    if abs(x) > eps:
+    if abs(x) > EPS_COINCIDE:
         flip = x < 0.0
-    elif abs(y) > eps:
+    elif abs(y) > EPS_COINCIDE:
         flip = y < 0.0
     else:
         flip = z < 0.0
@@ -275,6 +269,17 @@ def dot3(a, b) -> float:
 
 def norm3(a) -> float:
     return math.sqrt(float(a[0] * a[0] + a[1] * a[1] + a[2] * a[2]))
+
+
+def coincident3(a: Direction3, b: Direction3) -> bool:
+    """True when two 3-vector mirrors span the same line, within EPS_COINCIDE.
+
+    so3 and sphere bind it as their `coincident`.
+    """
+    cx = a.y * b.z - a.z * b.y
+    cy = a.z * b.x - a.x * b.z
+    cz = a.x * b.y - a.y * b.x
+    return math.sqrt(cx * cx + cy * cy + cz * cz) <= EPS_COINCIDE
 
 
 def rotate_about(v, axis, angle: float) -> tuple[float, float, float]:

@@ -21,7 +21,6 @@ from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
     DegenerateSteering,
-    NotCoplanarNormals,
     NotOrthogonal,
     WrongLength,
     canonical_unit_n,
@@ -85,7 +84,7 @@ def mirror_json(h: Hyperplane) -> dict:
 # left to right, as dot_n does; the two hottest functions inline its loop.
 
 
-def coincident(a: Hyperplane, b: Hyperplane, eps: float = EPS_COINCIDE) -> bool:
+def coincident(a: Hyperplane, b: Hyperplane) -> bool:
     p, q = a.values, b.values
     c = 0.0
     for x, y in zip(p, q):
@@ -94,16 +93,11 @@ def coincident(a: Hyperplane, b: Hyperplane, eps: float = EPS_COINCIDE) -> bool:
     for x, y in zip(p, q):
         d = x - c * y
         square += d * d
-    return math.sqrt(square) <= eps
+    return math.sqrt(square) <= EPS_COINCIDE
 
 
 def _householder(n: np.ndarray) -> np.ndarray:
     return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
-
-
-def householder(h: Hyperplane) -> np.ndarray:
-    """The mirror map I - 2nn^T: symmetric, orthogonal, det -1."""
-    return _householder(h.normal)
 
 
 def _word_dimension(word, dim: int | None) -> int:
@@ -235,23 +229,6 @@ def decompose(M) -> list:
     return word
 
 
-def pencil_completion(l: Hyperplane, m: Hyperplane, l2: Hyperplane) -> Hyperplane:
-    """The m2 with H_m . H_l = H_m2 . H_l2; all four normals in one 2-plane."""
-    if coincident(l, m):
-        return l2
-    e1 = l.normal
-    w = m.normal - float(m.normal @ e1) * e1
-    e2 = w / np.linalg.norm(w)
-    a = float(l2.normal @ e1)
-    b = float(l2.normal @ e2)
-    resid = l2.normal - a * e1 - b * e2
-    if float(np.linalg.norm(resid)) > EPS_COINCIDE:
-        raise NotCoplanarNormals("third normal leaves the pencil's 2-plane")
-    delta = math.atan2(float(m.normal @ e2), float(m.normal @ e1))
-    ca, sa = math.cos(delta), math.sin(delta)
-    return Hyperplane((a * ca - b * sa) * e1 + (a * sa + b * ca) * e2)
-
-
 def _reflect(n, p) -> list:
     d = 0.0
     for a, b in zip(n, p):
@@ -263,6 +240,7 @@ def _reflect(n, p) -> list:
 def _steer_moves(w: list, sink: list) -> None:
     """Cancel two mirrors of the n+1 in w by pencil steering.
 
+    No two adjacent mirrors of w coincide (the rewrite loop's contract).
     The n+1 normals obey one linear dependency sum c_i v_i = 0, found as
     the null vector of their stack. From the first nonzero c_s on, each
     pencil move rotates the pair (s, s+1) so that its second mirror is
@@ -271,20 +249,12 @@ def _steer_moves(w: list, sink: list) -> None:
     until two adjacent mirrors coincide. The first mirror of the pair is
     read off the product: H_x H_v H_e1 is the reflection in it.
     """
-    for i in range(len(w) - 1):
-        if coincident(w[i], w[i + 1]):
-            emit(w, sink, Move(INVOLUTION, i), coincident)
-            return
-
     c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
     s = 0
     while abs(c[s]) <= _RANK_TOL:
         s += 1
     cs = c[s]
     while True:
-        if coincident(w[s], w[s + 1]):
-            emit(w, sink, Move(INVOLUTION, s), coincident)
-            return
         e1 = w[s].values
         v = w[s + 1].values
         cv = c[s + 1]
@@ -310,6 +280,10 @@ def _steer_moves(w: list, sink: list) -> None:
         u_s = r1 if dot_n(r1, r1) >= dot_n(r2, r2) else r2
         emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)), coincident)
         s += 1
+        # only a pencil move can have made the next pair coincide
+        if coincident(w[s], w[s + 1]):
+            emit(w, sink, Move(INVOLUTION, s), coincident)
+            return
 
 
 def reduce_word(word, trace: list | None = None) -> list:
@@ -319,7 +293,13 @@ def reduce_word(word, trace: list | None = None) -> list:
     if len(w) != n + 1:
         raise WrongLength(f"need exactly {n + 1} mirrors in dimension {n}, got {len(w)}")
     sink = []
-    _steer_moves(w, sink)
+    # a raw word may hold a coincident pair, which steering must not get
+    for i in range(n):
+        if coincident(w[i], w[i + 1]):
+            emit(w, sink, Move(INVOLUTION, i), coincident)
+            break
+    else:
+        _steer_moves(w, sink)
     if trace is not None:
         trace.extend(sink)
     return w
@@ -347,11 +327,11 @@ def classification_json(word, dim: int | None = None) -> dict:
     }
 
 
-def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:
+def validate_move(word, move: Move) -> list:
     """Check one replayed move: a genuine involution or a genuine pencil move.
 
     Pencil moves must keep all four normals in one 2-plane and preserve
-    the product of the pair's mirror maps within eps.
+    the product of the pair's mirror maps within EPS_VERIFY.
     """
     after = apply_move(word, move, coincident)
     if move.kind == INVOLUTION:
@@ -365,11 +345,11 @@ def validate_move(word, move: Move, eps: float = EPS_VERIFY) -> list:
     sv = np.linalg.svd(four, compute_uv=False)
     # in dimension 2 every normal lies in the plane; otherwise the four
     # normals of a pencil move must span no more than a 2-plane
-    if len(sv) > 2 and sv[2] > math.sqrt(eps):
+    if len(sv) > 2 and sv[2] > math.sqrt(EPS_VERIFY):
         raise ValueError(f"pencil move normals span more than a 2-plane: s3={sv[2]:.3e}")
     before_prod = _householder(four[1]) @ _householder(four[0])
     after_prod = _householder(four[3]) @ _householder(four[2])
-    if float(np.linalg.norm(before_prod - after_prod)) > eps:
+    if float(np.linalg.norm(before_prod - after_prod)) > EPS_VERIFY:
         raise ValueError("pencil move does not preserve the pair product")
     return after
 

@@ -23,7 +23,6 @@ from .numerics import (
     EPS_COINCIDE,
     DegenerateInput,
     NotConcurrent,
-    canonical_unit,
 )
 
 IDENTITY = "identity"
@@ -49,9 +48,15 @@ class Line:
     __slots__ = ("nx", "ny", "offset")
 
     def __init__(self, normal, offset: float = 0.0):
-        nx = float(normal[0])
-        ny = float(normal[1])
-        d = float(offset)
+        try:
+            nx, ny = normal
+            nx = float(nx)
+            ny = float(ny)
+            d = float(offset)
+        except (TypeError, ValueError):
+            raise DegenerateInput(
+                f"a line needs a normal of two numbers and a numeric offset: {normal!r}, {offset!r}"
+            ) from None
         norm = math.hypot(nx, ny)
         if norm <= EPS_COINCIDE:
             raise DegenerateInput(f"zero normal cannot define a line: {normal!r}")
@@ -103,19 +108,19 @@ def mirror_json(l: Line) -> dict:
     return {"normal": [l.nx, l.ny], "offset": l.offset}
 
 
-def coincident(a: Line, b: Line, eps: float = EPS_COINCIDE) -> bool:
-    """True when a and b are the same geometric line, within eps."""
+def coincident(a: Line, b: Line) -> bool:
+    """True when a and b are the same geometric line, within EPS_COINCIDE."""
     cross = a.nx * b.ny - a.ny * b.nx
-    if abs(cross) > eps:
+    if abs(cross) > EPS_COINCIDE:
         return False
     dot = a.nx * b.nx + a.ny * b.ny
     db = b.offset if dot > 0.0 else -b.offset
     scale = 1.0 + abs(a.offset) + abs(db)
-    return abs(a.offset - db) <= eps * scale
+    return abs(a.offset - db) <= EPS_COINCIDE * scale
 
 
-def parallel(a: Line, b: Line, eps: float = EPS_COINCIDE) -> bool:
-    return abs(a.nx * b.ny - a.ny * b.nx) <= eps
+def parallel(a: Line, b: Line) -> bool:
+    return abs(a.nx * b.ny - a.ny * b.nx) <= EPS_COINCIDE
 
 
 def _offset_in_frame(l: Line, frame: Line) -> float:
@@ -131,9 +136,9 @@ def _intersection(a: Line, b: Line) -> tuple[float, float]:
     return x, y
 
 
-def _passes_through(l: Line, px: float, py: float, eps: float = EPS_COINCIDE) -> bool:
+def _passes_through(l: Line, px: float, py: float) -> bool:
     scale = 1.0 + math.hypot(px, py)
-    return abs(l.nx * px + l.ny * py - l.offset) <= eps * scale
+    return abs(l.nx * px + l.ny * py - l.offset) <= EPS_COINCIDE * scale
 
 
 def _fold_half(delta: float) -> float:
@@ -163,12 +168,6 @@ def _rotated_about(l: Line, px: float, py: float, delta: float) -> Line:
 
 def _parallel_through(l: Line, px: float, py: float) -> Line:
     return Line((l.nx, l.ny), l.nx * px + l.ny * py)
-
-
-def reflect_point(l: Line, p) -> np.ndarray:
-    """Mirror image of point p in line l."""
-    w = l.nx * p[0] + l.ny * p[1] - l.offset
-    return np.array([p[0] - 2.0 * w * l.nx, p[1] - 2.0 * w * l.ny])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +204,6 @@ class Classification:
     angle: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Pencil:
-    kind: str  # "parallel" | "concurrent"
-    direction: np.ndarray | None = None
-    point: np.ndarray | None = None
-
-
 def compose_reflections(l: Line, m: Line) -> Classification:
     """Classify R_m . R_l: identity, translation (parallel) or rotation (transverse).
 
@@ -231,14 +223,6 @@ def compose_reflections(l: Line, m: Line) -> Classification:
     return Classification(
         ROTATION, center=np.array([px, py]), angle=2.0 * _signed_gap(l, m)
     )
-
-
-def pencil_of(l: Line, m: Line) -> Pencil:
-    """The pencil spanned by two lines: parallel family or point family."""
-    if parallel(l, m):
-        return Pencil("parallel", direction=canonical_unit((-l.ny, l.nx)))
-    px, py = _intersection(l, m)
-    return Pencil("concurrent", point=np.array([px, py]))
 
 
 def pencil_completion(l: Line, m: Line, l2: Line) -> Line:
@@ -357,11 +341,6 @@ def _reduce_leading_four(w: list, sink: list) -> None:
     n2 = pencil_completion(w[2], w[3], mid)
     emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
-
-
-def reduce_four(k: Line, l: Line, m: Line, n: Line, trace: list | None = None) -> list:
-    """Reduce a four-mirror word to at most two mirrors, oracle-equal."""
-    return normalize_word([k, l, m, n], trace)
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:

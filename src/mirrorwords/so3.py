@@ -21,10 +21,12 @@ from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
+    DegenerateInput,
     Direction3,
     IdentityInput,
     NotOrthogonal,
     canonical_unit3,
+    coincident3,
     components3,
     cross3,
     dot3,
@@ -59,11 +61,7 @@ def mirror_json(a: Axis) -> dict:
     return {"direction": list(a.xyz)}
 
 
-def coincident(a: Axis, b: Axis, eps: float = EPS_COINCIDE) -> bool:
-    cx = a.y * b.z - a.z * b.y
-    cy = a.z * b.x - a.x * b.z
-    cz = a.x * b.y - a.y * b.x
-    return math.sqrt(cx * cx + cy * cy + cz * cz) <= eps
+coincident = coincident3
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +84,8 @@ IDENTITY_ROTATION = Rotation(np.array([0.0, 0.0, 1.0]), 0.0)
 
 def rotation(axis, angle: float) -> Rotation:
     """Canonicalize an axis-angle pair; (axis, angle) ~ (-axis, -angle)."""
+    if not math.isfinite(angle):
+        raise DegenerateInput(f"a rotation needs a finite angle: {angle!r}")
     a = wrap_angle(angle)
     if abs(a) <= EPS_COINCIDE:
         return IDENTITY_ROTATION
@@ -93,14 +93,6 @@ def rotation(axis, angle: float) -> Rotation:
     if dot3(u, axis) < 0.0:
         a = wrap_angle(-a)
     return Rotation(np.array(u), a)
-
-
-def rotation_matrix(r: Rotation) -> np.ndarray:
-    c = math.cos(r.angle)
-    s = math.sin(r.angle)
-    k = r.axis
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return c * np.eye(3) + s * K + (1.0 - c) * np.outer(k, k)
 
 
 def line_reflection_matrix(a: Axis) -> np.ndarray:
@@ -244,15 +236,6 @@ def probe_perpendicular(axis) -> tuple[float, float, float]:
     raise IdentityInput("axis projection failed for every probe")  # pragma: no cover
 
 
-def rotation_to_line_pair(r: Rotation) -> tuple[Axis, Axis]:
-    """Two lines perpendicular to the axis, half the angle apart, composing to r."""
-    if r.is_identity:
-        raise IdentityInput("the identity is the empty word, not a line pair")
-    first = probe_perpendicular(r.axis)
-    second = rotate_about(first, r.axis, r.angle / 2.0)
-    return Axis(first), Axis(second)
-
-
 def split_reflection(k: Axis, plane_normal) -> tuple[Axis, Axis]:
     """Write R_k = R_c . R_b with b inside the given plane through the origin.
 
@@ -290,11 +273,6 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     m2_new = Axis(rotate_about(w[3].xyz, plane_normal, phi))
     emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
-
-
-def reduce_three(k: Axis, l: Axis, m: Axis, trace: list | None = None) -> list:
-    """Reduce a three-line word to at most two lines, oracle-equal."""
-    return normalize_word([k, l, m], trace)
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:

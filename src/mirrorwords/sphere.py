@@ -22,6 +22,7 @@ from .numerics import (
     EPS_COINCIDE,
     Direction3,
     NotConcurrent,
+    coincident3,
     cross3,
     dot3,
     norm3,
@@ -58,17 +59,7 @@ def mirror_json(c: GreatCircle) -> dict:
     return {"pole": list(c.xyz)}
 
 
-def coincident(a: GreatCircle, b: GreatCircle, eps: float = EPS_COINCIDE) -> bool:
-    cx = a.y * b.z - a.z * b.y
-    cy = a.z * b.x - a.x * b.z
-    cz = a.x * b.y - a.y * b.x
-    return math.sqrt(cx * cx + cy * cy + cz * cz) <= eps
-
-
-def reflect_point(c: GreatCircle, p) -> np.ndarray:
-    """Mirror image on the sphere: p - 2(pole.p) pole."""
-    w = 2.0 * dot3(c.xyz, p)
-    return np.array([p[0] - w * c.x, p[1] - w * c.y, p[2] - w * c.z])
+coincident = coincident3
 
 
 def word_to_matrix(word) -> np.ndarray:
@@ -145,17 +136,6 @@ def _reduce_leading_four(w: list, sink: list) -> None:
     n2 = pencil_completion(w[2], w[3], mid)
     emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
-
-
-def reduce_four(
-    k: GreatCircle,
-    l: GreatCircle,
-    m: GreatCircle,
-    n: GreatCircle,
-    trace: list | None = None,
-) -> list:
-    """Reduce a four-circle word to at most two circles, oracle-equal."""
-    return normalize_word([k, l, m, n], trace)
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:

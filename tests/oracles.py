@@ -45,6 +45,15 @@ def classify_plane_map(A, t, eps=1e-8):
     return ("glide", u, d, g * v)
 
 
+def rotation_matrix(r):
+    """Rotation matrix of an (axis, angle) rotation, by the Rodrigues formula."""
+    c = math.cos(r.angle)
+    s = math.sin(r.angle)
+    k = r.axis
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return c * np.eye(3) + s * K + (1.0 - c) * np.outer(k, k)
+
+
 def sphere_word_matrix(word):
     M = np.eye(3)
     for c in word:

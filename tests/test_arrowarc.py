@@ -16,7 +16,7 @@ from mirrorwords.arrowarc import (
     slide,
     triangle_compose,
 )
-from mirrorwords.numerics import DegenerateArc
+from mirrorwords.numerics import DegenerateArc, DegenerateInput
 from mirrorwords.so3 import (
     quaternion_distance,
     rotation,
@@ -50,6 +50,23 @@ def test_eighth_arc_is_quarter_turn():
 def test_antipodal_endpoints_rejected():
     with pytest.raises(DegenerateArc):
         Arc((1, 0, 0), (-1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "tail,head",
+    [
+        ((math.nan, 0, 0), (1, 0, 0)),
+        ((math.inf, 0, 0), (0, 1, 0)),
+        ((1, 0, 0), (0, -math.inf, 0)),
+        ((1, 0), (0, 1, 0)),
+        ((1, 0, 0), (0, 1, 0, 0)),
+        ((0, 0, 0), (1, 0, 0)),
+        ("abc", (1, 0, 0)),
+    ],
+)
+def test_malformed_endpoints_rejected(tail, head):
+    with pytest.raises(DegenerateInput):
+        Arc(tail, head)
 
 
 def test_rotation_to_arc_examples():

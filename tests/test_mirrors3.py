@@ -101,9 +101,8 @@ def test_oracle_gathers_read_the_floats():
 # linear dependency, once per reduction.
 FLOAT_PATH = {
     orthon: ["Hyperplane.__init__", "coincident", "_reflect", "_steer_moves"],
-    so3: ["coincident", "probe_perpendicular", "split_reflection", "_reduce_leading_three"],
+    so3: ["probe_perpendicular", "split_reflection", "_reduce_leading_three"],
     sphere: [
-        "coincident",
         "_common_axis",
         "pencil_completion",
         "_transport_onto",
@@ -117,6 +116,7 @@ FLOAT_PATH = {
         "cross3",
         "dot3",
         "norm3",
+        "coincident3",
         "rotate_about",
         "signed_angle_about",
         "components_n",

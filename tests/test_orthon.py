@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from mirrorwords import orthon, sampling
+from mirrorwords import kernels, orthon, sampling
+from mirrorwords.moves import INVOLUTION, Move
 from mirrorwords.numerics import (
     EPS_VERIFY,
     DegenerateSteering,
-    NotCoplanarNormals,
     NotOrthogonal,
     WrongLength,
 )
 from mirrorwords.orthon import (
     Hyperplane,
-    coincident,
     decompose,
-    householder,
     normalize_word,
-    pencil_completion,
     reassemble,
     reduce_word,
     replay_moves,
@@ -32,6 +29,11 @@ def plane_mirror(theta_deg, dim=2):
     n = np.zeros(dim)
     n[0], n[1] = math.cos(t), math.sin(t)
     return Hyperplane(n)
+
+
+def householder(h):
+    """The oracle matrix of the one-mirror word [h]."""
+    return kernels.householder_word_matrix(np.array([h.values]))
 
 
 def random_orthogonal(rng, n):
@@ -135,46 +137,6 @@ def test_decompose_random_matrices():
         assert np.linalg.det(M) == pytest.approx((-1.0) ** len(word), abs=1e-9)
 
 
-def test_pencil_completion_examples():
-    m2 = pencil_completion(
-        Hyperplane((1, 0, 0)),
-        Hyperplane((1, 1, 0)),
-        Hyperplane((0, 1, 0)),
-    )
-    assert coincident(m2, plane_mirror(135, dim=3))
-
-    l, l2 = Hyperplane((1, 2, 3)), Hyperplane((3, -1, 2))
-    assert pencil_completion(l, l, l2) == l2
-
-    m4 = pencil_completion(
-        plane_mirror(0, dim=4), plane_mirror(30, dim=4), plane_mirror(45, dim=4)
-    )
-    assert coincident(m4, plane_mirror(75, dim=4))
-
-
-def test_pencil_completion_rejects_outsiders():
-    with pytest.raises(NotCoplanarNormals):
-        pencil_completion(
-            Hyperplane((1, 0, 0)), Hyperplane((1, 1, 0)), Hyperplane((0, 0, 1))
-        )
-
-
-def test_pencil_completion_preserves_product():
-    rng = np.random.default_rng(63)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        l, m = sampling.random_hyperplane(rng, n), sampling.random_hyperplane(rng, n)
-        a, b = rng.standard_normal(2)
-        v = a * l.normal + b * m.normal
-        if np.linalg.norm(v) < 1e-3:
-            continue
-        l2 = Hyperplane(v)
-        m2 = pencil_completion(l, m, l2)
-        lhs = householder(m) @ householder(l)
-        rhs = householder(m2) @ householder(l2)
-        assert float(np.linalg.norm(lhs - rhs)) <= 1e-9
-
-
 def test_reduce_word_plane_examples():
     out = reduce_word([plane_mirror(0), plane_mirror(30), plane_mirror(90)])
     assert len(out) == 1
@@ -183,6 +145,20 @@ def test_reduce_word_plane_examples():
 
     out2 = reduce_word([plane_mirror(0), plane_mirror(0), plane_mirror(45)])
     assert out2 == [plane_mirror(45)]
+
+    # a coincident pair anywhere in the input, equal or within EPS_COINCIDE,
+    # is cancelled first, and alone
+    rng = np.random.default_rng(65)
+    for n in (2, 3, 5):
+        w = sampling.random_word(rng, "on", n + 1, dim=n)
+        for i in range(n):
+            near = Hyperplane(w[i].normal + 1e-11 * rng.standard_normal(n))
+            for twin in (w[i], near):
+                v = list(w)
+                v[i + 1] = twin
+                trace = []
+                assert reduce_word(v, trace) == v[:i] + v[i + 2 :]
+                assert trace == [Move(INVOLUTION, i)]
 
 
 def test_reduce_word_wrong_length():

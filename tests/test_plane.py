@@ -18,10 +18,8 @@ from mirrorwords.plane import (
     compose_reflections,
     isometry_distance,
     normalize_word,
+    parallel,
     pencil_completion,
-    pencil_of,
-    reduce_four,
-    reflect_point,
     replay_moves,
     verify_pencil_relation,
     word_to_isometry,
@@ -42,9 +40,27 @@ def origin_line(theta_deg):
     return Line((-math.sin(t), math.cos(t)), 0.0)
 
 
+def mirror_image(line, p):
+    """Image of point p under the oracle map of the one-mirror word [line]."""
+    iso = word_to_isometry([line])
+    return iso.linear @ np.asarray(p, dtype=float) + iso.translation
+
+
 @pytest.mark.parametrize(
     "normal,offset",
-    [((math.inf, 0.0), 1.0), ((math.nan, 1.0), 0.0), ((1.0, 0.0), math.inf), ((0.0, 1.0), math.nan)],
+    [
+        ((math.inf, 0.0), 1.0),
+        ((math.nan, 1.0), 0.0),
+        ((1.0, 0.0), math.inf),
+        ((0.0, 1.0), math.nan),
+        # malformed: a normal of other than two numbers, or a non-numeric offset
+        ([1, 2, 3], 0),
+        ([1], 0),
+        ("ab", 0),
+        ([1, 0], "x"),
+        ([1.0, None], 0),
+        (1.0, 0),
+    ],
 )
 def test_line_rejects_non_finite(normal, offset):
     with pytest.raises(DegenerateInput):
@@ -68,7 +84,7 @@ def test_line_canonicalization():
     ],
 )
 def test_reflect_point_examples(line, point, expected):
-    np.testing.assert_allclose(reflect_point(line, point), expected, atol=1e-12)
+    np.testing.assert_allclose(mirror_image(line, point), expected, atol=1e-12)
 
 
 def test_reflect_point_involution():
@@ -76,7 +92,7 @@ def test_reflect_point_involution():
     for _ in range(100):
         l = sampling.random_line(rng)
         p = rng.uniform(-10, 10, 2)
-        np.testing.assert_allclose(reflect_point(l, reflect_point(l, p)), p, atol=1e-9)
+        np.testing.assert_allclose(mirror_image(l, mirror_image(l, p)), p, atol=1e-9)
 
 
 def test_word_to_isometry_empty_and_involution():
@@ -121,18 +137,6 @@ def test_compose_rotation():
     assert c.angle == pytest.approx(math.pi / 2)
 
 
-def test_pencil_of():
-    p = pencil_of(vertical(0), vertical(1))
-    assert p.kind == "parallel"
-    np.testing.assert_allclose(p.direction, [0, 1], atol=1e-12)
-    q = pencil_of(X_AXIS, Y_AXIS)
-    assert q.kind == "concurrent"
-    np.testing.assert_allclose(q.point, [0, 0], atol=1e-12)
-    r = pencil_of(vertical(0), vertical(0))
-    assert r.kind == "parallel"
-    np.testing.assert_allclose(r.direction, [0, 1], atol=1e-12)
-
-
 def test_pencil_completion_parallel():
     m2 = pencil_completion(vertical(0), vertical(1), vertical(5))
     assert coincident(m2, vertical(6))
@@ -160,13 +164,14 @@ def test_pencil_completion_oracle_equality():
     rng = np.random.default_rng(7)
     for _ in range(200):
         l, m = sampling.random_line(rng), sampling.random_line(rng)
-        p = pencil_of(l, m)
-        if p.kind == "parallel":
+        if parallel(l, m):
             l2 = Line((l.nx, l.ny), rng.uniform(-10, 10))
         else:
+            # a line through the common point of l and m
+            point = np.linalg.solve([[l.nx, l.ny], [m.nx, m.ny]], [l.offset, m.offset])
             theta = rng.uniform(0, math.pi)
             n = np.array([-math.sin(theta), math.cos(theta)])
-            l2 = Line(n, float(n @ p.point))
+            l2 = Line(n, float(n @ point))
         m2 = pencil_completion(l, m, l2)
         assert verify_pencil_relation(l, m, l2, m2)
         d = isometry_distance(word_to_isometry([l, m]), word_to_isometry([l2, m2]))
@@ -201,14 +206,14 @@ def test_pencil_completion_rejects_random_triples():
 def test_reduce_four_involution_case():
     k = Line((1, 2), 3)
     m, n = X_AXIS, vertical(4)
-    out = reduce_four(k, k, m, n)
+    out = normalize_word([k, k, m, n])
     assert out == [m, n]
 
 
 def test_reduce_four_two_translations():
     # vertical pair then horizontal pair: net translation by (2, 2)
     w = [vertical(0), vertical(1), Line((0, 1), 0), Line((0, 1), 1)]
-    out = reduce_four(*w)
+    out = normalize_word(w)
     assert len(out) == 2
     iso = word_to_isometry(out)
     np.testing.assert_allclose(iso.linear, np.eye(2), atol=1e-9)
@@ -217,7 +222,7 @@ def test_reduce_four_two_translations():
 
 def test_reduce_four_concurrent_rotation():
     w = [origin_line(0), origin_line(30), origin_line(60), origin_line(90)]
-    out = reduce_four(*w)
+    out = normalize_word(w)
     assert len(out) == 2
     c = compose_reflections(out[0], out[1])
     assert c.kind == ROTATION
@@ -229,7 +234,7 @@ def test_reduce_four_random_oracle():
     rng = np.random.default_rng(9)
     for _ in range(300):
         w = sampling.random_word(rng, "e2", 4)
-        out = reduce_four(*w)
+        out = normalize_word(w)
         assert len(out) <= 2
         assert isometry_distance(word_to_isometry(w), word_to_isometry(out)) <= 1e-8
 

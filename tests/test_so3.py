@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rotation_from_matrix_eig, same_axis_angle
+from oracles import rotation_from_matrix_eig, rotation_matrix, same_axis_angle
 from mirrorwords import sampling
-from mirrorwords.numerics import IdentityInput, NotOrthogonal
+from mirrorwords.arrowarc import rotation_to_arc
+from mirrorwords.numerics import DegenerateInput, NotOrthogonal
 from mirrorwords.so3 import (
     IDENTITY_QUATERNION,
     IDENTITY_ROTATION,
@@ -19,11 +20,8 @@ from mirrorwords.so3 import (
     quaternion_distance,
     quaternion_from_matrix,
     quaternion_to_rotation,
-    reduce_three,
     replay_moves,
     rotation,
-    rotation_matrix,
-    rotation_to_line_pair,
     rotation_to_quaternion,
     split_reflection,
     word_to_matrix,
@@ -35,6 +33,12 @@ X = Axis((1, 0, 0))
 Y = Axis((0, 1, 0))
 Z = Axis((0, 0, 1))
 SQ2 = math.sqrt(2) / 2
+
+
+def rotation_to_line_pair(r):
+    """The lines through the endpoints of r's arc, which compose to r."""
+    arc = rotation_to_arc(r)
+    return Axis(arc.tail), Axis(arc.head)
 
 
 @pytest.mark.parametrize(
@@ -100,11 +104,6 @@ def test_rotation_to_line_pair_quarter_turn():
     np.testing.assert_allclose(b.direction, [SQ2, SQ2, 0], atol=1e-12)
 
 
-def test_rotation_to_line_pair_identity_raises():
-    with pytest.raises(IdentityInput):
-        rotation_to_line_pair(IDENTITY_ROTATION)
-
-
 def test_rotation_to_line_pair_round_trip():
     rng = np.random.default_rng(22)
     for _ in range(300):
@@ -149,13 +148,13 @@ def test_split_reflection_algebra():
 
 
 def test_reduce_three_orthogonal_frame_is_identity():
-    out = reduce_three(X, Y, Z)
+    out = normalize_word([X, Y, Z])
     q = word_to_quaternion(out)
     assert quaternion_distance(q, IDENTITY_QUATERNION) <= 1e-12
 
 
 def test_reduce_three_involution():
-    out = reduce_three(X, X, Z)
+    out = normalize_word([X, X, Z])
     assert out == [Z]
 
 
@@ -163,7 +162,7 @@ def test_reduce_three_random_oracle():
     rng = np.random.default_rng(24)
     for _ in range(300):
         w = sampling.random_word(rng, "so3", 3)
-        out = reduce_three(*w)
+        out = normalize_word(w)
         assert len(out) <= 2
         assert quaternion_distance(word_to_quaternion(w), word_to_quaternion(out)) <= 1e-9
 
@@ -280,6 +279,12 @@ def test_quaternion_composition_matches_matrices():
         q = rotation_to_quaternion(r2) * rotation_to_quaternion(r1)
         M = rotation_matrix(r2) @ rotation_matrix(r1)
         assert quaternion_distance(q, quaternion_from_matrix(M)) <= 1e-9
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_non_finite_angle(angle):
+    with pytest.raises(DegenerateInput):
+        rotation((0, 0, 1), angle)
 
 
 def test_axis_canonical_sign():

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import classify_sphere_matrix, same_axis_angle, same_direction, sphere_word_matrix
+from oracles import (
+    classify_sphere_matrix,
+    rotation_matrix,
+    same_axis_angle,
+    same_direction,
+    sphere_word_matrix,
+)
 from mirrorwords import sampling
 from mirrorwords.numerics import NotConcurrent, angle_between_directions
 from mirrorwords.so3 import rotation_matrix_distance
@@ -18,8 +24,6 @@ from mirrorwords.sphere import (
     compose_reflections,
     normalize_word,
     pencil_completion,
-    reduce_four,
-    reflect_point,
     replay_moves,
     word_to_matrix,
 )
@@ -34,6 +38,11 @@ def longitude(deg):
     return GreatCircle((-math.sin(t), math.cos(t), 0.0))
 
 
+def mirror_image(circle, p):
+    """Image of point p under the oracle matrix of the one-mirror word [circle]."""
+    return word_to_matrix([circle]) @ np.asarray(p, dtype=float)
+
+
 @pytest.mark.parametrize(
     "circle,point,expected",
     [
@@ -43,7 +52,7 @@ def longitude(deg):
     ],
 )
 def test_reflect_point_examples(circle, point, expected):
-    np.testing.assert_allclose(reflect_point(circle, point), expected, atol=1e-12)
+    np.testing.assert_allclose(mirror_image(circle, point), expected, atol=1e-12)
 
 
 def test_reflect_point_involution():
@@ -51,8 +60,8 @@ def test_reflect_point_involution():
     for _ in range(200):
         c = sampling.random_circle(rng)
         p = sampling.random_axis(rng).direction
-        np.testing.assert_allclose(reflect_point(c, reflect_point(c, p)), p, atol=1e-12)
-        assert np.linalg.norm(reflect_point(c, p)) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(mirror_image(c, mirror_image(c, p)), p, atol=1e-12)
+        assert np.linalg.norm(mirror_image(c, p)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compose_identity():
@@ -78,7 +87,7 @@ def test_compose_matches_matrix_oracle():
         c = compose_reflections(l, m)
         if c.kind == IDENTITY:
             continue
-        from mirrorwords.so3 import rotation, rotation_matrix
+        from mirrorwords.so3 import rotation
 
         M = rotation_matrix(rotation(c.axis, c.angle))
         np.testing.assert_allclose(M, sphere_word_matrix([l, m]), atol=1e-9)
@@ -132,11 +141,11 @@ def test_pencil_completion_angle_equalities():
 def test_reduce_four_involution():
     k = GreatCircle((1, 2, 3))
     m, n = EQUATOR, longitude(30)
-    assert reduce_four(k, k, m, n) == [m, n]
+    assert normalize_word([k, k, m, n]) == [m, n]
 
 
 def test_reduce_four_longitudes():
-    out = reduce_four(longitude(0), longitude(30), longitude(60), longitude(90))
+    out = normalize_word([longitude(0), longitude(30), longitude(60), longitude(90)])
     assert len(out) == 2
     c = compose_reflections(out[0], out[1])
     assert c.kind == ROTATION
@@ -145,7 +154,7 @@ def test_reduce_four_longitudes():
 
 def test_reduce_four_double_cancellation():
     c = GreatCircle((3, 1, -2))
-    out = reduce_four(EQUATOR, EQUATOR, c, c)
+    out = normalize_word([EQUATOR, EQUATOR, c, c])
     assert out == []
 
 
@@ -153,7 +162,7 @@ def test_reduce_four_random_oracle():
     rng = np.random.default_rng(43)
     for _ in range(300):
         w = sampling.random_word(rng, "s2", 4)
-        out = reduce_four(*w)
+        out = normalize_word(w)
         assert len(out) <= 2
         assert rotation_matrix_distance(word_to_matrix(w), word_to_matrix(out)) <= 1e-9
 
