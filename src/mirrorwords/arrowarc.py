@@ -20,31 +20,22 @@ from .numerics import (
     DegenerateArc,
     DegenerateInput,
     canonical_unit,
+    components_n,
     cross3,
     norm3,
     rotate_about,
     signed_angle_about,
+    unit_n,
 )
 
 _DEFAULT_ANCHOR = np.array([1.0, 0.0, 0.0])
 
 
 def _unit_point(p) -> np.ndarray:
-    try:
-        a = np.asarray(p, dtype=float)
-    except (TypeError, ValueError):
-        raise DegenerateInput(f"a point on the sphere needs numeric coordinates: {p!r}") from None
-    if a.shape != (3,):
+    c = components_n(p)
+    if len(c) != 3:
         raise DegenerateInput(f"a point on the sphere needs exactly three coordinates: {p!r}")
-    n = math.sqrt(float(a @ a))
-    if n <= EPS_COINCIDE:
-        raise DegenerateInput(f"zero vector is not a point on the sphere: {p!r}")
-    if not n < math.inf:  # also false for NaN
-        raise DegenerateInput(f"a point on the sphere needs a finite norm: {p!r}")
-    if abs(n - 1.0) > 1e-13:
-        a = a / n
-    else:
-        a = a.copy()
+    a = np.array(unit_n(c))
     a.flags.writeable = False
     return a
 

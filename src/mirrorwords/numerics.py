@@ -1,9 +1,11 @@
 """Shared numeric substrate: tolerances, canonical directions, angle helpers.
 
-Every geometry module stores mirror directions through canonical_unit (or
-its plain-float forms canonical_unit3 and canonical_unit_n) so that one
-geometric mirror has exactly one stored representative, which is what
-makes exact equality usable in golden tests.
+Every mirror given by a unit vector up to sign is a Direction: it stores
+canonical_unit_n of its input (canonical_unit3 in 3-space, the same floats)
+as the tuple `values`, so that one geometric mirror has exactly one stored
+representative, which is what makes exact equality usable in golden tests.
+unit_n is the one normalization rule; canonical_unit is its array form for
+callers outside the rewrite.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ EPS_COINCIDE = 1e-9
 EPS_VERIFY = 1e-8
 
 # Relative norm deviation below which a vector is treated as already unit;
-# skipping the redundant division makes canonical_unit exactly idempotent.
+# skipping the redundant division makes unit_n exactly idempotent.
 _UNIT_SLACK = 1e-13
 
 
@@ -61,32 +63,9 @@ def canonical_unit(v) -> np.ndarray:
     The sign convention gives unsigned directions (mirror normals, axes) a
     unique representative: canonical_unit(v) == canonical_unit(-v).
     Raises DegenerateInput on (near-)zero input or a non-finite norm.
+    The array form of canonical_unit_n, for any flat vector.
     """
-    a = np.asarray(v, dtype=float)
-    # np.vdot gives the bits of a @ a but sets no overflow warning
-    square = float(np.vdot(a, a))
-    if square == math.inf and np.isfinite(a).all():
-        # finite components whose squares overflow still define a direction
-        a = a / float(np.abs(a).max())
-        square = float(a @ a)
-    norm = math.sqrt(square)
-    if norm <= EPS_COINCIDE:
-        raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
-    if not norm < math.inf:  # also false for NaN
-        raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
-    if abs(norm - 1.0) > _UNIT_SLACK:
-        a = a / norm
-    else:
-        a = a.copy()
-    for x in a:
-        if abs(x) > EPS_COINCIDE:
-            if x < 0.0:
-                a = -a
-            break
-    # -0.0 components would display oddly and break hash-equality of the
-    # byte representation
-    a += 0.0
-    return a
+    return np.array(canonical_unit_n(components_n(v)))
 
 
 def angle_between_directions(u, v) -> float:
@@ -111,6 +90,9 @@ def wrap_angle(theta: float) -> float:
 
 def components3(v) -> tuple[float, float, float]:
     """The three components of a 3-vector as floats; DegenerateInput otherwise."""
+    # unpacking a string yields its characters, which float() accepts
+    if type(v) is not tuple and isinstance(v, (str, bytes)):
+        raise DegenerateInput(f"a 3-vector needs numeric components: {v!r}")
     try:
         x, y, z = v
         return float(x), float(y), float(z)
@@ -119,11 +101,10 @@ def components3(v) -> tuple[float, float, float]:
 
 
 def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """canonical_unit of the 3-vector (x, y, z), in plain floats.
+    """canonical_unit_n of the 3-vector (x, y, z), without building lists.
 
-    Same eps (EPS_COINCIDE), sign, +0.0, overflow-rescale and non-finite
-    rules; the squared norm is summed left to right, so it may differ from
-    canonical_unit's in the last bit.
+    The same floats, bit for bit; it is kept because the S2 and SO(3)
+    rewrites build a 3-vector mirror for every move they record.
     """
     square = x * x + y * y + z * z
     if square == math.inf and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
@@ -149,7 +130,7 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
         flip = z < 0.0
     if flip:
         x, y, z = -x, -y, -z
-    # +0.0 uniformly, as in canonical_unit
+    # +0.0 uniformly, as in canonical_unit_n
     return x + 0.0, y + 0.0, z + 0.0
 
 
@@ -183,12 +164,12 @@ def dot_n(p, q) -> float:
     return d
 
 
-def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
-    """canonical_unit of a list of floats, as a tuple of floats.
+def unit_n(v: list[float]) -> list[float]:
+    """v scaled to unit length; DegenerateInput on a (near-)zero or non-finite norm.
 
-    Same eps (EPS_COINCIDE), sign, +0.0, overflow-rescale and non-finite
-    rules; the squared norm is summed left to right (dot_n), so it may
-    differ from canonical_unit's in the last bits.
+    The squared norm is summed left to right (dot_n). v is divided only
+    when its norm is off unit by more than _UNIT_SLACK, so a unit vector
+    comes back as it is.
     """
     square = dot_n(v, v)
     if square == math.inf and all(map(math.isfinite, v)):
@@ -203,51 +184,64 @@ def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
         raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
     if abs(norm - 1.0) > _UNIT_SLACK:
         v = [x / norm for x in v]
+    return v
+
+
+def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
+    """unit_n of a list of floats with the sign fixed, as a tuple of +0.0-clean floats.
+
+    The first component above EPS_COINCIDE is made positive, so v and -v
+    give the same tuple.
+    """
+    v = unit_n(v)
     # the first component above eps decides the sign; a unit vector has one
     for x in v:
         if abs(x) > EPS_COINCIDE:
             if x < 0.0:
                 return tuple([-y + 0.0 for y in v])
             break
-    # +0.0 uniformly, as in canonical_unit
+    # +0.0 uniformly: -0.0 components would display oddly
     return tuple([y + 0.0 for y in v])
 
 
-class Direction3:
-    """An unsigned direction in 3-space: canonical_unit3 of the input, as floats.
+class Direction:
+    """An unsigned direction: canonical_unit_n of the input, as a tuple of floats.
 
-    Base of the 3-vector mirrors (so3.Axis, sphere.GreatCircle). The
-    three floats x, y, z are what the rewrite computes with; equality and
-    hash go by their values, within one mirror class.
+    Base of the mirrors given by a unit vector up to sign (orthon.Hyperplane,
+    and through Direction3 so3.Axis and sphere.GreatCircle). The tuple
+    `values` is what the rewrite computes with; equality and hash go by
+    it, within one mirror class.
     """
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ("values",)
 
     def __init__(self, v):
-        self.x, self.y, self.z = canonical_unit3(*components3(v))
-
-    @property
-    def xyz(self) -> tuple[float, float, float]:
-        return self.x, self.y, self.z
-
-    # the floats of the mirror's text form
-    values = xyz
+        self.values = canonical_unit_n(components_n(v))
 
     def _array(self) -> np.ndarray:
-        a = np.array(self.xyz)
+        a = np.array(self.values)
         a.flags.writeable = False
         return a
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
+        return self.values == other.values
 
     def __hash__(self):
-        return hash(self.xyz)
+        return hash(self.values)
 
     def __repr__(self):
-        return f"{type(self).__name__}([{self.x!r}, {self.y!r}, {self.z!r}])"
+        return f"{type(self).__name__}({list(self.values)!r})"
+
+
+class Direction3(Direction):
+    """A Direction in 3-space, built by the 3-vector path canonical_unit3."""
+
+    __slots__ = ()
+
+    def __init__(self, v):
+        self.values = canonical_unit3(*components3(v))
 
 
 # The 3-vector helpers below take any indexable 3-vectors (tuples, arrays)
@@ -276,9 +270,11 @@ def coincident3(a: Direction3, b: Direction3) -> bool:
 
     so3 and sphere bind it as their `coincident`.
     """
-    cx = a.y * b.z - a.z * b.y
-    cy = a.z * b.x - a.x * b.z
-    cz = a.x * b.y - a.y * b.x
+    ax, ay, az = a.values
+    bx, by, bz = b.values
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
     return math.sqrt(cx * cx + cy * cy + cz * cz) <= EPS_COINCIDE
 
 

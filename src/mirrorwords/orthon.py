@@ -21,10 +21,9 @@ from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
     DegenerateSteering,
+    Direction,
     NotOrthogonal,
     WrongLength,
-    canonical_unit_n,
-    components_n,
     dot_n,
 )
 
@@ -37,39 +36,20 @@ KEYWORD = "hyper"
 ARITY = None
 
 
-class Hyperplane:
+class Hyperplane(Direction):
     """Mirror hyperplane {x : normal . x = 0}, canonical-sign unit normal.
 
-    The normal is stored as a tuple of plain floats, `values`, which is
-    what the rewrite computes with; the public `normal` array is a
-    read-only copy built on each access.
+    The normal is kept as the float tuple `values` (see Direction); the
+    public `normal` array is a read-only copy built on each access.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
-    def __init__(self, normal):
-        self.values = canonical_unit_n(components_n(normal))
-
-    @property
-    def normal(self) -> np.ndarray:
-        a = np.array(self.values)
-        a.flags.writeable = False
-        return a
+    normal = property(Direction._array)
 
     @property
     def dimension(self) -> int:
         return len(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, Hyperplane):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"Hyperplane({list(self.values)!r})"
 
 
 mirror_from_values = Hyperplane

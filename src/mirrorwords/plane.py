@@ -48,6 +48,9 @@ class Line:
     __slots__ = ("nx", "ny", "offset")
 
     def __init__(self, normal, offset: float = 0.0):
+        # unpacking a string yields its characters, which float() accepts
+        if type(normal) is not tuple and isinstance(normal, (str, bytes)):
+            raise DegenerateInput(f"a line needs a normal of two numbers: {normal!r}")
         try:
             nx, ny = normal
             nx = float(nx)

@@ -45,8 +45,8 @@ ARITY = 3
 class Axis(Direction3):
     """A line through the origin, stored as a canonical-sign unit direction.
 
-    The direction is kept as three plain floats x, y, z (see Direction3);
-    `direction` gives them as a read-only array.
+    The direction is kept as the float tuple `values` (see Direction3);
+    `direction` gives it as a read-only array.
     """
 
     __slots__ = ()
@@ -58,7 +58,7 @@ mirror_from_values = Axis
 
 
 def mirror_json(a: Axis) -> dict:
-    return {"direction": list(a.xyz)}
+    return {"direction": list(a.values)}
 
 
 coincident = coincident3
@@ -102,7 +102,7 @@ def line_reflection_matrix(a: Axis) -> np.ndarray:
 
 
 def _directions(word) -> np.ndarray:
-    return np.array([(a.x, a.y, a.z) for a in word]).reshape(-1, 3)
+    return np.array([a.values for a in word]).reshape(-1, 3)
 
 
 def word_to_matrix(word) -> np.ndarray:
@@ -223,7 +223,7 @@ def twice_angle_rotation(u, v) -> Rotation:
 
 def compose_line_reflections(a: Axis, b: Axis) -> Rotation:
     """R_b . R_a: rotation about the common perpendicular by twice the angle."""
-    return twice_angle_rotation(a.xyz, b.xyz)
+    return twice_angle_rotation(a.values, b.values)
 
 
 def probe_perpendicular(axis) -> tuple[float, float, float]:
@@ -244,7 +244,7 @@ def split_reflection(k: Axis, plane_normal) -> tuple[Axis, Axis]:
     picks one. c completes (k, b) to an orthogonal triple.
     """
     n = canonical_unit3(*components3(plane_normal))
-    d = k.xyz
+    d = k.values
     c = cross3(n, d)
     if norm3(c) > EPS_COINCIDE:
         b_dir = canonical_unit3(*c)
@@ -263,14 +263,14 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     reduced head and cancels the two lines left if they coincide.
     """
     k, l, m = w[0], w[1], w[2]
-    plane_normal = canonical_unit3(*cross3(l.xyz, m.xyz))
+    plane_normal = canonical_unit3(*cross3(l.values, m.values))
     b, c = split_reflection(k, plane_normal)
     # R_k = R_c . R_b = R_b . R_c (orthogonal pair), insert as [c, b]
     # so the coplanar triple (b, l, m) sits adjacently
     emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)), coincident)
     # rotate the pair (l, m), now at positions 2 and 3, so l lands on b
-    phi = signed_angle_about(w[2].xyz, b.xyz, plane_normal)
-    m2_new = Axis(rotate_about(w[3].xyz, plane_normal, phi))
+    phi = signed_angle_about(w[2].values, b.values, plane_normal)
+    m2_new = Axis(rotate_about(w[3].values, plane_normal, phi))
     emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
 
@@ -286,7 +286,7 @@ def word_to_rotation(word) -> Rotation:
     if len(w) == 0:
         return IDENTITY_ROTATION
     if len(w) == 1:
-        return rotation(w[0].xyz, math.pi)
+        return rotation(w[0].values, math.pi)
     return compose_line_reflections(w[0], w[1])
 
 

@@ -43,8 +43,8 @@ ARITY = 3
 class GreatCircle(Direction3):
     """Great circle {x on S2 : pole . x = 0}, pole stored with canonical sign.
 
-    The pole is kept as three plain floats x, y, z (see Direction3);
-    `pole` gives them as a read-only array.
+    The pole is kept as the float tuple `values` (see Direction3);
+    `pole` gives it as a read-only array.
     """
 
     __slots__ = ()
@@ -56,14 +56,14 @@ mirror_from_values = GreatCircle
 
 
 def mirror_json(c: GreatCircle) -> dict:
-    return {"pole": list(c.xyz)}
+    return {"pole": list(c.values)}
 
 
 coincident = coincident3
 
 
 def word_to_matrix(word) -> np.ndarray:
-    return kernels.householder_word_matrix(np.array([(c.x, c.y, c.z) for c in word]).reshape(-1, 3))
+    return kernels.householder_word_matrix(np.array([c.values for c in word]).reshape(-1, 3))
 
 
 def word_distance(a, b, dim: int | None = None) -> float:
@@ -81,14 +81,14 @@ class Classification:
 def compose_reflections(l: GreatCircle, m: GreatCircle) -> Classification:
     """R_m . R_l: identity when the circles coincide, else a rotation about
     their intersection pair by twice the dihedral angle."""
-    r = so3.twice_angle_rotation(l.xyz, m.xyz)
+    r = so3.twice_angle_rotation(l.values, m.values)
     if r.is_identity:
         return Classification(IDENTITY)
     return Classification(ROTATION, axis=r.axis, angle=r.angle)
 
 
 def _common_axis(l: GreatCircle, m: GreatCircle) -> tuple[float, float, float]:
-    c = cross3(l.xyz, m.xyz)
+    c = cross3(l.values, m.values)
     s = norm3(c)
     return c[0] / s, c[1] / s, c[2] / s
 
@@ -104,17 +104,17 @@ def pencil_completion(
     if coincident(l, m):
         return l2
     u = _common_axis(l, m)
-    if abs(dot3(l2.xyz, u)) > EPS_COINCIDE:
+    if abs(dot3(l2.values, u)) > EPS_COINCIDE:
         raise NotConcurrent("third circle misses the pencil's intersection pair")
-    phi = signed_angle_about(l.xyz, m.xyz, u)
-    return GreatCircle(rotate_about(l2.xyz, u, phi))
+    phi = signed_angle_about(l.values, m.values, u)
+    return GreatCircle(rotate_about(l2.values, u, phi))
 
 
 def _transport_onto(a: GreatCircle, b: GreatCircle, target: GreatCircle) -> GreatCircle:
     """b2 such that (a, b) ~ (target, b2) in the pencil of a and b."""
     u = _common_axis(a, b)
-    phi = signed_angle_about(a.xyz, target.xyz, u)
-    return GreatCircle(rotate_about(b.xyz, u, phi))
+    phi = signed_angle_about(a.values, target.values, u)
+    return GreatCircle(rotate_about(b.values, u, phi))
 
 
 def _reduce_leading_four(w: list, sink: list) -> None:

@@ -1,4 +1,5 @@
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -67,6 +68,14 @@ def test_antipodal_endpoints_rejected():
 def test_malformed_endpoints_rejected(tail, head):
     with pytest.raises(DegenerateInput):
         Arc(tail, head)
+
+
+def test_endpoint_with_an_overflowing_norm_defines_a_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arc = Arc((1e200, 0, 0), (0, 1, 0))
+    assert tuple(arc.tail) == (1.0, 0.0, 0.0)
+    assert tuple(arc.head) == (0.0, 1.0, 0.0)
 
 
 def test_rotation_to_arc_examples():

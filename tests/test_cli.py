@@ -25,17 +25,34 @@ from mirrorwords.numerics import DegenerateInput
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child process imports the same mirrorwords as this one, also when
     # only pytest's `pythonpath` setting put it on sys.path
     src = str(Path(mirrorwords.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mirrorwords", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "mirrorwords", *args)
+
+
+def test_import_leaves_out_scipy_and_exports_every_name():
+    # scipy costs more to import than the rest of the package; only
+    # orthon.spectral_split needs it, and imports it on first use
+    code = (
+        "import sys, mirrorwords, mirrorwords.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "missing = [n for n in mirrorwords.__all__ if not hasattr(mirrorwords, n)]\n"
+        "assert not missing, missing\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------- parser

@@ -1,8 +1,8 @@
 """orthon.Hyperplane stores its normal as plain floats, in any dimension.
 
-The rules it shares with the 3-vector mirrors (equality, hash, repr,
-read-only arrays, canonical_unit's vector rules, the no-numpy guard of the
-rewrite path) are tested in test_mirrors3.py.
+The rules it shares, as a numerics.Direction, with the 3-vector mirrors
+(equality, hash, repr, read-only arrays, canonical_unit_n's vector rules,
+the no-numpy guard of the rewrite path) are tested in test_mirrors3.py.
 """
 
 import json

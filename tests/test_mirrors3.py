@@ -1,8 +1,9 @@
 """Mirrors stored as plain floats: so3.Axis, sphere.GreatCircle, orthon.Hyperplane.
 
-Each stores its canonical unit vector as plain floats and computes the
-rewrite on floats; the public `direction`, `pole` and `normal` arrays are
-read-only copies built on demand.
+All three are numerics.Direction: each stores its canonical unit vector as
+the float tuple `values` and computes the rewrite on floats; the public
+`direction`, `pole` and `normal` arrays are read-only copies built on
+demand.
 """
 
 import ast
@@ -55,7 +56,19 @@ def test_vector_is_a_read_only_float64_array(cls, attr):
 
 
 @pytest.mark.parametrize("cls, attr", MIRRORS3)
-@pytest.mark.parametrize("v", [[1.0, 2.0], [1, 2, 3, 4], [], 5.0, np.ones(4), np.ones((3, 3))])
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1.0, 2.0],
+        [1, 2, 3, 4],
+        [],
+        5.0,
+        np.ones(4),
+        np.ones((3, 3)),
+        pytest.param("123", id="digit-str"),
+        pytest.param(b"123", id="digit-bytes"),
+    ],
+)
 def test_wrong_number_of_components_is_rejected(cls, attr, v):
     with pytest.raises(DegenerateInput):
         cls(v)
@@ -100,7 +113,7 @@ def test_oracle_gathers_read_the_floats():
 # a numpy call too. The one exception is the SVD that finds the O(n) head's
 # linear dependency, once per reduction.
 FLOAT_PATH = {
-    orthon: ["Hyperplane.__init__", "coincident", "_reflect", "_steer_moves"],
+    orthon: ["coincident", "_reflect", "_steer_moves"],
     so3: ["probe_perpendicular", "split_reflection", "_reduce_leading_three"],
     sphere: [
         "_common_axis",
@@ -109,8 +122,9 @@ FLOAT_PATH = {
         "_reduce_leading_four",
     ],
     numerics: [
+        "Direction.__init__",
+        "Direction.__eq__",
         "Direction3.__init__",
-        "Direction3.__eq__",
         "components3",
         "canonical_unit3",
         "cross3",
@@ -121,6 +135,7 @@ FLOAT_PATH = {
         "signed_angle_about",
         "components_n",
         "dot_n",
+        "unit_n",
         "canonical_unit_n",
     ],
 }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mirrorwords.numerics import (
+    EPS_COINCIDE,
     DegenerateInput,
     angle_between_directions,
     canonical_unit,
@@ -52,20 +53,52 @@ def test_canonical_unit_rescales_an_overflowing_norm(v, direction):
     np.testing.assert_allclose(u, canonical_unit(direction), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e150, 1e300])
+def _outcome(f, v):
+    try:
+        return f(v)
+    except DegenerateInput:
+        return DegenerateInput
+
+
+# canonical_unit3's overflow, eps and sign edges
+EDGES3 = [
+    (1e200, -1e200, 0.0),
+    (-1e308, 1e308, 1e308),
+    (1e308, -1e308, -1e308),
+    (1.7e308, 0.0, -1.7e308),
+    (-1e-12, 0.0, -5.0),
+    (-1e-9, 1.0, 0.0),
+    (-1.0000001e-9, 1.0, 0.0),
+    (0.0, -1e-9, -1.0),
+    (-0.0, 3.0, -4.0),
+    (-0.0, -0.0, -2.0),
+    (5e-324, -1.0, 0.0),
+    (-1.0 - 1e-13, 0.0, 0.0),
+    (-1.0 - 2e-13, 0.0, 0.0),
+    (1e-9, 0.0, 0.0),
+    (1.0000001e-9, 0.0, 0.0),
+    (math.nan, 0.0, 1.0),
+    (-math.inf, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e150, 1e300, 1e308])
 def test_canonical_unit3_agrees_with_canonical_unit(scale):
     rng = np.random.default_rng(4)
-    for _ in range(2000):
-        v = rng.standard_normal(3) * scale
-        u = canonical_unit3(*v.tolist())
-        assert all(type(x) is float for x in u)
-        # the squared norms may differ in their last bit (canonical_unit's
-        # BLAS dot may fuse multiply-adds), so a component may move 2 ulps,
-        # never more than one machine epsilon
-        w = canonical_unit(v)
-        assert np.all(np.abs(np.array(u) - w) <= 2.0 * np.spacing(np.abs(w)))
-        assert canonical_unit3(*u) == u
-        assert canonical_unit3(*(-v).tolist()) == u
+    with np.errstate(over="ignore"):  # at 1e308 some components overflow to inf
+        vectors = (rng.standard_normal((2000, 3)) * scale).tolist()
+        # first components near eps, where the sign rule moves to the next one
+        near = rng.standard_normal((200, 3)) * scale
+        near[:, 0] = rng.uniform(-2.0, 2.0, 200) * EPS_COINCIDE * scale
+    for v in vectors + near.tolist() + EDGES3:
+        u = _outcome(lambda v: canonical_unit3(*v), v)
+        # the same floats, bit for bit, as the list path and its array form
+        assert u == _outcome(canonical_unit_n, list(v))
+        assert u == _outcome(lambda v: tuple(canonical_unit(v).tolist()), v)
+        if u is not DegenerateInput:
+            assert all(type(x) is float for x in u)
+            assert canonical_unit3(*u) == u
+            assert canonical_unit3(*(-x for x in v)) == u
 
 
 @pytest.mark.parametrize(
@@ -93,7 +126,14 @@ def test_canonical_unit3_rejects_what_canonical_unit_rejects(v):
         canonical_unit3(*v)
 
 
-def test_canonical_unit_n_agrees_with_canonical_unit():
+def _numpy_canonical_unit(v) -> np.ndarray:
+    a = v / np.abs(v).max()
+    a = a / np.linalg.norm(a)
+    first = np.flatnonzero(np.abs(a) > EPS_COINCIDE)[0]
+    return -a if a[first] < 0.0 else a
+
+
+def test_canonical_unit_n_agrees_with_a_numpy_reference():
     rng = np.random.default_rng(5)
     for n in range(2, 65):
         for scale in (1e-6, 1.0, 1e150, 1e300):
@@ -102,11 +142,7 @@ def test_canonical_unit_n_agrees_with_canonical_unit():
                 u = canonical_unit_n(v.tolist())
                 assert type(u) is tuple and len(u) == n
                 assert all(type(x) is float for x in u)
-                # the squared norm is summed left to right, while canonical_unit's
-                # BLAS dot blocks and fuses it; the two differ in their last bits,
-                # which moves a component by up to 4 of its own ulps (2 at n < 7)
-                w = canonical_unit(v)
-                assert np.all(np.abs(np.array(u) - w) <= 4 * np.spacing(np.abs(w)))
+                np.testing.assert_allclose(u, _numpy_canonical_unit(v), rtol=0, atol=1e-15)
                 assert canonical_unit_n(list(u)) == u
                 assert canonical_unit_n((-v).tolist()) == u
 

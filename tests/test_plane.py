@@ -60,6 +60,8 @@ def mirror_image(line, p):
         ([1, 0], "x"),
         ([1.0, None], 0),
         (1.0, 0),
+        pytest.param("12", 0, id="digit-str"),
+        pytest.param(b"12", 0, id="digit-bytes"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):
