@@ -67,89 +67,11 @@ class Expression:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
     r"|(?P<punct>[():,*])"
+    r"|(?P<bad>\S)"
 )
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "name":
-            tokens.append(("name", m.group().lower(), pos))
-        elif m.lastgroup == "num":
-            tokens.append(("num", float(m.group()), pos))
-        elif m.lastgroup == "punct":
-            tokens.append(("punct", m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_punct(self, ch: str):
-        kind, value, pos = self.next()
-        if kind != "punct" or value != ch:
-            raise ExpressionSyntaxError(f"expected {ch!r}", pos)
-
-    def expect_name(self, *names: str) -> str:
-        kind, value, pos = self.next()
-        if kind != "name" or (names and value not in names):
-            wanted = " or ".join(repr(n) for n in names) if names else "a name"
-            raise ExpressionSyntaxError(f"expected {wanted}", pos)
-        return value
-
-    def number(self) -> float:
-        kind, value, pos = self.next()
-        if kind != "num":
-            raise ExpressionSyntaxError("expected a number", pos)
-        return value
-
-    def numbers(self) -> list:
-        self.expect_punct("(")
-        values = [self.number()]
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "punct" and value == ",":
-                self.next()
-                values.append(self.number())
-            else:
-                break
-        self.expect_punct(")")
-        return values
-
-
-def _make_mirror(geometry, values: list, pos: int):
-    keyword = geometry.KEYWORD
-    if geometry.ARITY is None:
-        if len(values) < 2:
-            raise ExpressionSyntaxError(f"{keyword}() needs at least two components", pos)
-        if len(values) > MAX_DIMENSION:
-            raise DimensionMismatch(
-                f"{keyword}() has {len(values)} components, at most {MAX_DIMENSION} are allowed"
-            )
-    elif len(values) != geometry.ARITY:
-        raise ExpressionSyntaxError(f"{keyword}() takes {geometry.ARITY} components", pos)
-    return geometry.mirror_from_values(values)
 
 
 def _check_dimension(dim: float) -> None:
@@ -170,49 +92,77 @@ def _on_dimension(word, dim: int | None) -> int:
 
 def parse_expression(text: str, default_dim: int | None = None) -> Expression:
     """Parse an expression into a group tag and a first-acts-first word."""
-    p = _Parser(text)
-    kind, value, pos = p.next()
-    if kind != "name" or value not in GROUPS:
-        raise ExpressionSyntaxError("expected a group tag (E2, S2, SO3 or ON)", pos)
-    group = value
+    # the whole text is scanned first: an unexpected character anywhere wins
+    # over a grammar error before it. A token is its value (a lower-case name,
+    # a punctuation mark or a float) and its position; None marks the end.
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {value!r}", m.start())
+        tokens.append((float(value) if kind == "num" else value.lower(), m.start()))
+    tokens.append((None, len(text)))
+    i = 0
+
+    # neither helper accepts the end token, so the walk never passes it
+    def take(*wanted, message=None):
+        nonlocal i
+        value, pos = tokens[i]
+        if value not in wanted:
+            raise ExpressionSyntaxError(message or f"expected {wanted[0]!r}", pos)
+        i += 1
+        return value
+
+    def number() -> float:
+        nonlocal i
+        value, pos = tokens[i]
+        if type(value) is not float:
+            raise ExpressionSyntaxError("expected a number", pos)
+        i += 1
+        return value
+
+    group = take(*GROUPS, message="expected a group tag (E2, S2, SO3 or ON)")
     geometry = GEOMETRIES[group]
+    keyword = geometry.KEYWORD
     dim = None
-    if group == "on":
-        kind, value, _ = p.peek()
-        if kind == "punct" and value == "(":
-            p.next()
-            value = p.number()
-            _check_dimension(value)
-            dim = int(value)
-            p.expect_punct(")")
-    p.expect_punct(":")
+    if group == "on" and tokens[i][0] == "(":
+        i += 1
+        value = number()
+        _check_dimension(value)
+        dim = int(value)
+        take(")")
+    take(":")
 
-    kind, value, pos = p.peek()
-    if kind == "name" and value == "id":
-        p.next()
-        terms = []
+    terms = []
+    if tokens[i][0] == "id":
+        i += 1
     else:
-        terms = []
         while True:
-            kind, _, pos = p.peek()
-            p.expect_name("refl")
-            p.expect_punct("(")
-            kind, value, mpos = p.next()
-            if kind != "name" or value != geometry.KEYWORD:
-                raise ExpressionSyntaxError(
-                    f"group {group.upper()} expects {geometry.KEYWORD}() mirrors", mpos
-                )
-            terms.append(_make_mirror(geometry, p.numbers(), mpos))
-            p.expect_punct(")")
-            kind, value, pos = p.peek()
-            if kind == "punct" and value == "*":
-                p.next()
-                continue
-            break
-
-    kind, _, pos = p.next()
-    if kind != "end":
-        raise ExpressionSyntaxError("trailing input after expression", pos)
+            take("refl")
+            take("(")
+            pos = tokens[i][1]
+            take(keyword, message=f"group {group.upper()} expects {keyword}() mirrors")
+            take("(")
+            values = [number()]
+            while tokens[i][0] == ",":
+                i += 1
+                values.append(number())
+            take(")")
+            if geometry.ARITY is None:
+                if len(values) < 2:
+                    raise ExpressionSyntaxError(f"{keyword}() needs at least two components", pos)
+                if len(values) > MAX_DIMENSION:
+                    raise DimensionMismatch(
+                        f"{keyword}() has {len(values)} components, at most {MAX_DIMENSION} are allowed"
+                    )
+            elif len(values) != geometry.ARITY:
+                raise ExpressionSyntaxError(f"{keyword}() takes {geometry.ARITY} components", pos)
+            terms.append(geometry.mirror_from_values(values))
+            take(")")
+            if tokens[i][0] != "*":
+                break
+            i += 1
+    take(None, message="trailing input after expression")
 
     word = list(reversed(terms))
     if group == "on":
@@ -419,7 +369,7 @@ def _cmd_reduce(args) -> int:
     if expr.group != "on":
         raise DimensionMismatch("the reduce subcommand works on ON expressions only")
     trace: list = []
-    reduced = orthon.reduce_word(expr.word, trace)
+    reduced = orthon.reduce_word(expr.word, trace, expr.dim)
     res = residual("on", expr.word, reduced, expr.dim)
     status = "ok" if res <= args.tol else "residual-exceeded"
     out_expr = Expression("on", reduced, expr.dim)

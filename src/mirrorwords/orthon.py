@@ -266,10 +266,10 @@ def _steer_moves(w: list, sink: list) -> None:
             return
 
 
-def reduce_word(word, trace: list | None = None) -> list:
+def reduce_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite n+1 mirrors into n-1 by single pencil and involution moves."""
     w = list(word)
-    n = _word_dimension(w, None)
+    n = _word_dimension(w, dim)
     if len(w) != n + 1:
         raise WrongLength(f"need exactly {n + 1} mirrors in dimension {n}, got {len(w)}")
     sink = []

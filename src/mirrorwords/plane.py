@@ -48,10 +48,12 @@ class Line:
     __slots__ = ("nx", "ny", "offset")
 
     def __init__(self, normal, offset: float = 0.0):
-        # unpacking a string yields its characters, which float() accepts
-        if type(normal) is not tuple and isinstance(normal, (str, bytes)):
-            raise DegenerateInput(f"a line needs a normal of two numbers: {normal!r}")
         try:
+            # unpacking a string yields its characters, and float() reads digit strings
+            if (type(normal) is not tuple and isinstance(normal, (str, bytes))) or (
+                type(offset) is not float and isinstance(offset, (str, bytes))
+            ):
+                raise TypeError
             nx, ny = normal
             nx = float(nx)
             ny = float(ny)

@@ -84,7 +84,11 @@ IDENTITY_ROTATION = Rotation(np.array([0.0, 0.0, 1.0]), 0.0)
 
 def rotation(axis, angle: float) -> Rotation:
     """Canonicalize an axis-angle pair; (axis, angle) ~ (-axis, -angle)."""
-    if not math.isfinite(angle):
+    try:
+        finite = math.isfinite(angle)
+    except TypeError:  # not a real number: a string, bytes, None
+        finite = False
+    if not finite:
         raise DegenerateInput(f"a rotation needs a finite angle: {angle!r}")
     a = wrap_angle(angle)
     if abs(a) <= EPS_COINCIDE:

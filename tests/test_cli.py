@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mirrorwords
 from mirrorwords import cli, orthon, plane, sampling, so3, sphere
@@ -20,7 +22,7 @@ from mirrorwords.cli import (
     pretty,
 )
 from mirrorwords.moves import Move
-from mirrorwords.numerics import DegenerateInput
+from mirrorwords.numerics import DegenerateInput, GeometryError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -113,6 +115,70 @@ def test_parse_rejects_wrong_component_count(text, position):
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression(text)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, error, position",
+    [
+        # an unexpected character anywhere beats the earlier missing ':' at 3
+        ("E2 refl(line(1,0,0)) $", ExpressionSyntaxError, 21),
+        ("E2 refl(line(1,0,0))", ExpressionSyntaxError, 3),
+        ("E2: refl(line(1,,0))", ExpressionSyntaxError, 16),
+        ("S2: refl(line(1,0,0))", ExpressionSyntaxError, 9),
+        ("E2: id *", ExpressionSyntaxError, 7),
+        ("E2: refl(line(1,0,0)) *", ExpressionSyntaxError, 23),
+        ("", ExpressionSyntaxError, 0),
+        ("ON(2.5): id", DimensionMismatch, None),
+        ("ON(3): refl(hyper(1,0,0)) * refl(hyper(1,0))", DimensionMismatch, None),
+    ],
+)
+def test_parse_error_type_and_position(text, error, position):
+    with pytest.raises(error) as err:
+        parse_expression(text)
+    assert type(err.value) is error
+    assert getattr(err.value, "position", None) == position
+
+
+@st.composite
+def _expression_tokens(draw):
+    """The tokens of a valid expression of 0-3 terms, in mixed case."""
+    group, keyword, arity = draw(
+        st.sampled_from(
+            [("E2", "line", 3), ("s2", "circle", 3), ("So3", "AXIS", 3), ("ON", "hyper", 2), ("ON ( 3 )", "hyper", 3)]
+        )
+    )
+    number = st.sampled_from(["0", "1", "-2.5", ".5e-3", "1e400"])
+    terms = draw(st.lists(st.lists(number, min_size=arity, max_size=arity), max_size=3))
+    # the numbers with commas between them, the terms with stars between them
+    texts = [f"Refl ( {keyword} ( {' , '.join(values)} ) )" for values in terms]
+    return f"{group} : {' * '.join(texts) or 'id'}".split()
+
+
+def _parse_or_geometry_error(text):
+    # the CLI turns a GeometryError into exit 2 with a JSON line; any other
+    # exception would surface as a traceback
+    try:
+        assert isinstance(parse_expression(text, default_dim=3), Expression)
+    except GeometryError:
+        pass
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_expression_tokens())
+def test_broken_expressions_raise_only_geometry_errors(tokens):
+    # cut after every token, put a token of the grammar there, and keep or
+    # drop the rest: this reaches the end of the text from every state
+    for cut in range(len(tokens) + 1):
+        for token in ["", "(", ")", ":", ",", "*", "id", "refl", "1", "65", "$"]:
+            head = tokens[:cut] + [token]
+            _parse_or_geometry_error(" ".join(head))
+            _parse_or_geometry_error(" ".join(head + tokens[cut:]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.text())
+def test_any_text_raises_only_geometry_errors(text):
+    _parse_or_geometry_error(text)
 
 
 def test_parse_empty_words():
@@ -394,6 +460,14 @@ def test_reduce_rejects_wrong_length():
     assert result.returncode == 2
     err = json.loads(result.stderr)
     assert err["error"] == "WrongLength"
+
+
+@pytest.mark.parametrize("args", [["ON(2): id"], ["ON: id", "--dim", "2"]])
+def test_reduce_of_an_empty_word_uses_the_given_dimension(args, capsys):
+    assert cli.main(["reduce", *args]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "WrongLength"
+    assert err["message"] == "need exactly 3 mirrors in dimension 2, got 0"
 
 
 def test_arc_svg_output(tmp_path):

@@ -62,11 +62,21 @@ def mirror_image(line, p):
         (1.0, 0),
         pytest.param("12", 0, id="digit-str"),
         pytest.param(b"12", 0, id="digit-bytes"),
+        pytest.param((1, 0), "1", id="digit-str-offset"),
+        pytest.param((1, 0), b"1", id="digit-bytes-offset"),
+        ((1, 0), None),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):
     with pytest.raises(DegenerateInput):
         Line(normal, offset)
+
+
+@pytest.mark.parametrize("offset", [3, np.float64(3.0)])
+def test_line_takes_any_real_offset(offset):
+    line, expected = Line((-3, 4), offset), Line((-3, 4), 3.0)
+    assert (line.nx, line.ny, line.offset) == (expected.nx, expected.ny, expected.offset)
+    assert type(line.offset) is float
 
 
 def test_line_canonicalization():

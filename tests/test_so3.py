@@ -281,10 +281,17 @@ def test_quaternion_composition_matches_matrices():
         assert quaternion_distance(q, quaternion_from_matrix(M)) <= 1e-9
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "1", b"1", None])
 def test_rotation_rejects_non_finite_angle(angle):
     with pytest.raises(DegenerateInput):
         rotation((0, 0, 1), angle)
+
+
+@pytest.mark.parametrize("angle", [1, np.float64(1.0)])
+def test_rotation_takes_any_real_angle(angle):
+    r, expected = rotation((0, 0, -1), angle), rotation((0, 0, -1), 1.0)
+    assert r.angle == expected.angle
+    assert list(r.axis) == list(expected.axis)
 
 
 def test_axis_canonical_sign():
