@@ -34,7 +34,9 @@ from .numerics import EPS_VERIFY, GeometryError
 
 # The one place a group tag is looked up. Each geometry module exports
 # KEYWORD, ARITY, mirror_from_values, mirror_json, normalize_word,
-# word_distance and classification_json; each mirror has `values`.
+# word_oracle(word, dim) (the word's isometry, matrix or quaternion),
+# oracle_distance(x, y) (between two such) and classification_json;
+# each mirror has `values`.
 GEOMETRIES = {"e2": plane, "s2": sphere, "so3": so3, "on": orthon}
 GROUPS = tuple(GEOMETRIES)
 
@@ -218,9 +220,24 @@ def _move_text(geometry, mv: Move) -> str:
     return f"{mv.kind}({mv.index})"
 
 
+# ((group, dim, tuple(word_in)), oracle) of the last input residual() saw.
+# Mirrors compare by exact float values, so a hit is the oracle a
+# recomputation would give, bit for bit; a replay checks many words against
+# one input. It is replaced by one assignment, after the oracle succeeds.
+_input_oracle: tuple = (None, None)
+
+
 def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
     """Oracle distance between two words of one group."""
-    return GEOMETRIES[group].word_distance(word_in, word_out, dim)
+    global _input_oracle
+    geometry = GEOMETRIES[group]
+    word = tuple(word_in)
+    key = (group, dim, word)
+    last_key, oracle = _input_oracle
+    if key != last_key:
+        oracle = geometry.word_oracle(word, dim)
+        _input_oracle = (key, oracle)
+    return geometry.oracle_distance(oracle, geometry.word_oracle(word_out, dim))
 
 
 def _vec(v) -> str:

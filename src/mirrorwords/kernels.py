@@ -5,8 +5,9 @@ The matrix kernels build every mirror map of the word at once, as a
 batched matmul per level, until one matrix is left. A long word is folded
 in chunks whose stack holds at most _CHUNK_ELEMENTS numbers, so memory
 stays bounded at any length. The plane and quaternion kernels are scalar
-recurrences over plain floats. No kernel calls the rewrite code, so each
-result is an independent check of a normal form.
+recurrences that take the mirrors' float triples and return plain floats.
+No kernel calls the rewrite code, so each result is an independent check
+of a normal form.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import numpy as np
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def plane_word_map(normals, offsets):
-    """Affine map (A, t) of a word of plane mirrors, first mirror applied first.
+def plane_word_map(lines):
+    """Affine map (a00, a01, a10, a11, t0, t1) of a word of plane mirrors.
 
-    Mirror i maps x to x - 2*(n.x - d)*n, i.e. x -> (I - 2nn^T)x + 2dn.
+    `lines` yields (nx, ny, d) per mirror, first mirror applied first; the
+    map is x -> A x + t with A = [[a00, a01], [a10, a11]]. Mirror i maps x
+    to x - 2*(n.x - d)*n, i.e. x -> (I - 2nn^T)x + 2dn.
     """
     a00 = 1.0
     a01 = 0.0
@@ -29,7 +32,7 @@ def plane_word_map(normals, offsets):
     a11 = 1.0
     t0 = 0.0
     t1 = 0.0
-    for (nx, ny), d in zip(normals.tolist(), offsets.tolist()):
+    for nx, ny, d in lines:
         # compose: new = H . old, H = (I - 2nn^T, 2dn)
         w0 = nx * t0 + ny * t1 - d
         t0 -= 2.0 * nx * w0
@@ -40,7 +43,7 @@ def plane_word_map(normals, offsets):
         a01 -= 2.0 * nx * c1
         a10 -= 2.0 * ny * c0
         a11 -= 2.0 * ny * c1
-    return np.array([[a00, a01], [a10, a11]]), np.array([t0, t1])
+    return a00, a01, a10, a11, t0, t1
 
 
 def _stack_product(H):
@@ -83,21 +86,22 @@ def line_word_matrix(directions):
 
 
 def line_word_quaternion(directions):
-    """Quaternion (w,x,y,z) of a word of 3D line reflections.
+    """Quaternion (w, x, y, z) of a word of 3D line reflections.
 
-    A line reflection about unit d is the rotation by pi about d, i.e. the
-    quaternion (0, d). The word product is q_k * ... * q_1 (first applied
-    first, leftmost factor last).
+    `directions` yields the unit (x, y, z) of each line. A line reflection
+    about unit d is the rotation by pi about d, i.e. the quaternion (0, d).
+    The word product is q_k * ... * q_1 (first applied first, leftmost
+    factor last).
     """
     qw = 1.0
     qx = 0.0
     qy = 0.0
     qz = 0.0
-    for rx, ry, rz in directions.tolist():
+    for rx, ry, rz in directions:
         # (0, r) * (qw, qx, qy, qz)
         nw = -rx * qx - ry * qy - rz * qz
         nx = rx * qw + ry * qz - rz * qy
         ny = -rx * qz + ry * qw + rz * qx
         nz = rx * qy - ry * qx + rz * qw
         qw, qx, qy, qz = nw, nx, ny, nz
-    return np.array([qw, qx, qy, qz])
+    return qw, qx, qy, qz

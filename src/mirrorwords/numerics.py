@@ -98,6 +98,8 @@ def components3(v) -> tuple[float, float, float]:
         return float(x), float(y), float(z)
     except (TypeError, ValueError):
         raise DegenerateInput(f"a 3-vector needs exactly three numeric components: {v!r}") from None
+    except OverflowError:  # an int past the float range; its repr may exceed the digit limit
+        raise DegenerateInput("a 3-vector needs components in the float range") from None
 
 
 def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -147,6 +149,8 @@ def components_n(v) -> list[float]:
         out = list(map(float, v))
     except (TypeError, ValueError):
         raise DegenerateInput(f"a vector needs flat, numeric components: {v!r}") from None
+    except OverflowError:  # an int past the float range; its repr may exceed the digit limit
+        raise DegenerateInput("a vector needs components in the float range") from None
     if not out:
         raise DegenerateInput("an empty vector cannot define a direction")
     return out

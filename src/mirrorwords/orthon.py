@@ -99,9 +99,14 @@ def word_to_matrix(word, dim: int | None = None) -> np.ndarray:
     return kernels.householder_word_matrix(np.array([h.values for h in word]).reshape(-1, d))
 
 
-def word_distance(a, b, dim: int | None = None) -> float:
-    """Frobenius distance between the oracle matrices of two words."""
-    return float(np.linalg.norm(word_to_matrix(a, dim) - word_to_matrix(b, dim)))
+def word_oracle(word, dim: int | None = None) -> np.ndarray:
+    # looked up at call time: perfbench's traced run wraps `word_to_matrix`
+    return word_to_matrix(word, dim)
+
+
+def oracle_distance(A, B) -> float:
+    """Frobenius distance between two oracle matrices."""
+    return float(np.linalg.norm(A - B))
 
 
 def _check_orthogonal(M) -> np.ndarray:

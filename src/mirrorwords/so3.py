@@ -88,6 +88,8 @@ def rotation(axis, angle: float) -> Rotation:
         finite = math.isfinite(angle)
     except TypeError:  # not a real number: a string, bytes, None
         finite = False
+    except OverflowError:  # an int past the float range; its repr may exceed the digit limit
+        raise DegenerateInput("a rotation needs an angle in the float range") from None
     if not finite:
         raise DegenerateInput(f"a rotation needs a finite angle: {angle!r}")
     a = wrap_angle(angle)
@@ -140,12 +142,12 @@ IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
 def word_to_quaternion(word) -> Quaternion:
-    q = kernels.line_word_quaternion(_directions(word))
-    return Quaternion(q[0], q[1], q[2], q[3])
+    return Quaternion(*kernels.line_word_quaternion(a.values for a in word))
 
 
-def word_distance(a, b, dim: int | None = None) -> float:
-    return quaternion_distance(word_to_quaternion(a), word_to_quaternion(b))
+def word_oracle(word, dim: int | None = None) -> Quaternion:
+    # looked up at call time: perfbench's traced run wraps `word_to_quaternion`
+    return word_to_quaternion(word)
 
 
 def rotation_to_quaternion(r: Rotation) -> Quaternion:
@@ -200,15 +202,23 @@ def quaternion_distance(a: Quaternion, b: Quaternion) -> float:
     return 2.0 * math.atan2(s, abs(r.w))
 
 
+oracle_distance = quaternion_distance
+
+
+def rotation_angle(R) -> float:
+    """Rotation angle of a rotation matrix given as three rows, accurate near zero."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    wx = (r21 - r12) / 2.0
+    wy = (r02 - r20) / 2.0
+    wz = (r10 - r01) / 2.0
+    s = math.sqrt(wx * wx + wy * wy + wz * wz)
+    c = (r00 + r11 + r22 - 1.0) / 2.0
+    return abs(math.atan2(s, c))
+
+
 def rotation_matrix_distance(A, B) -> float:
     """Rotation angle of A @ B^T, accurate near zero."""
-    R = np.asarray(A) @ np.asarray(B).T
-    wx = (R[2, 1] - R[1, 2]) / 2.0
-    wy = (R[0, 2] - R[2, 0]) / 2.0
-    wz = (R[1, 0] - R[0, 1]) / 2.0
-    s = math.sqrt(wx * wx + wy * wy + wz * wz)
-    c = (R[0, 0] + R[1, 1] + R[2, 2] - 1.0) / 2.0
-    return abs(math.atan2(s, c))
+    return rotation_angle((np.asarray(A) @ np.asarray(B).T).tolist())
 
 
 def twice_angle_rotation(u, v) -> Rotation:

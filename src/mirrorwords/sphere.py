@@ -66,8 +66,22 @@ def word_to_matrix(word) -> np.ndarray:
     return kernels.householder_word_matrix(np.array([c.values for c in word]).reshape(-1, 3))
 
 
-def word_distance(a, b, dim: int | None = None) -> float:
-    return so3.rotation_matrix_distance(word_to_matrix(a), word_to_matrix(b))
+def word_oracle(word, dim: int | None = None) -> np.ndarray:
+    # looked up at call time: perfbench's traced run wraps `word_to_matrix`
+    return word_to_matrix(word)
+
+
+def oracle_distance(A, B) -> float:
+    """Rotation angle of A @ B^T, or the Frobenius distance |A - B| when A @ B^T is improper.
+
+    A rotation angle cannot see a mirror dropped from one word: it reads a
+    reflection as angle 0. An improper orthogonal A @ B^T has an eigenvalue
+    -1, so its Frobenius distance from I, which |A - B| equals, is at least 2.
+    """
+    R = (A @ B.T).tolist()
+    if dot3(R[0], cross3(R[1], R[2])) < 0.0:
+        return float(np.linalg.norm(A - B))
+    return so3.rotation_angle(R)
 
 
 @dataclass(frozen=True, eq=False)

@@ -550,3 +550,82 @@ def test_json_trace_replays_to_normal_form(expression, group, replayer):
     assert len(final) == len(reported)
     for a, b in zip(final, reported):
         assert a == b
+
+
+GROUP_DIMS = [("e2", None), ("s2", None), ("so3", None), ("on", 3), ("on", 5)]
+
+
+def _oracle_distance(group, a, b, dim=None):
+    geometry = cli.GEOMETRIES[group]
+    return geometry.oracle_distance(geometry.word_oracle(a, dim), geometry.word_oracle(b, dim))
+
+
+@pytest.mark.parametrize("group, dim", GROUP_DIMS)
+def test_residual_against_one_input_is_the_oracle_distance_bit_for_bit(group, dim):
+    rng = np.random.default_rng(91)
+    word = sampling.random_word(rng, group, 12, dim=dim or 3)
+    outs = [sampling.random_word(rng, group, k, dim=dim or 3) for k in range(6)]
+    for out in outs + [word[:7], word[:1], [], list(word)]:
+        assert cli.residual(group, word, out, dim) == _oracle_distance(group, word, out, dim)
+
+
+@pytest.mark.parametrize("group, dim", GROUP_DIMS)
+def test_residual_sees_an_input_list_mutated_in_place(group, dim):
+    rng = np.random.default_rng(92)
+    word = sampling.random_word(rng, group, 6, dim=dim or 3)
+    out = sampling.random_word(rng, group, 2, dim=dim or 3)
+    before = cli.residual(group, word, out, dim)
+    word[2] = sampling.random_word(rng, group, 1, dim=dim or 3)[0]
+    after = cli.residual(group, word, out, dim)
+    assert after == _oracle_distance(group, word, out, dim)
+    assert after != before
+    del word[3:]
+    assert cli.residual(group, word, out, dim) == _oracle_distance(group, word, out, dim)
+
+
+def test_residual_of_empty_inputs_tells_groups_and_dimensions_apart():
+    # one empty input after another: only the group and dim tell them apart
+    rng = np.random.default_rng(93)
+    for group, dim in GROUP_DIMS:
+        out = sampling.random_word(rng, group, 3, dim=dim or 3)
+        assert cli.residual(group, [], out, dim) == _oracle_distance(group, [], out, dim)
+
+
+def test_residual_of_an_input_whose_oracle_raises_is_not_remembered():
+    good = [orthon.Hyperplane((1, 0, 0))]
+    out = [orthon.Hyperplane((0, 1, 0))]
+    expected = _oracle_distance("on", good, out, 3)
+    assert cli.residual("on", good, out, 3) == expected
+    bad = [orthon.Hyperplane((1, 0, 0)), orthon.Hyperplane((1, 0))]
+    for _ in range(2):
+        with pytest.raises(mirrorwords.WrongLength):
+            cli.residual("on", bad, out, 3)
+    assert cli.residual("on", good, out, 3) == expected
+
+
+@pytest.mark.parametrize(
+    "group, module, attr, dim",
+    [
+        ("e2", plane, "word_to_isometry", None),
+        ("s2", sphere, "word_to_matrix", None),
+        ("so3", so3, "word_to_quaternion", None),
+        ("on", orthon, "word_to_matrix", 4),
+    ],
+)
+def test_residual_reaches_the_oracle_through_its_module_attribute(monkeypatch, group, module, attr, dim):
+    # perfbench's traced run counts oracle calls by wrapping these attributes
+    calls = []
+    original = getattr(module, attr)
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(module, attr, counted)
+    rng = np.random.default_rng(94)
+    word = sampling.random_word(rng, group, 10, dim=dim or 3)
+    k = 5
+    for length in range(k):
+        cli.residual(group, word, word[:length], dim)
+    # k + 1 calls: the input's oracle once, then each output's
+    assert calls == [10] + list(range(k))

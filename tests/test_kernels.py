@@ -27,6 +27,14 @@ def _plane_product(normals, offsets):
     return M[:2, :2], M[:2, 2]
 
 
+def _plane_kernel(normals, offsets):
+    """kernels.plane_word_map on (nx, ny, d) triples, its six floats as (A, t)."""
+    a00, a01, a10, a11, t0, t1 = kernels.plane_word_map(
+        (nx, ny, d) for (nx, ny), d in zip(normals.tolist(), offsets.tolist())
+    )
+    return np.array([[a00, a01], [a10, a11]]), np.array([t0, t1])
+
+
 def _matrix_product(normals, mirror):
     M = np.eye(normals.shape[1])
     for u in normals:
@@ -49,7 +57,7 @@ def test_plane_word_map_matches_pure():
         k = int(rng.integers(0, 10))
         normals = _random_normals(rng, k, 2)
         offsets = rng.uniform(-10, 10, size=k)
-        A, t = kernels.plane_word_map(normals, offsets)
+        A, t = _plane_kernel(normals, offsets)
         A2, t2 = _plane_product(normals, offsets)
         np.testing.assert_allclose(A, A2, rtol=0, atol=TOL)
         np.testing.assert_allclose(t, t2, rtol=0, atol=TOL)
@@ -79,28 +87,24 @@ def test_line_word_kernels_match_pure():
             atol=TOL,
         )
         np.testing.assert_allclose(
-            kernels.line_word_quaternion(dirs), _quaternion_product(dirs), rtol=0, atol=TOL
+            kernels.line_word_quaternion(dirs.tolist()), _quaternion_product(dirs), rtol=0, atol=TOL
         )
 
 
 def test_empty_words_are_identities():
-    empty2 = np.zeros((0, 2))
-    A, t = kernels.plane_word_map(empty2, np.zeros(0))
-    np.testing.assert_array_equal(A, np.eye(2))
-    np.testing.assert_array_equal(t, np.zeros(2))
+    assert kernels.plane_word_map([]) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     np.testing.assert_array_equal(
         kernels.householder_word_matrix(np.zeros((0, 4))), np.eye(4)
     )
     np.testing.assert_array_equal(kernels.line_word_matrix(np.zeros((0, 3))), np.eye(3))
-    np.testing.assert_array_equal(
-        kernels.line_word_quaternion(np.zeros((0, 3))), np.array([1.0, 0, 0, 0])
-    )
+    assert kernels.line_word_quaternion([]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_single_mirror_values():
-    A, t = kernels.plane_word_map(np.array([[1.0, 0.0]]), np.array([2.0]))
-    np.testing.assert_allclose(A, np.diag([-1.0, 1.0]))
-    np.testing.assert_allclose(t, [4.0, 0.0])
+    # the scalar kernels return plain floats, not numpy scalars
+    m = kernels.plane_word_map([(1.0, 0.0, 2.0)])
+    assert all(type(x) is float for x in m)
+    np.testing.assert_allclose(m, [-1.0, 0.0, 0.0, 1.0, 4.0, 0.0])
 
     H = kernels.householder_word_matrix(np.array([[0.0, 0.0, 1.0]]))
     np.testing.assert_allclose(H, np.diag([1.0, 1.0, -1.0]))
@@ -108,7 +112,8 @@ def test_single_mirror_values():
     L = kernels.line_word_matrix(np.array([[0.0, 0.0, 1.0]]))
     np.testing.assert_allclose(L, np.diag([-1.0, -1.0, 1.0]))
 
-    q = kernels.line_word_quaternion(np.array([[0.0, 0.0, 1.0]]))
+    q = kernels.line_word_quaternion([(0.0, 0.0, 1.0)])
+    assert all(type(x) is float for x in q)
     np.testing.assert_allclose(q, [0.0, 0.0, 0.0, 1.0])
 
 
@@ -173,7 +178,7 @@ def test_line_word_kernels_at_length(length):
         kernels.line_word_matrix(dirs), _matrix_product(dirs, _line_reflection), rtol=0, atol=TOL
     )
     np.testing.assert_allclose(
-        kernels.line_word_quaternion(dirs), _quaternion_product(dirs), rtol=0, atol=TOL
+        kernels.line_word_quaternion(dirs.tolist()), _quaternion_product(dirs), rtol=0, atol=TOL
     )
 
 
@@ -182,7 +187,7 @@ def test_plane_word_map_at_length(length):
     rng = np.random.default_rng(length)
     normals = _random_normals(rng, length, 2)
     offsets = rng.uniform(-10, 10, size=length)
-    A, t = kernels.plane_word_map(normals, offsets)
+    A, t = _plane_kernel(normals, offsets)
     A2, t2 = _plane_product(normals, offsets)
     np.testing.assert_allclose(A, A2, rtol=0, atol=TOL)
     np.testing.assert_allclose(t, t2, rtol=0, atol=TOL)

@@ -67,6 +67,8 @@ def test_vector_is_a_read_only_float64_array(cls, attr):
         np.ones((3, 3)),
         pytest.param("123", id="digit-str"),
         pytest.param(b"123", id="digit-bytes"),
+        pytest.param((10**400, 0, 0), id="huge-int"),
+        pytest.param((10**5000, 0, 0), id="int-past-repr-digit-limit"),
     ],
 )
 def test_wrong_number_of_components_is_rejected(cls, attr, v):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mirrorwords import kernels, orthon, sampling
+from mirrorwords import cli, kernels, orthon, sampling
 from mirrorwords.moves import INVOLUTION, Move
 from mirrorwords.numerics import (
     EPS_VERIFY,
@@ -242,7 +242,7 @@ def test_normals_jittered_about_one_direction_meet_eps_verify(n, jitter):
         w = _jittered(rng, n, jitter, 6)
         out = normalize_word(w, dim=n)
         assert len(out) <= n
-        assert orthon.word_distance(w, out, n) <= EPS_VERIFY
+        assert cli.residual("on", w, out, n) <= EPS_VERIFY
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -260,7 +260,7 @@ def test_clustered_normals_meet_eps_verify_or_raise(n):
                 except DegenerateSteering:
                     continue
                 reduced += 1
-                assert orthon.word_distance(w, out, n) <= EPS_VERIFY
+                assert cli.residual("on", w, out, n) <= EPS_VERIFY
     assert reduced > 0
 
 

@@ -65,6 +65,10 @@ def mirror_image(line, p):
         pytest.param((1, 0), "1", id="digit-str-offset"),
         pytest.param((1, 0), b"1", id="digit-bytes-offset"),
         ((1, 0), None),
+        # ints past the float range
+        pytest.param((10**400, 0), 0, id="huge-int-normal"),
+        pytest.param((1, 0), 10**400, id="huge-int-offset"),
+        pytest.param((1, 0), 10**5000, id="int-past-repr-digit-limit"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):

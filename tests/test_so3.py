@@ -281,7 +281,19 @@ def test_quaternion_composition_matches_matrices():
         assert quaternion_distance(q, quaternion_from_matrix(M)) <= 1e-9
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "1", b"1", None])
+@pytest.mark.parametrize(
+    "angle",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        "1",
+        b"1",
+        None,
+        pytest.param(10**400, id="huge-int"),
+        pytest.param(10**5000, id="int-past-repr-digit-limit"),
+    ],
+)
 def test_rotation_rejects_non_finite_angle(angle):
     with pytest.raises(DegenerateInput):
         rotation((0, 0, 1), angle)

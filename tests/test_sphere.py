@@ -10,7 +10,7 @@ from oracles import (
     same_direction,
     sphere_word_matrix,
 )
-from mirrorwords import sampling
+from mirrorwords import cli, sampling
 from mirrorwords.numerics import NotConcurrent, angle_between_directions
 from mirrorwords.so3 import rotation_matrix_distance
 from mirrorwords.sphere import (
@@ -23,8 +23,10 @@ from mirrorwords.sphere import (
     coincident,
     compose_reflections,
     normalize_word,
+    oracle_distance,
     pencil_completion,
     replay_moves,
+    word_oracle,
     word_to_matrix,
 )
 
@@ -234,3 +236,28 @@ def test_classify_matches_eigen_oracle():
             assert same_direction(c.circle.pole, ref[1], eps=1e-7)
         elif c.kind == GLIDE and ref[1] is not None:
             assert same_axis_angle(c.axis, c.angle, ref[1], ref[2], eps=1e-7)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        pytest.param([GreatCircle((0, 0, 1))], id="one-circle"),
+        pytest.param(
+            [GreatCircle((1, 0, 0)), GreatCircle((0, 1, 0)), GreatCircle((0, 0, 1))], id="x-y-z"
+        ),
+    ],
+)
+def test_oracle_distance_sees_a_dropped_circle(word):
+    # A @ B^T is improper; its rotation angle would read 0
+    d = oracle_distance(word_oracle(word), word_oracle([]))
+    assert d >= 2.0 - 1e-12
+    assert cli.residual("s2", word, []) == d
+
+
+def test_oracle_distance_of_same_parity_words_is_the_rotation_angle():
+    rng = np.random.default_rng(95)
+    for _ in range(200):
+        a = sampling.random_word(rng, "s2", int(rng.integers(0, 8)))
+        b = sampling.random_word(rng, "s2", int(rng.integers(0, 4)) * 2 + len(a) % 2)
+        A, B = word_oracle(a), word_oracle(b)
+        assert oracle_distance(A, B) == rotation_matrix_distance(A, B)
