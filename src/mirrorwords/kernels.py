@@ -1,13 +1,14 @@
-"""Oracle kernels: accumulate a reflection word into a matrix or quaternion.
+"""Oracle kernels: accumulate a reflection word into a matrix, map or quaternion.
 
-The matrix kernels build every mirror map of the word at once, as a
-(k, n, n) stack, and multiply neighbouring pairs level by level, one
+The O(n) kernel builds every hyperplane reflection of the word at once, as
+a (k, n, n) stack, and multiplies neighbouring pairs level by level, one
 batched matmul per level, until one matrix is left. A long word is folded
 in chunks whose stack holds at most _CHUNK_ELEMENTS numbers, so memory
 stays bounded at any length. The plane and quaternion kernels are scalar
-recurrences that take the mirrors' float triples and return plain floats.
-No kernel calls the rewrite code, so each result is an independent check
-of a normal form.
+recurrences that take the mirrors' float triples and return plain floats;
+the quaternion kernel serves both SO(3) and S2, whose circle reflections
+are negated half-turns. No kernel calls the rewrite code, so each result
+is an independent check of a normal form.
 """
 
 from __future__ import annotations
@@ -60,29 +61,19 @@ def _stack_product(H):
     return H[0]
 
 
-def _word_product(rows, sign):
-    """Product of the mirror maps sign*(I - 2uu^T), u a row, first row applied first."""
-    k, n = rows.shape
+def householder_word_matrix(normals):
+    """Product of hyperplane reflections I - 2nn^T, first row applied first."""
+    k, n = normals.shape
     chunk = max(2, _CHUNK_ELEMENTS // (n * n))
     M = None
     for start in range(0, k, chunk):
-        u = rows[start : start + chunk]
-        H = u[:, :, None] * (-2.0 * sign * u[:, None, :])
+        u = normals[start : start + chunk]
+        H = u[:, :, None] * (-2.0 * u[:, None, :])
         # the diagonal of each flattened n x n map has stride n + 1
-        H.reshape(len(u), n * n)[:, :: n + 1] += sign
+        H.reshape(len(u), n * n)[:, :: n + 1] += 1.0
         P = _stack_product(H)
         M = P if M is None else P @ M
     return np.eye(n) if M is None else M
-
-
-def householder_word_matrix(normals):
-    """Product of hyperplane reflections I - 2nn^T, first row applied first."""
-    return _word_product(normals, 1.0)
-
-
-def line_word_matrix(directions):
-    """Product of 3D line reflections 2dd^T - I, first row applied first."""
-    return _word_product(directions, -1.0)
 
 
 def line_word_quaternion(directions):

@@ -88,16 +88,30 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
+def shown(v) -> str:
+    """repr(v) for the message of a rejected input.
+
+    repr of an int past 4 300 digits raises ValueError (the interpreter's
+    limit on integer string conversion); such an input is named by its type.
+    """
+    try:
+        return repr(v)
+    except ValueError:
+        return f"<{type(v).__name__} too long to print>"
+
+
 def components3(v) -> tuple[float, float, float]:
     """The three components of a 3-vector as floats; DegenerateInput otherwise."""
     # unpacking a string yields its characters, which float() accepts
     if type(v) is not tuple and isinstance(v, (str, bytes)):
-        raise DegenerateInput(f"a 3-vector needs numeric components: {v!r}")
+        raise DegenerateInput(f"a 3-vector needs numeric components: {shown(v)}")
     try:
         x, y, z = v
         return float(x), float(y), float(z)
     except (TypeError, ValueError):
-        raise DegenerateInput(f"a 3-vector needs exactly three numeric components: {v!r}") from None
+        raise DegenerateInput(
+            f"a 3-vector needs exactly three numeric components: {shown(v)}"
+        ) from None
     except OverflowError:  # an int past the float range; its repr may exceed the digit limit
         raise DegenerateInput("a 3-vector needs components in the float range") from None
 
@@ -140,7 +154,7 @@ def components_n(v) -> list[float]:
     """The components of a flat, non-empty vector as floats; DegenerateInput otherwise."""
     if type(v) is not list:
         if isinstance(v, (str, bytes)):
-            raise DegenerateInput(f"a vector needs numeric components: {v!r}")
+            raise DegenerateInput(f"a vector needs numeric components: {shown(v)}")
         # an array's tolist() nests its rows, which float() then rejects
         tolist = getattr(v, "tolist", None)
         if tolist is not None:
@@ -148,7 +162,7 @@ def components_n(v) -> list[float]:
     try:
         out = list(map(float, v))
     except (TypeError, ValueError):
-        raise DegenerateInput(f"a vector needs flat, numeric components: {v!r}") from None
+        raise DegenerateInput(f"a vector needs flat, numeric components: {shown(v)}") from None
     except OverflowError:  # an int past the float range; its repr may exceed the digit limit
         raise DegenerateInput("a vector needs components in the float range") from None
     if not out:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def mirror_json(h: Hyperplane) -> dict:
 
 # The rewrite below computes on the normals' float tuples: numpy's per-call
 # overhead dominates on vectors of a few components. Dot products are summed
-# left to right, as dot_n does; the two hottest functions inline its loop.
+# left to right, as dot_n does; the hottest functions inline its loop.
 
 
 def coincident(a: Hyperplane, b: Hyperplane) -> bool:
@@ -76,15 +77,12 @@ def coincident(a: Hyperplane, b: Hyperplane) -> bool:
     return math.sqrt(square) <= EPS_COINCIDE
 
 
-def _householder(n: np.ndarray) -> np.ndarray:
-    return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
-
-
 def _word_dimension(word, dim: int | None) -> int:
+    # len(values), not the `dimension` property: this runs on every oracle call
     if word:
-        d = word[0].dimension
+        d = len(word[0].values)
         for h in word:
-            if h.dimension != d:
+            if len(h.values) != d:
                 raise WrongLength("mirrors of one word must share a dimension")
         if dim is not None and dim != d:
             raise WrongLength(f"word lives in dimension {d}, not {dim}")
@@ -96,7 +94,8 @@ def _word_dimension(word, dim: int | None) -> int:
 
 def word_to_matrix(word, dim: int | None = None) -> np.ndarray:
     d = _word_dimension(word, dim)
-    return kernels.householder_word_matrix(np.array([h.values for h in word]).reshape(-1, d))
+    rows = np.fromiter(chain.from_iterable([h.values for h in word]), float, len(word) * d)
+    return kernels.householder_word_matrix(rows.reshape(-1, d))
 
 
 def word_oracle(word, dim: int | None = None) -> np.ndarray:
@@ -312,6 +311,71 @@ def classification_json(word, dim: int | None = None) -> dict:
     }
 
 
+def _pair_product_distance(a, b, c, d) -> float:
+    """Frobenius distance |H_b H_a - H_d H_c| of two pairs of unit normals.
+
+    The identity terms of the two products cancel exactly, so row i of the
+    difference is p_i a + q_i b + r_i c + s_i d with p_i = 4(a.b) b_i - 2 a_i,
+    q_i = -2 b_i, r_i = 2 c_i - 4(c.d) d_i and s_i = 2 d_i; the squares of
+    its entries are summed left to right. The Gram form 2n - 2 tr(P1^T P2)
+    would cancel to about 1e-16, and its square root would be good only to
+    about 1e-8, which is EPS_VERIFY itself.
+    """
+    ab4 = 4.0 * dot_n(a, b)
+    cd4 = 4.0 * dot_n(c, d)
+    columns = list(zip(a, b, c, d))
+    square = 0.0
+    for ai, bi, ci, di in columns:
+        p = ab4 * bi - 2.0 * ai
+        q = -2.0 * bi
+        r = 2.0 * ci - cd4 * di
+        s = 2.0 * di
+        for aj, bj, cj, dj in columns:
+            e = p * aj + q * bj + r * cj + s * dj
+            square += e * e
+    return math.sqrt(square)
+
+
+def _off_plane_residual(a, b, c, d) -> float:
+    """How far the unit normals a, b, c, d leave one 2-plane.
+
+    Pivoted Gram-Schmidt: the first basis vector is a, the second the
+    residual off a that is longest among b, c and d. The result is the
+    longest residual left after both pivots. When the second pivot is at
+    most EPS_COINCIDE long, all four normals lie that close to a's line and
+    no residual after it could be longer, so it is returned undivided.
+    """
+    residuals = []
+    longest = -1.0
+    for v in (b, c, d):
+        t = 0.0
+        for x, y in zip(v, a):
+            t += x * y
+        r = [x - t * y for x, y in zip(v, a)]
+        square = 0.0
+        for x in r:
+            square += x * x
+        residuals.append(r)
+        if square > longest:
+            longest, pivot = square, r
+    top = math.sqrt(longest)
+    if top <= EPS_COINCIDE:
+        return top
+    e = [x / top for x in pivot]
+    worst = 0.0
+    for r in residuals:
+        if r is not pivot:
+            t = 0.0
+            for x, y in zip(r, e):
+                t += x * y
+            square = 0.0
+            for x, y in zip(r, e):
+                u = x - t * y
+                square += u * u
+            worst = max(worst, square)
+    return math.sqrt(worst)
+
+
 def validate_move(word, move: Move) -> list:
     """Check one replayed move: a genuine involution or a genuine pencil move.
 
@@ -324,17 +388,18 @@ def validate_move(word, move: Move) -> list:
     if move.kind != PENCIL:
         raise ValueError(f"move kind {move.kind!r} is not part of the O(n) calculus")
     i = move.index
-    old_a, old_b = word[i], word[i + 1]
-    new_a, new_b = move.mirrors
-    four = np.array([old_a.values, old_b.values, new_a.values, new_b.values])
-    sv = np.linalg.svd(four, compute_uv=False)
+    a, b = word[i].values, word[i + 1].values
+    c, d = (h.values for h in move.mirrors)
+    n = len(a)
+    if not len(b) == len(c) == len(d) == n:
+        raise ValueError("pencil move mirrors must share the word's dimension")
     # in dimension 2 every normal lies in the plane; otherwise the four
     # normals of a pencil move must span no more than a 2-plane
-    if len(sv) > 2 and sv[2] > math.sqrt(EPS_VERIFY):
-        raise ValueError(f"pencil move normals span more than a 2-plane: s3={sv[2]:.3e}")
-    before_prod = _householder(four[1]) @ _householder(four[0])
-    after_prod = _householder(four[3]) @ _householder(four[2])
-    if float(np.linalg.norm(before_prod - after_prod)) > EPS_VERIFY:
+    if n > 2:
+        off = _off_plane_residual(a, b, c, d)
+        if off > math.sqrt(EPS_VERIFY):
+            raise ValueError(f"pencil move normals span more than a 2-plane: residual {off:.3e}")
+    if _pair_product_distance(a, b, c, d) > EPS_VERIFY:
         raise ValueError("pencil move does not preserve the pair product")
     return after
 

@@ -24,6 +24,7 @@ from .numerics import (
     EPS_COINCIDE,
     DegenerateInput,
     NotConcurrent,
+    shown,
 )
 
 IDENTITY = "identity"
@@ -61,7 +62,8 @@ class Line:
             d = float(offset)
         except (TypeError, ValueError):
             raise DegenerateInput(
-                f"a line needs a normal of two numbers and a numeric offset: {normal!r}, {offset!r}"
+                "a line needs a normal of two numbers and a numeric offset: "
+                f"{shown(normal)}, {shown(offset)}"
             ) from None
         except OverflowError:  # an int past the float range; its repr may exceed the digit limit
             raise DegenerateInput("a line needs a normal and an offset in the float range") from None

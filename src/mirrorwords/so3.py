@@ -101,20 +101,6 @@ def rotation(axis, angle: float) -> Rotation:
     return Rotation(np.array(u), a)
 
 
-def line_reflection_matrix(a: Axis) -> np.ndarray:
-    """Half-turn about the line: 2dd^T - I, det +1, squares to I."""
-    d = a.direction
-    return 2.0 * np.outer(d, d) - np.eye(3)
-
-
-def _directions(word) -> np.ndarray:
-    return np.array([a.values for a in word]).reshape(-1, 3)
-
-
-def word_to_matrix(word) -> np.ndarray:
-    return kernels.line_word_matrix(_directions(word))
-
-
 @dataclass(frozen=True)
 class Quaternion:
     w: float
@@ -214,11 +200,6 @@ def rotation_angle(R) -> float:
     s = math.sqrt(wx * wx + wy * wy + wz * wz)
     c = (r00 + r11 + r22 - 1.0) / 2.0
     return abs(math.atan2(s, c))
-
-
-def rotation_matrix_distance(A, B) -> float:
-    """Rotation angle of A @ B^T, accurate near zero."""
-    return rotation_angle((np.asarray(A) @ np.asarray(B).T).tolist())
 
 
 def twice_angle_rotation(u, v) -> Rotation:

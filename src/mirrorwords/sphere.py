@@ -63,7 +63,27 @@ coincident = coincident3
 
 
 def word_to_matrix(word) -> np.ndarray:
-    return kernels.householder_word_matrix(np.array([c.values for c in word]).reshape(-1, 3))
+    """The 3x3 matrix of a word of circle reflections, first mirror applied first.
+
+    The reflection in the circle with pole p is I - 2pp^T = -R_p, minus the
+    half-turn about p, so a word of k circles maps to (-1)^k R(q), with q
+    the quaternion of the half-turn word of its poles.
+    """
+    w, x, y, z = kernels.line_word_quaternion([c.values for c in word])
+    sign = -1.0 if len(word) & 1 else 1.0
+    # 2 / |q|^2 keeps R(q) a rotation when rounding has moved |q| off 1
+    s = 2.0 * sign / (w * w + x * x + y * y + z * z)
+    sx, sy, sz = s * x, s * y, s * z
+    wx, wy, wz = sx * w, sy * w, sz * w
+    xx, xy, xz = sx * x, sy * x, sz * x
+    yy, yz, zz = sy * y, sz * y, sz * z
+    return np.array(
+        [
+            [sign - (yy + zz), xy - wz, xz + wy],
+            [xy + wz, sign - (xx + zz), yz - wx],
+            [xz - wy, yz + wx, sign - (xx + yy)],
+        ]
+    )
 
 
 def word_oracle(word, dim: int | None = None) -> np.ndarray:

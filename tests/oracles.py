@@ -54,6 +54,45 @@ def rotation_matrix(r):
     return c * np.eye(3) + s * K + (1.0 - c) * np.outer(k, k)
 
 
+def householder(n):
+    """Reflection in the hyperplane with unit normal n: I - 2nn^T."""
+    n = np.asarray(n, dtype=float)
+    return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
+
+
+def pair_product_distance(a, b, c, d):
+    """Frobenius distance |H_b H_a - H_d H_c| of two pairs of hyperplane normals."""
+    return float(np.linalg.norm(householder(b) @ householder(a) - householder(d) @ householder(c)))
+
+
+def plane_singular_value(a, b, c, d):
+    """Third singular value of the four stacked normals: how far they leave a 2-plane."""
+    sv = np.linalg.svd(np.array([a, b, c, d], dtype=float), compute_uv=False)
+    return float(sv[2]) if len(sv) > 2 else 0.0
+
+
+def line_reflection_matrix(axis):
+    """Half-turn about a line through the origin: 2dd^T - I, det +1, squares to I."""
+    d = np.asarray(axis.direction)
+    return 2.0 * np.outer(d, d) - np.eye(3)
+
+
+def so3_word_matrix(word):
+    """Product of the half-turns of an SO(3) word, first mirror applied first."""
+    M = np.eye(3)
+    for a in word:
+        M = line_reflection_matrix(a) @ M
+    return M
+
+
+def rotation_matrix_distance(A, B):
+    """Rotation angle of A @ B^T, from its skew part and trace (accurate near zero)."""
+    R = np.asarray(A) @ np.asarray(B).T
+    s = float(np.linalg.norm([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])) / 2.0
+    c = (float(np.trace(R)) - 1.0) / 2.0
+    return abs(math.atan2(s, c))
+
+
 def sphere_word_matrix(word):
     M = np.eye(3)
     for c in word:

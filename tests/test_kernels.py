@@ -81,12 +81,6 @@ def test_line_word_kernels_match_pure():
     for _ in range(100):
         dirs = _random_normals(rng, int(rng.integers(0, 8)), 3)
         np.testing.assert_allclose(
-            kernels.line_word_matrix(dirs),
-            _matrix_product(dirs, lambda u: 2.0 * np.outer(u, u) - np.eye(3)),
-            rtol=0,
-            atol=TOL,
-        )
-        np.testing.assert_allclose(
             kernels.line_word_quaternion(dirs.tolist()), _quaternion_product(dirs), rtol=0, atol=TOL
         )
 
@@ -96,7 +90,6 @@ def test_empty_words_are_identities():
     np.testing.assert_array_equal(
         kernels.householder_word_matrix(np.zeros((0, 4))), np.eye(4)
     )
-    np.testing.assert_array_equal(kernels.line_word_matrix(np.zeros((0, 3))), np.eye(3))
     assert kernels.line_word_quaternion([]) == (1.0, 0.0, 0.0, 0.0)
 
 
@@ -108,9 +101,6 @@ def test_single_mirror_values():
 
     H = kernels.householder_word_matrix(np.array([[0.0, 0.0, 1.0]]))
     np.testing.assert_allclose(H, np.diag([1.0, 1.0, -1.0]))
-
-    L = kernels.line_word_matrix(np.array([[0.0, 0.0, 1.0]]))
-    np.testing.assert_allclose(L, np.diag([-1.0, -1.0, 1.0]))
 
     q = kernels.line_word_quaternion([(0.0, 0.0, 1.0)])
     assert all(type(x) is float for x in q)
@@ -126,8 +116,6 @@ def test_determinant_parity():
         assert np.linalg.det(M) == (-1.0) ** k or abs(
             np.linalg.det(M) - (-1.0) ** k
         ) < 1e-12
-        L = kernels.line_word_matrix(normals)
-        assert abs(np.linalg.det(L) - 1.0) < 1e-12
 
 
 LENGTHS = [0, 1, 2, 3, 5, 255, 1000]
@@ -140,10 +128,6 @@ def _chunk(n):
 
 def _householder(u):
     return np.eye(u.shape[0]) - 2.0 * np.outer(u, u)
-
-
-def _line_reflection(u):
-    return 2.0 * np.outer(u, u) - np.eye(3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
@@ -174,9 +158,6 @@ def test_householder_word_matrix_at_chunk_boundary(n, offset):
 @pytest.mark.parametrize("length", LENGTHS + [_chunk(3) - 1, _chunk(3), _chunk(3) + 1])
 def test_line_word_kernels_at_length(length):
     dirs = _random_normals(np.random.default_rng(length), length, 3)
-    np.testing.assert_allclose(
-        kernels.line_word_matrix(dirs), _matrix_product(dirs, _line_reflection), rtol=0, atol=TOL
-    )
     np.testing.assert_allclose(
         kernels.line_word_quaternion(dirs.tolist()), _quaternion_product(dirs), rtol=0, atol=TOL
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorwords import numerics, orthon, sampling, so3, sphere
+from mirrorwords import kernels, numerics, orthon, sampling, so3, sphere
 from mirrorwords.numerics import DegenerateInput
 
 MIRRORS3 = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
@@ -69,6 +69,7 @@ def test_vector_is_a_read_only_float64_array(cls, attr):
         pytest.param(b"123", id="digit-bytes"),
         pytest.param((10**400, 0, 0), id="huge-int"),
         pytest.param((10**5000, 0, 0), id="int-past-repr-digit-limit"),
+        pytest.param((10**5000, 0), id="wrong-length-int-past-repr-digit-limit"),
     ],
 )
 def test_wrong_number_of_components_is_rejected(cls, attr, v):
@@ -101,8 +102,10 @@ def test_repr_names_the_floats():
 
 def test_oracle_gathers_read_the_floats():
     rng = np.random.default_rng(71)
-    word = sampling.random_word(rng, "so3", 5)
-    np.testing.assert_array_equal(so3._directions(word), np.array([a.direction for a in word]))
+    word = sampling.random_word(rng, "on", 5, dim=4)
+    np.testing.assert_array_equal(
+        orthon.word_to_matrix(word), kernels.householder_word_matrix(np.array([h.normal for h in word]))
+    )
     circles = sampling.random_word(rng, "s2", 5)
     expected = np.eye(3)
     for c in circles:
@@ -115,7 +118,14 @@ def test_oracle_gathers_read_the_floats():
 # a numpy call too. The one exception is the SVD that finds the O(n) head's
 # linear dependency, once per reduction.
 FLOAT_PATH = {
-    orthon: ["coincident", "_reflect", "_steer_moves"],
+    orthon: [
+        "coincident",
+        "_reflect",
+        "_steer_moves",
+        "_pair_product_distance",
+        "_off_plane_residual",
+        "validate_move",
+    ],
     so3: ["probe_perpendicular", "split_reflection", "_reduce_leading_three"],
     sphere: [
         "_common_axis",

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import pair_product_distance, plane_singular_value
 from mirrorwords import cli, kernels, orthon, sampling
-from mirrorwords.moves import INVOLUTION, Move
+from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
     EPS_VERIFY,
     DegenerateSteering,
@@ -225,6 +226,134 @@ def test_reduction_makes_at_most_one_svd(monkeypatch):
     normalize_word(sampling.random_word(rng, "on", 64, dim=5))
     assert steps > 0
     assert calls <= steps
+
+
+def _in_plane(n, *angles):
+    """Unit normals at the given angles in the plane of the first two axes of R^n."""
+    out = []
+    for t in angles:
+        v = [0.0] * n
+        v[0], v[1] = math.cos(t), math.sin(t)
+        out.append(v)
+    return out
+
+
+def test_validate_move_rejects_a_mirror_off_the_pencil_plane():
+    for n in (3, 5):
+        a, b, c, d = _in_plane(n, 0.0, 0.4, 0.9, 1.3)
+        c[2] = 1e-2  # leaves span(a, b) by about 1e-2
+        word = [Hyperplane(a), Hyperplane(b)]
+        with pytest.raises(ValueError, match="span more than a 2-plane"):
+            validate_move(word, Move(PENCIL, 0, (Hyperplane(c), Hyperplane(d))))
+
+
+def test_validate_move_rejects_an_in_plane_move_that_changes_the_product():
+    for n in (2, 3, 5):
+        word = [Hyperplane(v) for v in _in_plane(n, 0.0, 0.4)]
+        good = tuple(Hyperplane(v) for v in _in_plane(n, 0.5, 0.9))
+        assert validate_move(word, Move(PENCIL, 0, good)) == list(good)
+        # the pair's angle grows by 1e-7: the product moves by about 4e-7
+        bad = tuple(Hyperplane(v) for v in _in_plane(n, 0.5, 0.9 + 1e-7))
+        assert pair_product_distance(*(h.values for h in word + list(bad))) > EPS_VERIFY
+        with pytest.raises(ValueError, match="does not preserve"):
+            validate_move(word, Move(PENCIL, 0, bad))
+
+
+def test_validate_move_refuses_a_polar_split():
+    word = [Hyperplane(v) for v in _in_plane(3, 0.0, 0.4)]
+    split = (Hyperplane((0, 0, 1)), Hyperplane((0, 1, 0)))
+    with pytest.raises(ValueError, match="not part of the O\\(n\\) calculus"):
+        validate_move(word, Move(POLAR_SPLIT, 0, split))
+
+
+def test_validate_move_rejects_mirrors_of_another_dimension():
+    word = [Hyperplane(v) for v in _in_plane(4, 0.0, 0.4)]
+    move = Move(PENCIL, 0, tuple(Hyperplane(v) for v in _in_plane(3, 0.5, 0.9)))
+    with pytest.raises(ValueError, match="share the word's dimension"):
+        validate_move(word, move)
+
+
+def test_validate_move_on_a_near_coincident_pair_does_not_divide_by_zero():
+    for n in (2, 3, 5):
+        a = [1.0] + [0.0] * (n - 1)
+        near = [list(a) for _ in range(3)]
+        for k, v in enumerate(near):
+            v[1 + k % (n - 1)] = 1e-10
+        h = [Hyperplane(v) for v in [a] + near]
+        assert not h[0] == h[1]
+        # every pivot after a is at most 1e-10 long, or exactly zero
+        for four in ((h[0], h[1], h[0], h[1]), (h[0], h[0], h[0], h[0]), tuple(h)):
+            move = Move(PENCIL, 0, four[2:])
+            assert validate_move(list(four[:2]), move) == list(four[2:])
+
+
+def _perturbed(rng, h, size):
+    return Hyperplane(np.asarray(h.values) + size * rng.standard_normal(len(h.values)))
+
+
+def _accepts(word, move) -> bool:
+    try:
+        validate_move(word, move)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_accepts(a, b, c, d) -> bool:
+    if len(a) > 2 and plane_singular_value(a, b, c, d) > math.sqrt(EPS_VERIFY):
+        return False
+    return pair_product_distance(a, b, c, d) <= EPS_VERIFY
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_validate_move_agrees_with_householder_products(n):
+    # near the plane threshold the residual and the third singular value may
+    # name different reasons for one rejection; accepting is what must agree
+    rng = np.random.default_rng(90 + n)
+    decisions = []
+    for _ in range(12):
+        w = sampling.random_word(rng, "on", 3 * n, dim=n)
+        trace = []
+        normalize_word(w, dim=n, trace=trace)
+        state = list(w)
+        for mv in trace:
+            if mv.kind == PENCIL:
+                i = mv.index
+                for size in (0.0, 1e-12, 1e-6, 1e-4, 1e-1):
+                    c, d = mv.mirrors
+                    if size:
+                        c = _perturbed(rng, c, size)
+                    four = [h.values for h in (state[i], state[i + 1], c, d)]
+                    assert orthon._pair_product_distance(*four) == pytest.approx(
+                        pair_product_distance(*four), rel=0, abs=1e-12
+                    )
+                    expected = _reference_accepts(*four)
+                    assert _accepts(state, Move(PENCIL, i, (c, d))) == expected
+                    decisions.append(expected)
+            state = validate_move(state, mv)
+    assert True in decisions and False in decisions
+
+
+def test_validate_move_makes_no_numpy_call(monkeypatch):
+    rng = np.random.default_rng(91)
+    w = sampling.random_word(rng, "on", 64, dim=5)
+    trace = []
+    out = normalize_word(w, dim=5, trace=trace)
+    assert any(mv.kind == PENCIL for mv in trace)
+    calls = []
+    for module, name in ((np.linalg, "svd"), (np, "eye"), (np, "outer")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    state = list(w)
+    for mv in trace:
+        state = validate_move(state, mv)
+    assert state == out
+    assert calls == []
 
 
 def _jittered(rng, n, jitter, length):

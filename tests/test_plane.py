@@ -69,6 +69,8 @@ def mirror_image(line, p):
         pytest.param((10**400, 0), 0, id="huge-int-normal"),
         pytest.param((1, 0), 10**400, id="huge-int-offset"),
         pytest.param((1, 0), 10**5000, id="int-past-repr-digit-limit"),
+        # malformed and holding such an int: the message must not repr it
+        pytest.param((10**5000, 0, 0), 0, id="wrong-length-int-past-repr-digit-limit"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rotation_from_matrix_eig, rotation_matrix, same_axis_angle
+from oracles import (
+    line_reflection_matrix,
+    rotation_from_matrix_eig,
+    rotation_matrix,
+    same_axis_angle,
+    so3_word_matrix,
+)
 from mirrorwords import sampling
 from mirrorwords.arrowarc import rotation_to_arc
 from mirrorwords.numerics import DegenerateInput, NotOrthogonal
@@ -14,7 +20,6 @@ from mirrorwords.so3 import (
     Quaternion,
     coincident,
     compose_line_reflections,
-    line_reflection_matrix,
     normalize_word,
     projective_representative,
     quaternion_distance,
@@ -24,7 +29,6 @@ from mirrorwords.so3 import (
     rotation,
     rotation_to_quaternion,
     split_reflection,
-    word_to_matrix,
     word_to_quaternion,
     word_to_rotation,
 )
@@ -191,7 +195,7 @@ def test_trace_replay_det_stays_plus_one():
         states = replay_moves(w, trace)
         assert states[-1] == out
         for st in states:
-            M = word_to_matrix(st)
+            M = so3_word_matrix(st)
             assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-9)
             assert quaternion_distance(
                 word_to_quaternion(st), word_to_quaternion(w)
@@ -216,7 +220,7 @@ def test_word_to_rotation_matches_eigen_oracle():
     for _ in range(300):
         w = sampling.random_word(rng, "so3", int(rng.integers(1, 7)))
         r = word_to_rotation(w)
-        M = word_to_matrix(w)
+        M = so3_word_matrix(w)
         if r.is_identity:
             np.testing.assert_allclose(M, np.eye(3), atol=1e-9)
             continue

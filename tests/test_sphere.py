@@ -6,13 +6,13 @@ import pytest
 from oracles import (
     classify_sphere_matrix,
     rotation_matrix,
+    rotation_matrix_distance,
     same_axis_angle,
     same_direction,
     sphere_word_matrix,
 )
-from mirrorwords import cli, sampling
+from mirrorwords import cli, sampling, so3
 from mirrorwords.numerics import NotConcurrent, angle_between_directions
-from mirrorwords.so3 import rotation_matrix_distance
 from mirrorwords.sphere import (
     GLIDE,
     IDENTITY,
@@ -188,6 +188,17 @@ def test_normalize_random_words():
         assert rotation_matrix_distance(word_to_matrix(w), word_to_matrix(out)) <= 1e-9
 
 
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 8, 64, 255, 512])
+def test_word_to_matrix_matches_the_householder_product(length):
+    # the quaternion recurrence gives (-1)^k R(q), the product of the I - 2pp^T
+    rng = np.random.default_rng(47 + length)
+    for _ in range(5):
+        w = sampling.random_word(rng, "s2", length)
+        M = word_to_matrix(w)
+        assert type(M) is np.ndarray and M.shape == (3, 3)
+        np.testing.assert_allclose(M, sphere_word_matrix(w), rtol=0, atol=1e-13)
+
+
 def test_det_parity_through_replay():
     rng = np.random.default_rng(45)
     for _ in range(100):
@@ -260,4 +271,4 @@ def test_oracle_distance_of_same_parity_words_is_the_rotation_angle():
         a = sampling.random_word(rng, "s2", int(rng.integers(0, 8)))
         b = sampling.random_word(rng, "s2", int(rng.integers(0, 4)) * 2 + len(a) % 2)
         A, B = word_oracle(a), word_oracle(b)
-        assert oracle_distance(A, B) == rotation_matrix_distance(A, B)
+        assert oracle_distance(A, B) == so3.rotation_angle((A @ B.T).tolist())
