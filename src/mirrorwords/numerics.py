@@ -189,7 +189,11 @@ def unit_n(v: list[float]) -> list[float]:
     when its norm is off unit by more than _UNIT_SLACK, so a unit vector
     comes back as it is.
     """
-    square = dot_n(v, v)
+    return unit_from_square(v, dot_n(v, v))
+
+
+def unit_from_square(v: list[float], square: float) -> list[float]:
+    """unit_n(v), bit for bit, for a caller that already has square = dot_n(v, v)."""
     if square == math.inf and all(map(math.isfinite, v)):
         # finite components whose squares overflow still define a direction
         top = max(map(abs, v))
@@ -205,13 +209,12 @@ def unit_n(v: list[float]) -> list[float]:
     return v
 
 
-def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
-    """unit_n of a list of floats with the sign fixed, as a tuple of +0.0-clean floats.
+def canonical_sign_n(v: list[float]) -> tuple[float, ...]:
+    """v with the sign fixed, as a tuple of +0.0-clean floats.
 
     The first component above EPS_COINCIDE is made positive, so v and -v
     give the same tuple.
     """
-    v = unit_n(v)
     # the first component above eps decides the sign; a unit vector has one
     for x in v:
         if abs(x) > EPS_COINCIDE:
@@ -220,6 +223,11 @@ def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
             break
     # +0.0 uniformly: -0.0 components would display oddly
     return tuple([y + 0.0 for y in v])
+
+
+def canonical_unit_n(v: list[float]) -> tuple[float, ...]:
+    """unit_n of a list of floats with the sign fixed (canonical_sign_n)."""
+    return canonical_sign_n(unit_n(v))
 
 
 class Direction:
@@ -235,6 +243,17 @@ class Direction:
 
     def __init__(self, v):
         self.values = canonical_unit_n(components_n(v))
+
+    @classmethod
+    def from_square(cls, v: list[float], square: float):
+        """cls(v), bit for bit, for a list of floats v whose dot_n(v, v) is square.
+
+        For a rewrite that has summed the squares already: it skips
+        components_n and the second sum.
+        """
+        d = object.__new__(cls)
+        d.values = canonical_sign_n(unit_from_square(v, square))
+        return d
 
     def _array(self) -> np.ndarray:
         a = np.array(self.values)

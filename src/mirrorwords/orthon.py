@@ -32,6 +32,10 @@ from .numerics import (
 # linear dependency (a unit null vector) exceeds this.
 _RANK_TOL = 1e-12
 
+# Half-width of the band about the tie |r1|^2 = |r2|^2 = 2 in which the
+# steering step computes r2 as well (see _steer_moves).
+_TIE_BAND = 1e-2
+
 KEYWORD = "hyper"
 # a hyperplane takes as many components as its dimension
 ARITY = None
@@ -221,6 +225,11 @@ def _reflect(n, p) -> list:
     return [b - t * a for a, b in zip(n, p)]
 
 
+def _product_difference(x, v, e1, p) -> list:
+    """p - H_x H_v H_e1 p for unit normals x, v, e1."""
+    return [a - b for a, b in zip(p, _reflect(x, _reflect(v, _reflect(e1, p))))]
+
+
 def _steer_moves(w: list, sink: list) -> None:
     """Cancel two mirrors of the n+1 in w by pencil steering.
 
@@ -243,26 +252,32 @@ def _steer_moves(w: list, sink: list) -> None:
         v = w[s + 1].values
         cv = c[s + 1]
         y = [cs * a + cv * b for a, b in zip(e1, v)]
-        share = math.sqrt(dot_n(y, y))
+        square = dot_n(y, y)
+        share = math.sqrt(square)
         # no mirrors are left to carry the dependency, or the pair holds all of it
         if s >= len(w) - 2 or share <= EPS_COINCIDE:
             raise DegenerateSteering("steering invariant broken; input too degenerate")
-        d = dot_n(v, e1)
-        u = [b - d * a for a, b in zip(e1, v)]
-        norm = math.sqrt(dot_n(u, u))
-        e2 = [a / norm for a in u]
-        x = Hyperplane(y)
+        x = Hyperplane.from_square(y, square)
         cs = math.copysign(share, dot_n(x.values, y))
         # M = H_x H_v H_e1 is the reflection in u_s, so p - M p = 2 (u_s . p) u_s;
         # of the orthonormal pair p = e1, e2 the one nearer u_s gives the longer
         # vector. All three maps are applied, since for nearly parallel e1 and v
         # the computed e2 is orthogonal to e1 only to about ulp / angle(e1, v).
-        r1, r2 = (
-            [a - b for a, b in zip(p, _reflect(x.values, _reflect(v, _reflect(e1, p))))]
-            for p in (e1, e2)
-        )
-        u_s = r1 if dot_n(r1, r1) >= dot_n(r2, r2) else r2
-        emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)), coincident)
+        u_s = _product_difference(x.values, v, e1, e1)  # r1
+        q = dot_n(u_s, u_s)
+        # |r1|^2 + |r2|^2 = 4 up to 4 (e1 . e2): about n ulp / angle(e1, v),
+        # under n 1e-6 for a pair that does not coincide. Above the band r2
+        # would lose the comparison, so it is not computed.
+        if q < 2.0 + _TIE_BAND:
+            d = dot_n(v, e1)
+            u = [b - d * a for a, b in zip(e1, v)]
+            norm = math.sqrt(dot_n(u, u))
+            e2 = [a / norm for a in u]
+            r2 = _product_difference(x.values, v, e1, e2)
+            q2 = dot_n(r2, r2)
+            if q < q2:
+                u_s, q = r2, q2
+        emit(w, sink, Move(PENCIL, s, (Hyperplane.from_square(u_s, q), x)), coincident)
         s += 1
         # only a pencil move can have made the next pair coincide
         if coincident(w[s], w[s + 1]):

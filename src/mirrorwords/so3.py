@@ -5,12 +5,20 @@ reflections), so words of any length stay inside SO(3). Three relations
 rewrite words: involution, pencil (coplanar quadruples) and the polar
 frame relation R_c . R_b . R_a = id for pairwise orthogonal lines. The
 quaternion product is the independent oracle.
+
+The half-turn about p is -H_p, minus the reflection in the plane with
+normal p, and a pencil move or an involution keeps the product of two
+mirrors, sign included. So the sphere's four-to-two step, which this
+module holds for both groups (`reduce_leading_four`), rewrites axes as it
+rewrites poles. It takes a word down to three lines; the polar-split step
+`_reduce_leading_three` takes the last three to two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +32,7 @@ from .numerics import (
     DegenerateInput,
     Direction3,
     IdentityInput,
+    NotConcurrent,
     NotOrthogonal,
     canonical_unit3,
     coincident3,
@@ -31,8 +40,6 @@ from .numerics import (
     cross3,
     dot3,
     norm3,
-    rotate_about,
-    signed_angle_about,
     wrap_angle,
 )
 
@@ -249,6 +256,63 @@ def split_reflection(k: Axis, plane_normal) -> tuple[Axis, Axis]:
     return Axis(b_dir), Axis(c_dir)
 
 
+def pencil_turn(l, m, l2) -> tuple[float, float, float]:
+    """l2 turned about the common axis of l and m by the angle from l to m.
+
+    It is (l.m) l2 + (l x m) x l2: for unit l and m at angle phi about
+    their unit common axis u this is cos(phi) l2 + sin(phi) u x l2, the
+    rotation of an l2 perpendicular to u, found with no trigonometry, no
+    square root and no normalized axis. Used on mirrors of one pencil, it
+    gives the m2 with (l, m) ~ (l2, m2).
+    """
+    c = dot3(l, m)
+    t = cross3(cross3(l, m), l2)
+    return c * l2[0] + t[0], c * l2[1] + t[1], c * l2[2] + t[2]
+
+
+def _common_axis(a, b) -> tuple[float, float, float]:
+    c = cross3(a.values, b.values)
+    s = norm3(c)
+    return c[0] / s, c[1] / s, c[2] / s
+
+
+def _check_concurrent(mirror, axis) -> None:
+    if abs(dot3(mirror.values, axis)) > EPS_COINCIDE:
+        raise NotConcurrent("third mirror misses the pencil's common axis")
+
+
+def reduce_leading_four(w: list, sink: list, same) -> None:
+    """Rewrite the leading four mirrors of w down to two, recording moves.
+
+    The step of both sphere.GreatCircle and Axis words, whose class it
+    reads from w; `same` is the calling module's coincidence predicate.
+    Both pairs are turned in their pencils onto the mirror through both
+    common axes (direction axis_kl x axis_mn), which then cancels. The
+    rewrite loop hands over a freely reduced head.
+    """
+    k, l, m, n = w[0], w[1], w[2], w[3]
+    cls = type(k)
+    axis_kl = _common_axis(k, l)
+    axis_mn = _common_axis(m, n)
+    link = cross3(axis_kl, axis_mn)
+    if norm3(link) <= EPS_COINCIDE:
+        # both pairs share one pencil: turn (m, n) so that m lands on l
+        n2 = cls(pencil_turn(m.values, l.values, n.values))
+        emit(w, sink, Move(PENCIL, 2, (l, n2)), same)
+        emit(w, sink, Move(INVOLUTION, 1), same)
+        return
+
+    # the mirror through both common axes
+    mid = cls(link)
+    _check_concurrent(mid, axis_kl)
+    k2 = cls(pencil_turn(l.values, k.values, mid.values))
+    emit(w, sink, Move(PENCIL, 0, (k2, mid)), same)
+    _check_concurrent(mid, axis_mn)
+    n2 = cls(pencil_turn(m.values, n.values, mid.values))
+    emit(w, sink, Move(PENCIL, 2, (mid, n2)), same)
+    emit(w, sink, Move(INVOLUTION, 1), same)
+
+
 def _reduce_leading_three(w: list, sink: list) -> None:
     """Rewrite the leading three lines of w down to two, recording moves.
 
@@ -263,16 +327,21 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     # R_k = R_c . R_b = R_b . R_c (orthogonal pair), insert as [c, b]
     # so the coplanar triple (b, l, m) sits adjacently
     emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)), coincident)
-    # rotate the pair (l, m), now at positions 2 and 3, so l lands on b
-    phi = signed_angle_about(w[2].values, b.values, plane_normal)
-    m2_new = Axis(rotate_about(w[3].values, plane_normal, phi))
+    # turn the pair (l, m), now at positions 2 and 3, so that l lands on b
+    m2_new = Axis(pencil_turn(w[2].values, b.values, w[3].values))
     emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
-    """Rewrite a word of line reflections to length at most 2 (0 for identity)."""
-    return normalize(word, coincident, _reduce_leading_three, 2, trace)
+    """Rewrite a word of line reflections to length at most 2 (0 for identity).
+
+    Two passes of the rewrite loop: the four-to-two step down to three
+    lines, then the three-to-two step on what is left. The second pass
+    gets the whole current word, so its trace indices stay valid.
+    """
+    w = normalize(word, coincident, partial(reduce_leading_four, same=coincident), 3, trace)
+    return normalize(w, coincident, _reduce_leading_three, 2, trace)
 
 
 def word_to_rotation(word) -> Rotation:

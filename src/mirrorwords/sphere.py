@@ -4,18 +4,20 @@ A great circle is stored by its pole; the reflection is the restriction of
 the 3-space reflection in the circle's 2-subspace. Any two distinct great
 circles intersect, so only the doubly-transverse case of the plane
 reduction survives here: rotate both pairs onto the circle through both
-intersection axes and cancel.
+intersection axes and cancel. That step, `so3.reduce_leading_four`, is
+shared with SO(3), whose half-turns are negated circle reflections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import kernels, so3
-from .moves import INVOLUTION, PENCIL, Move, emit, normalize, replay
+from .moves import normalize, replay
 # perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
 from .moves import apply_move  # noqa: F401
 from .numerics import (
@@ -26,8 +28,6 @@ from .numerics import (
     cross3,
     dot3,
     norm3,
-    rotate_about,
-    signed_angle_about,
     wrap_angle,
 )
 
@@ -121,60 +121,25 @@ def compose_reflections(l: GreatCircle, m: GreatCircle) -> Classification:
     return Classification(ROTATION, axis=r.axis, angle=r.angle)
 
 
-def _common_axis(l: GreatCircle, m: GreatCircle) -> tuple[float, float, float]:
-    c = cross3(l.values, m.values)
-    s = norm3(c)
-    return c[0] / s, c[1] / s, c[2] / s
-
-
 def pencil_completion(
     l: GreatCircle, m: GreatCircle, l2: GreatCircle
 ) -> GreatCircle:
     """The m2 with R_m . R_l = R_m2 . R_l2 through the same intersection pair.
 
     The three poles must be coplanar (the circles share an antipodal point
-    pair); the signed pole angle from l to m is transported onto l2.
+    pair); l2 is turned by the pole angle from l to m (so3.pencil_turn).
     """
     if coincident(l, m):
         return l2
-    u = _common_axis(l, m)
-    if abs(dot3(l2.values, u)) > EPS_COINCIDE:
+    c = cross3(l.values, m.values)
+    if abs(dot3(l2.values, c)) > EPS_COINCIDE * norm3(c):
         raise NotConcurrent("third circle misses the pencil's intersection pair")
-    phi = signed_angle_about(l.values, m.values, u)
-    return GreatCircle(rotate_about(l2.values, u, phi))
-
-
-def _transport_onto(a: GreatCircle, b: GreatCircle, target: GreatCircle) -> GreatCircle:
-    """b2 such that (a, b) ~ (target, b2) in the pencil of a and b."""
-    u = _common_axis(a, b)
-    phi = signed_angle_about(a.values, target.values, u)
-    return GreatCircle(rotate_about(b.values, u, phi))
-
-
-def _reduce_leading_four(w: list, sink: list) -> None:
-    k, l, m, n = w[0], w[1], w[2], w[3]
-    axis_kl = _common_axis(k, l)
-    axis_mn = _common_axis(m, n)
-    link = cross3(axis_kl, axis_mn)
-    if norm3(link) <= EPS_COINCIDE:
-        # both pairs share one pencil: rotate (m, n) so that m lands on l
-        n2 = _transport_onto(m, n, l)
-        emit(w, sink, Move(PENCIL, 2, (l, n2)), coincident)
-        emit(w, sink, Move(INVOLUTION, 1), coincident)
-        return
-
-    # the circle through both intersection pairs
-    mid = GreatCircle(link)
-    k2 = pencil_completion(l, k, mid)
-    emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
-    n2 = pencil_completion(w[2], w[3], mid)
-    emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
-    emit(w, sink, Move(INVOLUTION, 1), coincident)
+    return GreatCircle(so3.pencil_turn(l.values, m.values, l2.values))
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
-    return normalize(word, coincident, _reduce_leading_four, 3, trace)
+    return normalize(word, coincident, partial(so3.reduce_leading_four, same=coincident), 3, trace)
 
 
 def classify_word(word) -> Classification:

@@ -161,3 +161,15 @@ def _quat(axis, angle):
     axis = axis / np.linalg.norm(axis)
     h = angle / 2.0
     return np.array([math.cos(h), *(math.sin(h) * axis)])
+
+
+def quaternion_matrix(q):
+    """Rotation matrix of a unit quaternion (w, x, y, z), by the textbook formula."""
+    w, x, y, z = q.w, q.x, q.y, q.z
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )

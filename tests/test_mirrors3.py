@@ -121,20 +121,25 @@ FLOAT_PATH = {
     orthon: [
         "coincident",
         "_reflect",
+        "_product_difference",
         "_steer_moves",
         "_pair_product_distance",
         "_off_plane_residual",
         "validate_move",
     ],
-    so3: ["probe_perpendicular", "split_reflection", "_reduce_leading_three"],
-    sphere: [
+    so3: [
+        "probe_perpendicular",
+        "split_reflection",
+        "pencil_turn",
         "_common_axis",
-        "pencil_completion",
-        "_transport_onto",
-        "_reduce_leading_four",
+        "_check_concurrent",
+        "reduce_leading_four",
+        "_reduce_leading_three",
     ],
+    sphere: ["pencil_completion"],
     numerics: [
         "Direction.__init__",
+        "Direction.from_square",
         "Direction.__eq__",
         "Direction3.__init__",
         "components3",
@@ -148,6 +153,8 @@ FLOAT_PATH = {
         "components_n",
         "dot_n",
         "unit_n",
+        "unit_from_square",
+        "canonical_sign_n",
         "canonical_unit_n",
     ],
 }

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import pair_product_distance, plane_singular_value
-from mirrorwords import cli, kernels, orthon, sampling
+from mirrorwords import cli, kernels, moves, orthon, sampling
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
+    EPS_COINCIDE,
     EPS_VERIFY,
+    DegenerateInput,
     DegenerateSteering,
+    dot_n,
     NotOrthogonal,
     WrongLength,
 )
@@ -442,3 +445,87 @@ def test_random_word_rejects_dimension_below_one(dim):
     with pytest.raises(ValueError, match="dimension"):
         sampling.random_word(rng, "on", 3, dim=dim)
     assert sampling.random_word(rng, "on", 0, dim=dim) == []
+
+
+def _eager_steer_moves(w, sink):
+    """The steering step with both candidates and the full Hyperplane constructor.
+
+    The reference for _steer_moves, which computes r2 only near the tie and
+    builds its hyperplanes from known squared norms: the same arithmetic,
+    so the same bits.
+    """
+    c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
+    s = 0
+    while abs(c[s]) <= orthon._RANK_TOL:
+        s += 1
+    cs = c[s]
+    while True:
+        e1, v, cv = w[s].values, w[s + 1].values, c[s + 1]
+        y = [cs * a + cv * b for a, b in zip(e1, v)]
+        share = math.sqrt(dot_n(y, y))
+        if s >= len(w) - 2 or share <= EPS_COINCIDE:
+            raise DegenerateSteering("steering invariant broken; input too degenerate")
+        d = dot_n(v, e1)
+        u = [b - d * a for a, b in zip(e1, v)]
+        norm = math.sqrt(dot_n(u, u))
+        e2 = [a / norm for a in u]
+        x = Hyperplane(y)
+        cs = math.copysign(share, dot_n(x.values, y))
+        r1, r2 = (orthon._product_difference(x.values, v, e1, p) for p in (e1, e2))
+        u_s = r1 if dot_n(r1, r1) >= dot_n(r2, r2) else r2
+        moves.emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)), orthon.coincident)
+        s += 1
+        if orthon.coincident(w[s], w[s + 1]):
+            moves.emit(w, sink, Move(INVOLUTION, s), orthon.coincident)
+            return
+
+
+def _steering_corpus(rng):
+    for n in (2, 3, 5, 8):
+        for length in (*range(4, 20, 3), 64):
+            yield n, sampling.random_word(rng, "on", length, dim=n)
+        for k in range(1, n):
+            for jitter in (1e-5, 1e-7, 1e-9, 3e-9):
+                yield n, [h for _ in range(k) for h in _jittered(rng, n, jitter, 3)]
+
+
+def test_steering_matches_the_eager_reference_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for n, w in _steering_corpus(rng):
+        results = []
+        for step in (orthon._steer_moves, _eager_steer_moves):
+            trace = []
+            try:
+                out = moves.normalize(w, orthon.coincident, step, n, trace)
+            except DegenerateSteering:
+                out = None
+            results.append((out, trace))
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        [0.6, 0.8, 0.0],
+        [3.0, -4.0, 12.0],
+        [-1.0, 1e-12, 0.0],
+        [0.0, -0.0, -2.0],
+        [1.0 + 1e-14, 0.0],
+        [1e200, -1e200, 3e199],
+        [1e-5, 2e-5],
+        [0.0, 0.0, 0.0],
+        [1e-10, 0.0],
+        [math.inf, 0.0],
+        [math.nan, 1.0],
+    ],
+)
+def test_hyperplane_from_square_is_the_constructor(v):
+    try:
+        expected = Hyperplane(v).values
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            Hyperplane.from_square(list(v), dot_n(v, v))
+        return
+    h = Hyperplane.from_square(list(v), dot_n(v, v))
+    assert type(h) is Hyperplane
+    assert [x.hex() for x in h.values] == [x.hex() for x in expected]

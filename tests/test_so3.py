@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    householder,
     line_reflection_matrix,
+    quaternion_matrix,
     rotation_from_matrix_eig,
     rotation_matrix,
     same_axis_angle,
     so3_word_matrix,
 )
-from mirrorwords import sampling
+from mirrorwords import cli, sampling
 from mirrorwords.arrowarc import rotation_to_arc
-from mirrorwords.numerics import DegenerateInput, NotOrthogonal
+from mirrorwords.numerics import EPS_VERIFY, DegenerateInput, GeometryError, NotOrthogonal
 from mirrorwords.so3 import (
     IDENTITY_QUATERNION,
     IDENTITY_ROTATION,
@@ -313,3 +317,59 @@ def test_rotation_takes_any_real_angle(angle):
 def test_axis_canonical_sign():
     assert Axis((0, 0, -1)) == Z
     assert coincident(Axis((-1, 1e-12, 0)), X)
+
+
+def _jittered_axes(rng, jitter, length):
+    base = rng.standard_normal(3)
+    base /= np.linalg.norm(base)
+    return [Axis(base + jitter * rng.standard_normal(3)) for _ in range(length)]
+
+
+@pytest.mark.parametrize("jitter", [1e-5, 1e-7, 1e-9, 1e-11])
+def test_axes_jittered_about_one_direction_meet_eps_verify_or_raise(jitter):
+    # every near-degenerate word is reduced within eps_verify or rejected
+    # with a typed error, never silently off
+    rng = np.random.default_rng(77)
+    for length in (6, 7, 12):
+        for _ in range(100):
+            w = _jittered_axes(rng, jitter, length)
+            try:
+                out = normalize_word(w)
+            except GeometryError:
+                continue
+            assert cli.residual("so3", w, out) <= EPS_VERIFY
+
+
+def test_long_words_take_few_moves_per_mirror():
+    # the four-to-two step removes two mirrors per three moves
+    rng = np.random.default_rng(512)
+    for _ in range(4):
+        w = sampling.random_word(rng, "so3", 512)
+        trace = []
+        out = normalize_word(w, trace)
+        assert len(out) <= 2
+        assert len(trace) / len(w) <= 1.6
+        assert replay_moves(w, trace)[-1] == out
+
+
+# small integer directions give exactly perpendicular, coplanar and
+# repeated axes; a seed gives a direction in general position
+_DIRECTIONS = st.one_of(
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).standard_normal(3)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_DIRECTIONS, max_size=14))
+def test_normal_form_matches_the_householder_product_of_the_normals(directions):
+    # a half-turn about a is -H_a, so a word of k axes is (-1)^k times the
+    # product of the reflections in the planes with normals a
+    w = [Axis(d) for d in directions]
+    out = normalize_word(w)
+    assert len(out) <= 2
+    H = np.eye(3)
+    for a in w:
+        H = householder(a.direction) @ H
+    R = quaternion_matrix(word_to_quaternion(out))
+    assert float(np.abs((-1) ** len(w) * R - H).max()) <= 1e-12

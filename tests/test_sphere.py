@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     classify_sphere_matrix,
@@ -11,8 +13,8 @@ from oracles import (
     same_direction,
     sphere_word_matrix,
 )
-from mirrorwords import cli, sampling, so3
-from mirrorwords.numerics import NotConcurrent, angle_between_directions
+from mirrorwords import cli, orthon, sampling, so3
+from mirrorwords.numerics import DegenerateSteering, NotConcurrent, angle_between_directions
 from mirrorwords.sphere import (
     GLIDE,
     IDENTITY,
@@ -272,3 +274,26 @@ def test_oracle_distance_of_same_parity_words_is_the_rotation_angle():
         b = sampling.random_word(rng, "s2", int(rng.integers(0, 4)) * 2 + len(a) % 2)
         A, B = word_oracle(a), word_oracle(b)
         assert oracle_distance(A, B) == so3.rotation_angle((A @ B.T).tolist())
+
+
+# small integer poles give exactly perpendicular, coplanar and repeated
+# circles; a seed gives a pole in general position
+_POLES = st.one_of(
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).standard_normal(3)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_POLES, max_size=14))
+def test_normal_form_matches_the_o3_rewrite_of_the_poles(poles):
+    # a great circle and the O(3) hyperplane with normal = pole are one mirror,
+    # so the two rewriters must reach words with one oracle matrix
+    w = [GreatCircle(p) for p in poles]
+    out = normalize_word(w)
+    try:
+        on_out = orthon.normalize_word([orthon.Hyperplane(c.values) for c in w], dim=3)
+    except DegenerateSteering:
+        assume(False)
+    assert len(out) <= 3
+    assert float(np.abs(word_to_matrix(out) - orthon.word_to_matrix(on_out, 3)).max()) <= 1e-12
