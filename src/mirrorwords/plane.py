@@ -4,8 +4,14 @@ A word is a plain list of Line mirrors, applied left to right (element 0
 acts first); the composition written R_n . R_m . R_l . R_k is stored as
 [k, l, m, n]. Rewriting uses two relations: the involution relation (a
 mirror repeated twice cancels) and the pencil relation (an adjacent pair
-may be replaced by any pair of the same pencil with the same signed gap).
+may be replaced by any pair with the same product R_m . R_l).
 Every rewrite is checked against the affine-map oracle in tests.
+
+A pencil is a projective point, as a pole pair is on the sphere: the
+meet of its lines, or for parallel lines their direction at infinity.
+The four-to-two step turns both pairs onto the join of their two points,
+and a pencil move reads its new mirror off the product of three
+reflections, with one formula for both kinds of pencil.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .moves import INVOLUTION, PENCIL, Move, emit, normalize, replay
 from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
+    EPS_VERIFY,
     DegenerateInput,
     NotConcurrent,
     shown,
@@ -129,55 +136,37 @@ def coincident(a: Line, b: Line) -> bool:
     return abs(a.offset - db) <= EPS_COINCIDE * scale
 
 
-def parallel(a: Line, b: Line) -> bool:
-    return abs(a.nx * b.ny - a.ny * b.nx) <= EPS_COINCIDE
-
-
 def _offset_in_frame(l: Line, frame: Line) -> float:
     """Offset of l re-expressed with frame's normal orientation."""
     dot = frame.nx * l.nx + frame.ny * l.ny
     return l.offset if dot > 0.0 else -l.offset
 
 
-def _intersection(a: Line, b: Line) -> tuple[float, float]:
-    det = a.nx * b.ny - a.ny * b.nx
-    x = (a.offset * b.ny - a.ny * b.offset) / det
-    y = (a.nx * b.offset - a.offset * b.nx) / det
-    return x, y
+def _cross(a: Line, b: Line) -> float:
+    return a.nx * b.ny - a.ny * b.nx
 
 
-def _passes_through(l: Line, px: float, py: float) -> bool:
-    scale = 1.0 + math.hypot(px, py)
-    return abs(l.nx * px + l.ny * py - l.offset) <= EPS_COINCIDE * scale
+def _meet(a: Line, b: Line) -> tuple[float, float, float]:
+    """The common point of a and b as homogeneous (x, y, w), w = 0 when parallel.
 
-
-def _fold_half(delta: float) -> float:
-    """Fold an angle to (-pi/2, pi/2] (line angles live mod pi)."""
-    while delta > _HALF_PI:
-        delta -= math.pi
-    while delta <= -_HALF_PI:
-        delta += math.pi
-    return delta
+    It is the cross product of (nx, ny, -offset) of both lines: for a
+    parallel pair, the point at infinity in their direction.
+    """
+    return (
+        a.offset * b.ny - a.ny * b.offset,
+        a.nx * b.offset - a.offset * b.nx,
+        _cross(a, b),
+    )
 
 
 def _signed_gap(a: Line, b: Line) -> float:
-    """Signed line angle from a to b, in (-pi/2, pi/2]."""
-    cross = a.nx * b.ny - a.ny * b.nx
-    dot = a.nx * b.nx + a.ny * b.ny
-    return _fold_half(math.atan2(cross, dot))
-
-
-def _rotated_about(l: Line, px: float, py: float, delta: float) -> Line:
-    """Rotate a line passing through (px, py) about that point by delta."""
-    c = math.cos(delta)
-    s = math.sin(delta)
-    nx = l.nx * c - l.ny * s
-    ny = l.nx * s + l.ny * c
-    return Line((nx, ny), nx * px + ny * py)
-
-
-def _parallel_through(l: Line, px: float, py: float) -> Line:
-    return Line((l.nx, l.ny), l.nx * px + l.ny * py)
+    """Signed line angle from a to b, in (-pi/2, pi/2] (line angles live mod pi)."""
+    delta = math.atan2(_cross(a, b), a.nx * b.nx + a.ny * b.ny)
+    if delta > _HALF_PI:
+        return delta - math.pi
+    if delta <= -_HALF_PI:
+        return delta + math.pi
+    return delta
 
 
 class Isometry(NamedTuple):
@@ -240,135 +229,122 @@ def compose_reflections(l: Line, m: Line) -> Classification:
     lines; the rotation angle is twice the signed angle from l to m about
     the intersection point.
     """
-    cross = l.nx * m.ny - l.ny * m.nx
-    if abs(cross) <= EPS_COINCIDE:
+    if abs(_cross(l, m)) <= EPS_COINCIDE:
         gap = _offset_in_frame(m, l) - l.offset
         if abs(gap) <= EPS_COINCIDE:
             return Classification(IDENTITY)
         return Classification(
             TRANSLATION, vector=np.array([2.0 * gap * l.nx, 2.0 * gap * l.ny])
         )
-    px, py = _intersection(l, m)
+    x, y, w = _meet(l, m)
     return Classification(
-        ROTATION, center=np.array([px, py]), angle=2.0 * _signed_gap(l, m)
+        ROTATION, center=np.array([x / w, y / w]), angle=2.0 * _signed_gap(l, m)
     )
 
 
 def pencil_completion(l: Line, m: Line, l2: Line) -> Line:
     """The unique m2 with R_m . R_l = R_m2 . R_l2, all four in one pencil.
 
-    Transports the signed pencil gap from the pair (l, m) onto l2. Raises
-    NotConcurrent when l2 does not belong to the pencil of l and m.
+    R_m2 is read off the product R_m . R_l . R_l2, for a pencil of
+    concurrent and of parallel lines alike. Its normal is
+    n_m . conj(n_l) . n_l2 as complex numbers, rescaled to unit length so
+    that the few ulps of norm each product leaves do not build up along a
+    chain of completions. Its offset is half the normal component of t,
+    the image of the origin under R_l2, R_l, then R_m. When l2 is off the
+    pencil the product is a glide reflection; raises NotConcurrent when
+    its glide |n_perp . t| exceeds EPS_COINCIDE (1 + |t|). For a parallel
+    pencil the glide is 2 gap sin(angle between l and l2).
     """
     if coincident(l, m):
         return l2
-    if parallel(l, m):
-        if not parallel(l, l2):
-            raise NotConcurrent("third line is not parallel to the pencil")
-        gap = _offset_in_frame(m, l) - l.offset
-        return Line((l.nx, l.ny), _offset_in_frame(l2, l) + gap)
-    px, py = _intersection(l, m)
-    if not _passes_through(l2, px, py):
-        raise NotConcurrent("third line misses the pencil's common point")
-    return _rotated_about(_parallel_through(l2, px, py), px, py, _signed_gap(l, m))
+    cx = m.nx * l.nx + m.ny * l.ny
+    cy = m.ny * l.nx - m.nx * l.ny
+    nx = cx * l2.nx - cy * l2.ny
+    ny = cx * l2.ny + cy * l2.nx
+    h = math.hypot(nx, ny)
+    nx /= h
+    ny /= h
+    tx = 2.0 * l2.offset * l2.nx
+    ty = 2.0 * l2.offset * l2.ny
+    for line in (l, m):
+        s = 2.0 * (line.nx * tx + line.ny * ty - line.offset)
+        tx -= s * line.nx
+        ty -= s * line.ny
+    if abs(nx * ty - ny * tx) > EPS_COINCIDE * (1.0 + math.hypot(tx, ty)):
+        raise NotConcurrent("third line is off the pencil of the first two")
+    return Line((nx, ny), 0.5 * (nx * tx + ny * ty))
 
 
 def verify_pencil_relation(l: Line, m: Line, l2: Line, m2: Line) -> bool:
-    """True iff all four lines share a pencil with matching signed gaps.
+    """True iff R_m . R_l = R_m2 . R_l2 within EPS_VERIFY.
 
-    Signed gaps (offset differences in a parallel pencil, line angles mod
-    pi in a concurrent one) characterize R_m . R_l = R_m2 . R_l2 exactly;
-    the unsigned distances of the two-sided relation follow.
+    Equal pair products are the pencil relation: both pairs then share a
+    pencil with the same signed gap, and swapping a pair inverts its product.
     """
-    if coincident(l, m):
-        return coincident(l2, m2)
-    if coincident(l2, m2):
-        return False
-    if parallel(l, m):
-        if not (parallel(l, l2) and parallel(l, m2)):
-            return False
-        gap1 = _offset_in_frame(m, l) - l.offset
-        gap2 = _offset_in_frame(m2, l) - _offset_in_frame(l2, l)
-        return abs(gap1 - gap2) <= EPS_COINCIDE * (1.0 + abs(gap1) + abs(gap2))
-    if parallel(l2, m2):
-        return False
-    px, py = _intersection(l, m)
-    if not (_passes_through(l2, px, py) and _passes_through(m2, px, py)):
-        return False
-    return abs(_fold_half(_signed_gap(l, m) - _signed_gap(l2, m2))) <= EPS_COINCIDE
+    return isometry_distance(word_to_isometry((l, m)), word_to_isometry((l2, m2))) <= EPS_VERIFY
+
+
+def _join(k: Line, l: Line, m: Line, n: Line) -> tuple[float, float, float] | None:
+    """The line through the pencil points p of (k, l) and q of (m, n), or None.
+
+    Homogeneous (a, b, c) for a x + b y + c = 0, scaled to a unit 3-vector:
+    the cross product p x q, expanded as (k.q) l - (l.q) k with k and l as
+    (nx, ny, -offset). As a combination of two lines through p it passes
+    through p and q to rounding however close the two points are, and
+    k.q, l.q come out exactly 0 for four lines with one normal. It
+    is the line at infinity for two parallel pairs, and None when p and q
+    are one point.
+    """
+    mn = _cross(m, n)
+    kq = m.offset * _cross(k, n) - n.offset * _cross(k, m) - k.offset * mn
+    lq = m.offset * _cross(l, n) - n.offset * _cross(l, m) - l.offset * mn
+    a = kq * l.nx - lq * k.nx
+    b = kq * l.ny - lq * k.ny
+    c = lq * k.offset - kq * l.offset
+    r = math.hypot(a, b, c)
+    if r == 0.0:
+        return None
+    return a / r, b / r, c / r
 
 
 def _reduce_leading_four(w: list, sink: list) -> None:
     """Rewrite the leading four mirrors of w down to two, recording moves.
 
-    Follows the four-reflection case analysis: slide or rotate both pairs
-    onto a common middle mirror and cancel it. The rewrite loop hands over
-    a freely reduced head, so no two adjacent mirrors coincide.
+    A pair's pencil is a projective point: the meet of its two lines, at
+    infinity for a parallel pair. Both pairs are turned in their pencils
+    onto the join of the two points, which then cancels. When the points
+    are one, (m, n) is turned onto l instead. When the join is the line at
+    infinity (two parallel pairs of different directions), or too far out
+    to carry a mirror, the middle pair is first turned by a right angle
+    about its own meet, once, which brings both points near. The rewrite
+    loop hands over a freely reduced head.
     """
     k, l, m, n = w[0], w[1], w[2], w[3]
-    kl_par = parallel(k, l)
-    mn_par = parallel(m, n)
-
-    if kl_par and mn_par:
-        if parallel(l, m):
-            # all four parallel: slide the pair (k, l) until l lands on m
-            gap = _offset_in_frame(m, l) - l.offset
-            k2 = Line((l.nx, l.ny), _offset_in_frame(k, l) + gap)
-            emit(w, sink, Move(PENCIL, 0, (k2, m)), coincident)
-            emit(w, sink, Move(INVOLUTION, 1), coincident)
-            return
-        # two parallel pairs in different directions: rotate the middle
-        # pair by a right angle about its intersection, making both outer
-        # pairs transverse, then fall through to the generic case
-        px, py = _intersection(l, m)
-        l2 = _rotated_about(l, px, py, _HALF_PI)
-        m2 = _rotated_about(m, px, py, _HALF_PI)
-        emit(w, sink, Move(PENCIL, 1, (l2, m2)), coincident)
-        _reduce_leading_four(w, sink)
-        return
-
-    if kl_par:
-        # slide k.l so that l passes through the intersection of m and n,
-        # then rotate m.n so that its first mirror is that same line
-        px, py = _intersection(m, n)
-        mid = _parallel_through(l, px, py)
-        gap = mid.offset - _offset_in_frame(l, mid)
-        k2 = Line((mid.nx, mid.ny), _offset_in_frame(k, mid) + gap)
-        emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
-        n2 = pencil_completion(w[2], w[3], mid)
-        emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
+    join = _join(k, l, m, n)
+    x, y, s = _meet(l, m)
+    # too far out: the join's distance from the origin, |c| / |(a, b)|,
+    # exceeds EPS_VERIFY / EPS_COINCIDE times the head's extent (its
+    # largest offset and the distance of the middle meet (x, y) / s). A
+    # mirror at distance D carries rounding and a coincidence slack of
+    # EPS_COINCIDE D, kept under EPS_VERIFY per unit of extent.
+    extent = abs(s) * (1.0 + max(abs(k.offset), abs(l.offset), abs(m.offset), abs(n.offset)))
+    if join is not None and EPS_COINCIDE * abs(join[2] * s) > EPS_VERIFY * (
+        extent + abs(x) + abs(y)
+    ) * (abs(join[0]) + abs(join[1])):
+        # turn both middle lines by +90 degrees about their meet: the
+        # product keeps its centre and angle
+        l = Line((-l.ny, l.nx), (l.nx * y - l.ny * x) / s)
+        m = Line((-m.ny, m.nx), (m.nx * y - m.ny * x) / s)
+        emit(w, sink, Move(PENCIL, 1, (l, m)), coincident)
+        join = _join(k, l, m, n)
+    if join is None:
+        # one pencil: turn (m, n) so that m lands on l
+        emit(w, sink, Move(PENCIL, 2, (l, pencil_completion(m, n, l))), coincident)
         emit(w, sink, Move(INVOLUTION, 1), coincident)
         return
-
-    if mn_par:
-        px, py = _intersection(k, l)
-        mid = _parallel_through(m, px, py)
-        gap = mid.offset - _offset_in_frame(m, mid)
-        n2 = Line((mid.nx, mid.ny), _offset_in_frame(n, mid) + gap)
-        emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
-        k2 = pencil_completion(w[1], w[0], mid)
-        emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
-        emit(w, sink, Move(INVOLUTION, 1), coincident)
-        return
-
-    p1x, p1y = _intersection(k, l)
-    p2x, p2y = _intersection(m, n)
-    if math.hypot(p1x - p2x, p1y - p2y) <= EPS_COINCIDE * (
-        1.0 + math.hypot(p1x, p1y) + math.hypot(p2x, p2y)
-    ):
-        # all four concurrent: rotate the pair (m, n) so that m lands on l
-        n2 = pencil_completion(m, n, l)
-        emit(w, sink, Move(PENCIL, 2, (l, n2)), coincident)
-        emit(w, sink, Move(INVOLUTION, 1), coincident)
-        return
-
-    # generic case: rotate both pairs onto the line through both points
-    dx, dy = p2x - p1x, p2y - p1y
-    mid = Line((-dy, dx), -dy * p1x + dx * p1y)
-    k2 = pencil_completion(l, k, mid)
-    emit(w, sink, Move(PENCIL, 0, (k2, mid)), coincident)
-    n2 = pencil_completion(w[2], w[3], mid)
-    emit(w, sink, Move(PENCIL, 2, (mid, n2)), coincident)
+    mid = Line(join[:2], -join[2])
+    emit(w, sink, Move(PENCIL, 0, (pencil_completion(l, k, mid), mid)), coincident)
+    emit(w, sink, Move(PENCIL, 2, (mid, pencil_completion(m, n, mid))), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)
 
 

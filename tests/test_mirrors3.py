@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorwords import kernels, numerics, orthon, sampling, so3, sphere
+from mirrorwords import kernels, numerics, orthon, plane, sampling, so3, sphere
 from mirrorwords.numerics import DegenerateInput
 
 MIRRORS3 = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
@@ -113,10 +113,10 @@ def test_oracle_gathers_read_the_floats():
     np.testing.assert_allclose(sphere.word_to_matrix(circles), expected, rtol=0, atol=1e-14)
 
 
-# Functions of the S2, SO(3) and O(n) rewrite paths, which compute on plain
-# floats. Reading a mirror's array property builds an array, so it counts as
-# a numpy call too. The one exception is the SVD that finds the O(n) head's
-# linear dependency, once per reduction.
+# Functions of the E2, S2, SO(3) and O(n) rewrite paths, which compute on
+# plain floats. Reading a mirror's array property builds an array, so it
+# counts as a numpy call too. The one exception is the SVD that finds the
+# O(n) head's linear dependency, once per reduction.
 FLOAT_PATH = {
     orthon: [
         "coincident",
@@ -137,6 +137,15 @@ FLOAT_PATH = {
         "_reduce_leading_three",
     ],
     sphere: ["pencil_completion"],
+    plane: [
+        "coincident",
+        "_cross",
+        "_meet",
+        "pencil_completion",
+        "verify_pencil_relation",
+        "_join",
+        "_reduce_leading_four",
+    ],
     numerics: [
         "Direction.__init__",
         "Direction.from_square",

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import classify_plane_map, plane_word_map, same_direction
-from mirrorwords import sampling
-from mirrorwords.numerics import DegenerateInput, NotConcurrent
+from mirrorwords import cli, sampling
+from mirrorwords.numerics import (
+    EPS_COINCIDE,
+    EPS_VERIFY,
+    DegenerateInput,
+    GeometryError,
+    NotConcurrent,
+)
 from mirrorwords.plane import (
     GLIDE,
     IDENTITY,
@@ -18,7 +26,6 @@ from mirrorwords.plane import (
     compose_reflections,
     isometry_distance,
     normalize_word,
-    parallel,
     pencil_completion,
     replay_moves,
     verify_pencil_relation,
@@ -182,7 +189,7 @@ def test_pencil_completion_oracle_equality():
     rng = np.random.default_rng(7)
     for _ in range(200):
         l, m = sampling.random_line(rng), sampling.random_line(rng)
-        if parallel(l, m):
+        if abs(l.nx * m.ny - l.ny * m.nx) <= EPS_COINCIDE:
             l2 = Line((l.nx, l.ny), rng.uniform(-10, 10))
         else:
             # a line through the common point of l and m
@@ -221,6 +228,106 @@ def test_pencil_completion_rejects_random_triples():
             pencil_completion(l, m, l2)
 
 
+def _line_at(theta, offset):
+    """The line {n . x = offset} with unit normal n at angle theta."""
+    return Line((math.cos(theta), math.sin(theta)), offset)
+
+
+def _through(point, theta):
+    """The line through point whose unit normal is at angle theta."""
+    n = (math.cos(theta), math.sin(theta))
+    return Line(n, n[0] * point[0] + n[1] * point[1])
+
+
+_COORD = st.floats(-100.0, 100.0)
+_ANGLE = st.floats(0.0, math.pi)
+_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+@_SETTINGS
+@given(x=_COORD, y=_COORD, thetas=st.tuples(_ANGLE, _ANGLE, _ANGLE))
+def test_pencil_completion_keeps_the_product_of_a_concurrent_pencil(x, y, thetas):
+    l, m, l2 = (_through((x, y), t) for t in thetas)
+    m2 = pencil_completion(l, m, l2)
+    assert verify_pencil_relation(l, m, l2, m2)
+    if not coincident(l, m):  # else m2 is l2, within EPS_COINCIDE
+        assert isometry_distance(word_to_isometry([l, m]), word_to_isometry([l2, m2])) <= 1e-12
+
+
+@_SETTINGS
+@given(theta=_ANGLE, offsets=st.tuples(_COORD, _COORD, _COORD))
+def test_pencil_completion_keeps_the_product_of_a_parallel_pencil(theta, offsets):
+    l, m, l2 = (_line_at(theta, d) for d in offsets)
+    m2 = pencil_completion(l, m, l2)
+    assert verify_pencil_relation(l, m, l2, m2)
+    assert isometry_distance(word_to_isometry([l, m]), word_to_isometry([l2, m2])) <= 1e-12
+
+
+@_SETTINGS
+@given(
+    radius=st.floats(1e6, 1e9),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    feet=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+)
+def test_pencil_completion_keeps_the_product_of_near_parallel_lines_with_a_far_centre(
+    radius, phi, feet
+):
+    # three lines through a centre 1e6 to 1e9 away, each through a point
+    # within 10 of the origin: nearly parallel, with moderate offsets
+    cx, cy = radius * math.cos(phi), radius * math.sin(phi)
+    lines = []
+    for d in feet:
+        px, py = -d * math.sin(phi), d * math.cos(phi)
+        nx, ny = -(cy - py), cx - px
+        lines.append(Line((nx, ny), nx * px + ny * py))
+    l, m, l2 = lines
+    m2 = pencil_completion(l, m, l2)
+    assert verify_pencil_relation(l, m, l2, m2)
+    assert isometry_distance(word_to_isometry([l, m]), word_to_isometry([l2, m2])) <= 1e-12
+
+
+@_SETTINGS
+@given(
+    x=_COORD,
+    y=_COORD,
+    theta=_ANGLE,
+    spread=st.floats(0.1, math.pi - 0.1),
+    theta2=_ANGLE,
+    miss=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+)
+def test_pencil_completion_rejects_a_line_off_a_concurrent_pencil(x, y, theta, spread, theta2, miss):
+    l, m = _through((x, y), theta), _through((x, y), theta + spread)
+    off = _through((x, y), theta2)
+    with pytest.raises(NotConcurrent):
+        pencil_completion(l, m, Line((off.nx, off.ny), off.offset + miss))
+
+
+@_SETTINGS
+@given(
+    theta=_ANGLE,
+    d=st.floats(-10.0, 10.0),
+    gap=st.floats(0.1, 20.0) | st.floats(-20.0, -0.1),
+    tilt=st.floats(1e-3, math.pi / 2) | st.floats(-math.pi / 2, -1e-3),
+    d2=st.floats(-10.0, 10.0),
+)
+def test_pencil_completion_rejects_a_tilted_line_off_a_parallel_pencil(theta, d, gap, tilt, d2):
+    l, m = _line_at(theta, d), _line_at(theta, d + gap)
+    with pytest.raises(NotConcurrent):
+        pencil_completion(l, m, _line_at(theta + tilt, d2))
+
+
+@_SETTINGS
+@given(theta=_ANGLE, d=st.floats(-10.0, 10.0), d2=st.floats(-10.0, 10.0))
+def test_pencil_completion_tests_parallel_pencils_relative_to_their_glide(theta, d, d2):
+    # the glide of a tilted third line is 2 gap sin(tilt): 4e-9 for a gap
+    # of 20 and a tilt of 1e-10, within EPS_COINCIDE (1 + |t|); 4e-5 at 1e-6
+    l, m = _line_at(theta, d), _line_at(theta, d + 20.0)
+    l2 = _line_at(theta + 1e-10, d2)
+    assert verify_pencil_relation(l, m, l2, pencil_completion(l, m, l2))
+    with pytest.raises(NotConcurrent):
+        pencil_completion(l, m, _line_at(theta + 1e-6, d2))
+
+
 def test_reduce_four_involution_case():
     k = Line((1, 2), 3)
     m, n = X_AXIS, vertical(4)
@@ -236,6 +343,34 @@ def test_reduce_four_two_translations():
     iso = word_to_isometry(out)
     np.testing.assert_allclose(iso.linear, np.eye(2), atol=1e-9)
     np.testing.assert_allclose(iso.translation, [2, 2], atol=1e-9)
+
+
+@pytest.mark.parametrize("jitter", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_two_parallel_pairs_jittered_meet_eps_verify_or_raise_in_few_moves(jitter):
+    # the pairs' pencil points lie about 1/jitter away in two directions,
+    # so their join is at or near infinity; the middle pair is turned by a
+    # right angle at most once, then both pairs meet on a finite join
+    rng = np.random.default_rng(17)
+    fixed = [vertical(0), vertical(1), Line((0, 1), 0), Line((0, 1), 1)]
+    for i in range(60):
+        if i == 0:
+            lines = fixed
+        else:
+            a, b = rng.uniform(0.0, math.pi, 2)
+            lines = [_line_at(t, d) for t, d in zip((a, a, b, b), rng.uniform(-10.0, 10.0, 4))]
+        w = []
+        for line, turn in zip(lines, jitter * rng.standard_normal(4)):
+            c, s = math.cos(turn), math.sin(turn)
+            w.append(Line((line.nx * c - line.ny * s, line.nx * s + line.ny * c), line.offset))
+        trace = []
+        try:
+            out = normalize_word(w, trace)
+        except GeometryError:
+            continue
+        # a turn, two pencil moves and an involution, and at most one
+        # cancellation of the two lines left
+        assert len(trace) <= 5
+        assert cli.residual("e2", w, out) <= EPS_VERIFY
 
 
 def test_reduce_four_concurrent_rotation():
@@ -342,3 +477,24 @@ def test_classify_matches_eigen_oracle():
         elif c.kind == GLIDE:
             assert same_direction([c.axis.nx, c.axis.ny], ref[1])
             np.testing.assert_allclose(c.vector, ref[3], atol=1e-7)
+
+
+@pytest.mark.parametrize("jitter", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
+def test_near_parallel_words_meet_eps_verify(jitter):
+    # a ratchet over the E2 cells of scripts/robustness.py, with 100 words
+    # per cell instead of 200: per (jitter, length) the words silently over
+    # EPS_VERIFY and the words rejected with a GeometryError are pinned at
+    # their present counts, 0 in every cell, and may never rise. Any other
+    # exception fails the test.
+    for length in (6, 12, 36):
+        rng = np.random.default_rng(77)
+        over = raised = 0
+        for _ in range(100):
+            w = sampling.near_parallel_lines(rng, jitter, length)
+            try:
+                out = normalize_word(w)
+            except GeometryError:
+                raised += 1
+                continue
+            over += cli.residual("e2", w, out) > EPS_VERIFY
+        assert (over, raised) == (0, 0), f"length {length}"
