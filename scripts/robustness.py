@@ -7,12 +7,13 @@ GeometryError, and the words silently over the bound, and keeps the worst
 residual of the words that were not rejected. Any other exception is a
 defect and stops the sweep.
 
-Families (each cell restarts the generator at --seed):
-  e2 / near-parallel   sampling.near_parallel_lines: six lines jittered
-                       about one direction, offsets in [-10, 10],
-                       repeated to the length
+Families (each cell restarts the generator at SEED, WORDS words a cell):
+  e2 / near-parallel   the benchmark's near-degenerate E2 words
+                       (perfbench/workloads.py): six lines jittered about
+                       one direction, offsets in [-10, 10], repeated to
+                       the length
 
-    python3 scripts/robustness.py [--words 200] [--seed 77] [--out BENCH_robust.json]
+    python3 scripts/robustness.py [--out BENCH_robust.json]
 """
 
 from __future__ import annotations
@@ -25,14 +26,23 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from mirrorwords import cli, sampling  # noqa: E402
+import workloads  # noqa: E402
+from mirrorwords import cli  # noqa: E402
 from mirrorwords.numerics import EPS_VERIFY, GeometryError  # noqa: E402
 
-FAMILIES = {("e2", "near-parallel"): sampling.near_parallel_lines}
+
+def near_parallel(rng: np.random.Generator, jitter: float, length: int) -> list:
+    six = workloads.near_degenerate_word(rng, "e2", 2, jitter)
+    return [six[i % 6] for i in range(length)]
+
+
+FAMILIES = {("e2", "near-parallel"): near_parallel}
 JITTERS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)
 LENGTHS = (6, 12, 36)
+WORDS = 200
+SEED = 77
 
 
 def sweep_cell(group: str, sample, jitter: float, length: int, words: int, seed: int) -> dict:
@@ -57,22 +67,20 @@ def sweep_cell(group: str, sample, jitter: float, length: int, words: int, seed:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--words", type=int, default=200, help="words per cell")
-    parser.add_argument("--seed", type=int, default=77)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_robust.json")
     args = parser.parse_args(argv)
     cells = []
     for (group, family), sample in FAMILIES.items():
         for jitter in JITTERS:
             for length in LENGTHS:
-                counts = sweep_cell(group, sample, jitter, length, args.words, args.seed)
+                counts = sweep_cell(group, sample, jitter, length, WORDS, SEED)
                 cells.append({"group": group, "family": family, "jitter": jitter, "length": length, **counts})
                 print(
                     f"{group:4s} {family:14s} jitter {jitter:.0e} L{length:<3d} "
                     f"within {counts['within']:4d}  raised {counts['raised']:4d}  "
                     f"over {counts['over']:4d}  worst {counts['worst_residual']:.2e}"
                 )
-    result = {"seed": args.seed, "words_per_cell": args.words, "bound": EPS_VERIFY, "cells": cells}
+    result = {"seed": SEED, "words_per_cell": WORDS, "bound": EPS_VERIFY, "cells": cells}
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -287,8 +287,9 @@ def verify_pencil_relation(l: Line, m: Line, l2: Line, m2: Line) -> bool:
 def _join(k: Line, l: Line, m: Line, n: Line) -> tuple[float, float, float] | None:
     """The line through the pencil points p of (k, l) and q of (m, n), or None.
 
-    Homogeneous (a, b, c) for a x + b y + c = 0, scaled to a unit 3-vector:
-    the cross product p x q, expanded as (k.q) l - (l.q) k with k and l as
+    Homogeneous (a, b, c) for a x + b y + c = 0, scaled to a unit 3-vector
+    so that neither a near nor a far join leaves the float range: the cross
+    product p x q, expanded as (k.q) l - (l.q) k with k and l as
     (nx, ny, -offset). As a combination of two lines through p it passes
     through p and q to rounding however close the two points are, and
     k.q, l.q come out exactly 0 for four lines with one normal. It
@@ -337,12 +338,15 @@ def _reduce_leading_four(w: list, sink: list) -> None:
         m = Line((-m.ny, m.nx), (m.nx * y - m.ny * x) / s)
         emit(w, sink, Move(PENCIL, 1, (l, m)), coincident)
         join = _join(k, l, m, n)
-    if join is None:
+    h = 0.0 if join is None else math.hypot(join[0], join[1])
+    if h == 0.0:
         # one pencil: turn (m, n) so that m lands on l
         emit(w, sink, Move(PENCIL, 2, (l, pencil_completion(m, n, l))), coincident)
         emit(w, sink, Move(INVOLUTION, 1), coincident)
         return
-    mid = Line(join[:2], -join[2])
+    # divided here, not in Line: a join 1e9 or more from the origin has a
+    # normal part under Line's EPS_COINCIDE floor as a unit 3-vector
+    mid = Line((join[0] / h, join[1] / h), -join[2] / h)
     emit(w, sink, Move(PENCIL, 0, (pencil_completion(l, k, mid), mid)), coincident)
     emit(w, sink, Move(PENCIL, 2, (mid, pencil_completion(m, n, mid))), coincident)
     emit(w, sink, Move(INVOLUTION, 1), coincident)

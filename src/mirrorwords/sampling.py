@@ -7,8 +7,6 @@ numpy Generator so batches are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .arrowarc import Arc, rotation_to_arc, slide
@@ -57,20 +55,6 @@ def random_word(rng: np.random.Generator, group: str, length: int, dim: int = 3)
     if group == "on":
         return [random_hyperplane(rng, dim) for _ in range(length)]
     raise ValueError(f"unknown group {group!r}")
-
-
-def near_parallel_lines(rng: np.random.Generator, jitter: float, length: int = 6) -> list:
-    """Six lines jittered by `jitter` radians about one direction, repeated to `length`.
-
-    The offsets are uniform in [-10, 10]. Six lines take the draws of the
-    benchmark's near-degenerate E2 words (perfbench/workloads.py), so a
-    word of length 6 is one of them, bit for bit.
-    """
-    base = rng.uniform(0.0, math.pi)
-    angles = base + jitter * rng.standard_normal(6)
-    offsets = rng.uniform(-OFFSET_RANGE, OFFSET_RANGE, 6)
-    six = [Line((math.cos(a), math.sin(a)), d) for a, d in zip(angles, offsets)]
-    return [six[i % 6] for i in range(length)]
 
 
 def random_rotation(rng: np.random.Generator):
