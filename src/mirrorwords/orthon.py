@@ -1,9 +1,10 @@
 """O(n) as words of hyperplane reflections through the origin.
 
-Decomposition rests on the spectral splitting of an orthogonal map into
-fixed directions, negated directions and rotation planes; each rotation
-plane costs two mirrors, each negated direction one, so every element is
-a word of at most n mirrors. The (n+1)-to-(n-1) reduction is performed
+Decomposition rests on the spectral split of an orthogonal map into
+fixed directions, negated directions and rotation planes, read off one
+symmetric eigensolve of M + M^T (numpy only); each rotation plane costs
+two mirrors, each negated direction one, so every element is a word of
+at most n mirrors. The (n+1)-to-(n-1) reduction is performed
 as an explicit chain of single pencil and involution moves, so the whole
 rewrite can be replayed and audited step by step.
 """
@@ -31,6 +32,12 @@ from .numerics import (
 # Steering starts at the first mirror whose coefficient in the normals'
 # linear dependency (a unit null vector) exceeds this.
 _RANK_TOL = 1e-12
+
+# Eigenvalues of M + M^T (twice the cosines) closer than this share a
+# cluster in spectral_split. A rotation plane's two are equal, but
+# _check_orthogonal lets M miss orthogonality by EPS_VERIFY sqrt(n), which
+# may part them by about as much.
+_CLUSTER_TOL = 2e-6
 
 # Half-width of the band about the tie |r1|^2 = |r2|^2 = 2 in which the
 # steering step computes r2 as well (see _steer_moves).
@@ -136,47 +143,114 @@ class SpectralSplit:
     blocks: tuple
 
 
+def _file_plane(rows, c: float, s: float, fixed: list, blocks: list) -> None:
+    """File an invariant plane: rows (q1, q2) with M q1 = c q1 + s q2, s >= 0.
+
+    An angle within EPS_COINCIDE of 0 gives two fixed lines, one within
+    EPS_COINCIDE of pi two negated lines, any other a rotation plane.
+    """
+    angle = math.atan2(s, c)
+    if angle <= EPS_COINCIDE:
+        fixed.append(rows)
+    elif angle >= math.pi - EPS_COINCIDE:
+        blocks.extend((Block("negated", rows[:1]), Block("negated", rows[1:])))
+    else:
+        blocks.append(Block("rotation", rows, angle))
+
+
+def _file_lines(rows, cos: float, fixed: list, blocks: list) -> None:
+    """File rows as fixed lines if cos > 0, else as negated lines."""
+    if cos > 0.0:
+        fixed.append(rows)
+    else:
+        blocks.extend(Block("negated", rows[k : k + 1]) for k in range(len(rows)))
+
+
+def _split_cluster(B, T, fixed: list, blocks: list) -> None:
+    """Split a cluster of nearly equal cosines into lines and rotation planes.
+
+    B holds the cluster's orthonormal rows and T = B M B^T. The eigenvalues
+    of -K^2, K the skew part of T, are the squared sines: near cos = +-1
+    they tell fixed or negated lines from planes of small angle, which the
+    cosines cannot. Each remaining vector x is paired with K x, and the
+    pair is projected out of the rest before the next x is taken, so every
+    vector of the cluster lands in exactly one block.
+    """
+    m = len(T)
+    K = (T - T.T) / 2.0
+    cos = float(np.trace(T)) / m
+    if float(np.linalg.norm(K)) <= EPS_COINCIDE * abs(cos):
+        # every sine is as small, so every angle is within EPS_COINCIDE of 0 or pi
+        _file_lines(B, cos, fixed, blocks)
+        return
+    squares, W = np.linalg.eigh(K.T @ K)
+    lines = 0
+    for q in squares.tolist():
+        if EPS_COINCIDE < math.atan2(math.sqrt(max(q, 0.0)), cos) < math.pi - EPS_COINCIDE:
+            break
+        lines += 1
+    # a plane's two sines are equal: one at the threshold goes with its partner
+    lines += (m - lines) % 2
+    if lines:
+        _file_lines(W[:, :lines].T @ B, cos, fixed, blocks)
+    U = W[:, lines:]
+    chosen = np.zeros((m, 0))
+    for _ in range(U.shape[1] // 2):
+        rest = U - chosen @ (chosen.T @ U)
+        x = rest[:, int(np.argmax(np.einsum("ij,ij->j", rest, rest)))]
+        x = x / np.linalg.norm(x)
+        y = U @ (U.T @ (K @ x))
+        y -= chosen @ (chosen.T @ y) + (x @ y) * x
+        y /= np.linalg.norm(y)
+        chosen = np.column_stack([chosen, x, y])
+        P = np.vstack([x, y])
+        (c11, c12), (c21, c22) = (P @ T @ P.T).tolist()
+        _file_plane(P @ B, (c11 + c22) / 2.0, (c21 - c12) / 2.0, fixed, blocks)
+
+
 def spectral_split(M) -> SpectralSplit:
     """Split an orthogonal map into fixed lines, negated lines and rotation planes.
 
-    Real Schur form of a normal matrix is quasi-diagonal: 1x1 blocks carry
-    the +-1 eigenvalues, standardized 2x2 blocks carry the rotation
-    planes. A 2x2 block with angle pi is kept as a rotation plane even
-    though it equals two negated lines; the decomposition contract is on
-    the reassembled product, not on the block bookkeeping.
-    """
-    import scipy.linalg  # deferred: importing scipy costs more than the rest of the package
+    M is normal, so it commutes with M + M^T, whose eigenvalues are twice
+    the cosines of its rotation angles. One eigh(M + M^T) gives them with
+    an orthonormal basis V, in which T = V^T M V is block diagonal up to
+    rounding. A rotation plane is a pair (i, j) of equal cosines; there T
+    reads [[c, -s], [s, c]], and the plane is (v_i, v_j) at angle
+    atan2(s, c), or (v_j, v_i) when s < 0, with no second eigensolve.
+    Clusters of more than two nearly equal cosines (repeated angles, or
+    lines beside planes of small angle) go to _split_cluster.
 
+    A plane whose angle lies within EPS_COINCIDE of 0 is filed as two
+    fixed lines, and one within EPS_COINCIDE of pi as two negated lines;
+    either moves the reassembled map by at most about 2 EPS_COINCIDE. So
+    the number of negated lines has the determinant's parity.
+    """
     M = _check_orthogonal(M)
     n = M.shape[0]
-    T, Q = scipy.linalg.schur(M, output="real")
-    fixed_rows = []
+    twice_cos, V = np.linalg.eigh(M + M.T)
+    rows = V.T
+    R = rows @ M @ V
+    T = R.tolist()
+    gaps = twice_cos.tolist()
+    fixed = []
     blocks = []
     i = 0
     while i < n:
-        if i == n - 1 or abs(T[i + 1, i]) <= 1e-12:
-            if T[i, i] > 0.0:
-                fixed_rows.append(Q[:, i])
-            else:
-                blocks.append(Block("negated", Q[:, i].reshape(1, n)))
-            i += 1
+        j = i + 1
+        while j < n and gaps[j] - gaps[j - 1] <= _CLUSTER_TOL:
+            j += 1
+        if j - i == 1:
+            _file_lines(rows[i:j], T[i][i], fixed, blocks)
+        elif j - i == 2:
+            k = j - 1
+            s = (T[k][i] - T[i][k]) / 2.0
+            c = (T[i][i] + T[k][k]) / 2.0
+            _file_plane(rows[i:j] if s >= 0.0 else rows[[k, i]], c, abs(s), fixed, blocks)
         else:
-            s = (T[i + 1, i] - T[i, i + 1]) / 2.0
-            c = (T[i, i] + T[i + 1, i + 1]) / 2.0
-            angle = math.atan2(s, c)
-            q1 = Q[:, i]
-            q2 = Q[:, i + 1]
-            if angle < 0.0:
-                q1, q2 = q2, q1
-                angle = -angle
-            if angle <= EPS_COINCIDE:
-                fixed_rows.append(q1)
-                fixed_rows.append(q2)
-            else:
-                blocks.append(Block("rotation", np.vstack([q1, q2]), angle))
-            i += 2
-    if fixed_rows:
-        blocks.insert(0, Block("fixed", np.vstack(fixed_rows)))
+            _split_cluster(rows[i:j], R[i:j, i:j], fixed, blocks)
+        i = j
+    if fixed:
+        blocks.insert(0, Block("fixed", fixed[0] if len(fixed) == 1 else np.vstack(fixed)))
     return SpectralSplit(n, tuple(blocks))
 
 
@@ -311,8 +385,7 @@ def normalize_word(word, trace: list | None = None, dim: int | None = None) -> l
 
 def classification_json(word, dim: int | None = None) -> dict:
     """Determinant and spectral blocks of the word's orthogonal map."""
-    M = word_to_matrix(word, dim)
-    split = spectral_split(M)
+    split = spectral_split(word_to_matrix(word, dim))
     blocks = []
     for b in split.blocks:
         entry = {"kind": b.kind, "dim": int(b.basis.shape[0])}
@@ -321,7 +394,7 @@ def classification_json(word, dim: int | None = None) -> dict:
         blocks.append(entry)
     return {
         "kind": "orthogonal",
-        "det": round(float(np.linalg.det(M))),
+        "det": -1 if sum(b.kind == "negated" for b in split.blocks) % 2 else 1,
         "blocks": blocks,
     }
 

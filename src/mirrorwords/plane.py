@@ -233,12 +233,13 @@ def compose_reflections(l: Line, m: Line) -> Classification:
         gap = _offset_in_frame(m, l) - l.offset
         if abs(gap) <= EPS_COINCIDE:
             return Classification(IDENTITY)
+        # + 0.0 makes a -0.0 component 0.0, as canonical_sign_n does for mirrors
         return Classification(
-            TRANSLATION, vector=np.array([2.0 * gap * l.nx, 2.0 * gap * l.ny])
+            TRANSLATION, vector=np.array([2.0 * gap * l.nx + 0.0, 2.0 * gap * l.ny + 0.0])
         )
     x, y, w = _meet(l, m)
     return Classification(
-        ROTATION, center=np.array([x / w, y / w]), angle=2.0 * _signed_gap(l, m)
+        ROTATION, center=np.array([x / w + 0.0, y / w + 0.0]), angle=2.0 * _signed_gap(l, m)
     )
 
 
@@ -385,7 +386,7 @@ def classify_word(word) -> Classification:
     axis = Line(u, d)
     if abs(g) <= EPS_COINCIDE:
         return Classification(REFLECTION, axis=axis)
-    return Classification(GLIDE, axis=axis, vector=np.array([-g * u[1], g * u[0]]))
+    return Classification(GLIDE, axis=axis, vector=np.array([-g * u[1] + 0.0, g * u[0] + 0.0]))
 
 
 def classification_json(word, dim: int | None = None) -> dict:

@@ -45,16 +45,27 @@ def run_cli(*args):
 
 
 def test_import_leaves_out_scipy_and_exports_every_name():
-    # scipy costs more to import than the rest of the package; only
-    # orthon.spectral_split needs it, and imports it on first use
+    # the package needs numpy only: importing it, and the O(n) paths that
+    # once imported scipy for a Schur form, leave scipy unloaded. This runs
+    # in a child process, where conftest.py does not block scipy.
     code = (
         "import sys, mirrorwords, mirrorwords.cli\n"
+        "import numpy as np\n"
+        "from mirrorwords import orthon, sampling\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         "missing = [n for n in mirrorwords.__all__ if not hasattr(mirrorwords, n)]\n"
         "assert not missing, missing\n"
+        "word = sampling.random_word(np.random.default_rng(0), 'on', 5, dim=5)\n"
+        "assert orthon.classification_json(word, 5)['kind'] == 'orthogonal'\n"
+        "assert len(orthon.decompose(orthon.word_to_matrix(word, 5))) <= 5\n"
+        "e = 'ON: refl(hyper(1,0,0)) * refl(hyper(1,1,0)) * refl(hyper(0,1,1)) * refl(hyper(1,2,3))'\n"
+        "assert mirrorwords.cli.main(['classify', e]) == 0\n"
+        "assert mirrorwords.cli.main(['reduce', e]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
+    assert "orthogonal, det" in result.stdout
 
 
 # ---------------------------------------------------------------- parser
@@ -389,6 +400,34 @@ def test_classify_rejects_the_rewriting_options(option, capsys):
     assert exc.value.code == 2
     assert option[0] in capsys.readouterr().err
     assert cli.main(["classify", "ON: refl(hyper(1,0))", "--json", "--dim", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (
+            ["normalize", "E2: refl(line(1,0,100000000)) * refl(line(1,0,100000000.2))"],
+            "translation by (-0.40000000596, 0)",
+        ),
+        (["classify", "E2: refl(line(1,0,0)) * refl(line(0,1,0))"], "rotation about (0, 0) by"),
+        (
+            ["classify", "E2: refl(line(0,1,0.5)) * refl(line(0,1,0)) * refl(line(1,0,0))"],
+            "glide along line(normal (1, 0), offset 0) by (0, 1)",
+        ),
+    ],
+    ids=["translation", "rotation", "glide"],
+)
+def test_e2_classification_has_no_negative_zero(command, expected, capsys):
+    # a zero component of a vector or centre once came out as -0.0, shown as -0
+    assert cli.main(command) == 0
+    text = capsys.readouterr().out
+    assert expected in text
+    assert "-0," not in text and "-0)" not in text
+    assert cli.main([*command, "--json"]) == 0
+    c = json.loads(capsys.readouterr().out)["classification"]
+    values = c.get("vector", c.get("center"))
+    assert 0.0 in values
+    assert all(math.copysign(1.0, x) == 1.0 for x in values if x == 0.0)
 
 
 def test_verify_counts_nan_residual_as_violation(monkeypatch, capsys):

@@ -141,6 +141,127 @@ def test_decompose_random_matrices():
         assert np.linalg.det(M) == pytest.approx((-1.0) ** len(word), abs=1e-9)
 
 
+def conjugated(rng, n, angles, fixed=None):
+    """Q D Q^T for a random orthogonal Q: rotation planes at the given angles,
+    then `fixed` fixed lines (by default a random share of what is left), the
+    rest negated lines."""
+    left = n - 2 * len(angles)
+    if fixed is None:
+        fixed = int(rng.integers(0, left + 1))
+    D = np.diag([1.0] * (n - left) + [1.0] * fixed + [-1.0] * (left - fixed))
+    for k, t in enumerate(angles):
+        c, s = math.cos(t), math.sin(t)
+        D[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+    Q = random_orthogonal(rng, n)
+    return Q @ D @ Q.T
+
+
+def nearest_match_distance(a, b):
+    """Largest distance when each of a is matched to its nearest unmatched b."""
+    rest = list(b)
+    worst = 0.0
+    for x in a:
+        k = min(range(len(rest)), key=lambda i: abs(rest[i] - x))
+        worst = max(worst, abs(rest.pop(k) - x))
+    return worst
+
+
+def check_split(M):
+    n = M.shape[0]
+    split = spectral_split(M)
+    assert sum(b.basis.shape[0] for b in split.blocks) == n
+    implied = []
+    for b in split.blocks:
+        k = b.basis.shape[0]
+        assert float(np.abs(b.basis @ b.basis.T - np.eye(k)).max()) <= 1e-12
+        if b.kind == "fixed":
+            implied += [1.0] * k
+        elif b.kind == "negated":
+            assert k == 1
+            implied.append(-1.0)
+        else:
+            assert b.kind == "rotation" and k == 2
+            assert EPS_COINCIDE < b.angle <= math.pi
+            implied += [np.exp(1j * b.angle), np.exp(-1j * b.angle)]
+    assert float(np.linalg.norm(reassemble(split) - M)) <= 1e-8 * math.sqrt(n)
+    assert nearest_match_distance(implied, np.linalg.eigvals(M)) <= 1e-7
+    negated = sum(b.kind == "negated" for b in split.blocks)
+    assert np.linalg.det(M) == pytest.approx((-1.0) ** negated, abs=1e-9)
+    return split
+
+
+SPLIT_DIMENSIONS = (2, 3, 5, 8, 16, 64)
+
+
+# repeated angles need room for two or three planes
+SPLIT_CASES = [
+    (kind, n)
+    for kind, least in [
+        ("random", 2),
+        ("fixed_only", 2),
+        ("negated_only", 2),
+        ("repeated_two", 4),
+        ("repeated_three", 6),
+        ("near_zero", 2),
+        ("near_pi", 2),
+    ]
+    for n in SPLIT_DIMENSIONS
+    if n >= least
+]
+
+
+def split_case(kind, rng, n):
+    """A matrix of the named kind in dimension n."""
+    half = n // 2
+    if kind == "random":
+        return random_orthogonal(rng, n)
+    if kind == "fixed_only":
+        return conjugated(rng, n, [], fixed=n)
+    if kind == "negated_only":
+        return conjugated(rng, n, [], fixed=0)
+    if kind in ("repeated_two", "repeated_three"):
+        r = 2 if kind == "repeated_two" else 3
+        others = list(rng.uniform(0.1, 3.0, int(rng.integers(0, half - r + 1))))
+        return conjugated(rng, n, [float(rng.uniform(0.1, 3.0))] * r + others)
+    # planes within 1e-10 of 0 or of pi, beside fixed and negated lines
+    offsets = [1e-10, 3e-11, 1e-12][: max(1, half - 1)]
+    angles = offsets if kind == "near_zero" else [math.pi - t for t in offsets]
+    return conjugated(rng, n, angles + list(rng.uniform(0.1, 3.0, half - len(angles))))
+
+
+@pytest.mark.parametrize("kind, n", SPLIT_CASES)
+def test_spectral_split_blocks_rebuild_the_map(kind, n):
+    rng = np.random.default_rng([63, n, len(kind)])
+    for _ in range(4):
+        split = check_split(split_case(kind, rng, n))
+        kinds = [b.kind for b in split.blocks]
+        if kind == "fixed_only":
+            assert kinds == ["fixed"]
+        if kind == "negated_only":
+            assert kinds == ["negated"] * n
+
+
+@pytest.mark.parametrize("n", SPLIT_DIMENSIONS)
+def test_spectral_split_files_planes_near_pi_as_negated_lines(n):
+    # a plane within EPS_COINCIDE of pi is two negated lines, as one within
+    # EPS_COINCIDE of 0 is two fixed lines: no rotation block lies that close
+    rng = np.random.default_rng([64, n])
+    for offset in (1e-10, 1e-12, 5e-10):
+        planes = [math.pi - offset] * (n // 2)
+        split = check_split(conjugated(rng, n, planes, fixed=0))
+        assert [b.kind for b in split.blocks] == ["negated"] * n
+        word = decompose(conjugated(rng, n, planes, fixed=0))
+        assert len(word) == n
+
+
+def test_classification_det_is_the_parity_of_the_word():
+    rng = np.random.default_rng(65)
+    for n in (2, 3, 5, 8):
+        for length in range(0, 2 * n):
+            word = sampling.random_word(rng, "on", length, dim=n)
+            assert orthon.classification_json(word, n)["det"] == (-1) ** length
+
+
 def test_reduce_word_plane_examples():
     out = reduce_word([plane_mirror(0), plane_mirror(30), plane_mirror(90)])
     assert len(out) == 1
