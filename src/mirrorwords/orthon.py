@@ -33,11 +33,7 @@ from .numerics import (
 # linear dependency (a unit null vector) exceeds this.
 _RANK_TOL = 1e-12
 
-# Eigenvalues of M + M^T (twice the cosines) closer than this share a
-# cluster in spectral_split. A rotation plane's two are equal, but
-# _check_orthogonal lets M miss orthogonality by EPS_VERIFY sqrt(n), which
-# may part them by about as much.
-_CLUSTER_TOL = 2e-6
+_EPS = float(np.finfo(float).eps)
 
 # Half-width of the band about the tie |r1|^2 = |r2|^2 = 2 in which the
 # steering step computes r2 as well (see _steer_moves).
@@ -120,14 +116,21 @@ def oracle_distance(A, B) -> float:
 
 
 def _check_orthogonal(M) -> np.ndarray:
+    """M as a float array, moved one Newton step toward orthogonality.
+
+    The step M (3I - M^T M) / 2 squares the defect |M^T M - I|, which is
+    allowed up to EPS_VERIFY sqrt(n): what is left, about 1e-16 n at most,
+    is below the rounding of the eigensolve in spectral_split.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotOrthogonal(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
-    resid = float(np.linalg.norm(M.T @ M - np.eye(n)))
+    G = M.T @ M - np.eye(n)
+    resid = float(np.linalg.norm(G))
     if resid > EPS_VERIFY * math.sqrt(n):
         raise NotOrthogonal(f"M^T M deviates from I by {resid:.3e}")
-    return M
+    return M - M @ G / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +147,14 @@ class SpectralSplit:
 
 
 def _file_plane(rows, c: float, s: float, fixed: list, blocks: list) -> None:
-    """File an invariant plane: rows (q1, q2) with M q1 = c q1 + s q2, s >= 0.
+    """File an invariant plane: rows (q1, q2) with M q1 = c q1 + s q2.
 
-    An angle within EPS_COINCIDE of 0 gives two fixed lines, one within
-    EPS_COINCIDE of pi two negated lines, any other a rotation plane.
+    When s < 0 the rows are swapped. An angle within EPS_COINCIDE of 0
+    gives two fixed lines, one within EPS_COINCIDE of pi two negated
+    lines, any other a rotation plane.
     """
+    if s < 0.0:
+        rows, s = rows[::-1], -s
     angle = math.atan2(s, c)
     if angle <= EPS_COINCIDE:
         fixed.append(rows)
@@ -167,45 +173,42 @@ def _file_lines(rows, cos: float, fixed: list, blocks: list) -> None:
 
 
 def _split_cluster(B, T, fixed: list, blocks: list) -> None:
-    """Split a cluster of nearly equal cosines into lines and rotation planes.
+    """Split a cluster of nearly equal cosines into rotation planes and lines.
 
-    B holds the cluster's orthonormal rows and T = B M B^T. The eigenvalues
-    of -K^2, K the skew part of T, are the squared sines: near cos = +-1
-    they tell fixed or negated lines from planes of small angle, which the
-    cosines cannot. Each remaining vector x is paired with K x, and the
-    pair is projected out of the rest before the next x is taken, so every
-    vector of the cluster lands in exactly one block.
+    B holds the cluster's orthonormal rows and T = B M B^T, with symmetric
+    and skew parts S and K. A complex u with T u = e^{i phi} u has S u =
+    cos(phi) u and K u = i sin(phi) u, so it is an eigenvector of the
+    Hermitian S + i sign(cos) K with eigenvalue cos(phi) - sign(cos)
+    sin(phi). For phi in (0, pi) that moves with phi at the rate |cos| +
+    sin(phi) >= 1, so one eigh parts planes whose cosines alone, or whose
+    sines alone, are equal. Each u with phi in (EPS_COINCIDE, pi -
+    EPS_COINCIDE) spans a rotation plane by its real and imaginary parts;
+    one QR makes the planes orthonormal and completes them with the lines.
     """
     m = len(T)
-    K = (T - T.T) / 2.0
     cos = float(np.trace(T)) / m
+    K = (T - T.T) / 2.0
     if float(np.linalg.norm(K)) <= EPS_COINCIDE * abs(cos):
-        # every sine is as small, so every angle is within EPS_COINCIDE of 0 or pi
+        # every angle is within EPS_COINCIDE of 0 or pi: a cluster of lines,
+        # the common case (a short word's fixed space), filed at about a
+        # tenth of the cost of the eigensolve below
         _file_lines(B, cos, fixed, blocks)
         return
-    squares, W = np.linalg.eigh(K.T @ K)
-    lines = 0
-    for q in squares.tolist():
-        if EPS_COINCIDE < math.atan2(math.sqrt(max(q, 0.0)), cos) < math.pi - EPS_COINCIDE:
-            break
-        lines += 1
-    # a plane's two sines are equal: one at the threshold goes with its partner
-    lines += (m - lines) % 2
-    if lines:
-        _file_lines(W[:, :lines].T @ B, cos, fixed, blocks)
-    U = W[:, lines:]
-    chosen = np.zeros((m, 0))
-    for _ in range(U.shape[1] // 2):
-        rest = U - chosen @ (chosen.T @ U)
-        x = rest[:, int(np.argmax(np.einsum("ij,ij->j", rest, rest)))]
-        x = x / np.linalg.norm(x)
-        y = U @ (U.T @ (K @ x))
-        y -= chosen @ (chosen.T @ y) + (x @ y) * x
-        y /= np.linalg.norm(y)
-        chosen = np.column_stack([chosen, x, y])
-        P = np.vstack([x, y])
-        (c11, c12), (c21, c22) = (P @ T @ P.T).tolist()
-        _file_plane(P @ B, (c11 + c22) / 2.0, (c21 - c12) / 2.0, fixed, blocks)
+    _, Z = np.linalg.eigh((T + T.T) / 2.0 + (1j if cos >= 0.0 else -1j) * K)
+    phi = np.angle(np.einsum("ij,ik,kj->j", Z.conj(), T, Z))
+    U = Z[:, (EPS_COINCIDE < phi) & (phi < math.pi - EPS_COINCIDE)]
+    planes = 2 * U.shape[1]
+    C = np.empty((m, planes))
+    C[:, 0::2] = U.real
+    C[:, 1::2] = -U.imag
+    Q = np.linalg.qr(C, mode="complete")[0]
+    R = (Q.T @ T @ Q).tolist()
+    rows = Q.T @ B
+    for k in range(0, planes, 2):
+        c = (R[k][k] + R[k + 1][k + 1]) / 2.0
+        _file_plane(rows[k : k + 2], c, (R[k + 1][k] - R[k][k + 1]) / 2.0, fixed, blocks)
+    if planes < m:
+        _file_lines(rows[planes:], cos, fixed, blocks)
 
 
 def spectral_split(M) -> SpectralSplit:
@@ -217,8 +220,14 @@ def spectral_split(M) -> SpectralSplit:
     rounding. A rotation plane is a pair (i, j) of equal cosines; there T
     reads [[c, -s], [s, c]], and the plane is (v_i, v_j) at angle
     atan2(s, c), or (v_j, v_i) when s < 0, with no second eigensolve.
-    Clusters of more than two nearly equal cosines (repeated angles, or
-    lines beside planes of small angle) go to _split_cluster.
+
+    eigh's basis is exact for M + M^T moved by about 2 n eps, which tilts
+    the vectors of two eigenvalues g apart into each other by up to
+    2 n eps / g, in a direction that need not respect the skew part of M.
+    So eigenvalues closer than 2 n eps / EPS_COINCIDE share a cluster:
+    between clusters the tilt stays under EPS_COINCIDE. Clusters of more
+    than two (repeated or close angles, or lines beside planes of small
+    angle) go to _split_cluster, which splits them by the skew part too.
 
     A plane whose angle lies within EPS_COINCIDE of 0 is filed as two
     fixed lines, and one within EPS_COINCIDE of pi as two negated lines;
@@ -227,6 +236,7 @@ def spectral_split(M) -> SpectralSplit:
     """
     M = _check_orthogonal(M)
     n = M.shape[0]
+    tol = 2.0 * n * _EPS / EPS_COINCIDE
     twice_cos, V = np.linalg.eigh(M + M.T)
     rows = V.T
     R = rows @ M @ V
@@ -237,15 +247,14 @@ def spectral_split(M) -> SpectralSplit:
     i = 0
     while i < n:
         j = i + 1
-        while j < n and gaps[j] - gaps[j - 1] <= _CLUSTER_TOL:
+        while j < n and gaps[j] - gaps[j - 1] <= tol:
             j += 1
         if j - i == 1:
             _file_lines(rows[i:j], T[i][i], fixed, blocks)
         elif j - i == 2:
             k = j - 1
-            s = (T[k][i] - T[i][k]) / 2.0
             c = (T[i][i] + T[k][k]) / 2.0
-            _file_plane(rows[i:j] if s >= 0.0 else rows[[k, i]], c, abs(s), fixed, blocks)
+            _file_plane(rows[i:j], c, (T[k][i] - T[i][k]) / 2.0, fixed, blocks)
         else:
             _split_cluster(rows[i:j], R[i:j, i:j], fixed, blocks)
         i = j

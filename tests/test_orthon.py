@@ -204,6 +204,8 @@ SPLIT_CASES = [
         ("repeated_three", 6),
         ("near_zero", 2),
         ("near_pi", 2),
+        ("shared_sine", 4),
+        ("close_angles", 4),
     ]
     for n in SPLIT_DIMENSIONS
     if n >= least
@@ -223,6 +225,15 @@ def split_case(kind, rng, n):
         r = 2 if kind == "repeated_two" else 3
         others = list(rng.uniform(0.1, 3.0, int(rng.integers(0, half - r + 1))))
         return conjugated(rng, n, [float(rng.uniform(0.1, 3.0))] * r + others)
+    # planes that eigh(M + M^T) alone cannot part within rounding: pi/2 - e
+    # and pi/2 + e share a sine and part by cosine by 2e only; planes 1e-6
+    # apart near pi/2 - 1e-3 or near 1 part by cosine by about 1e-6
+    h = math.pi / 2
+    if kind == "shared_sine":
+        return conjugated(rng, n, [h + t for t in (-1e-7, 1e-7, -1e-8, 1e-8, -1e-5, 1e-5)][:half])
+    if kind == "close_angles":
+        chains = [h - 1e-3, 1.0, h - 1e-3 + 1e-6, 1.0 + 1e-6, h - 1e-3 + 2e-6, 1.0 + 2e-6]
+        return conjugated(rng, n, chains[:half])
     # planes within 1e-10 of 0 or of pi, beside fixed and negated lines
     offsets = [1e-10, 3e-11, 1e-12][: max(1, half - 1)]
     angles = offsets if kind == "near_zero" else [math.pi - t for t in offsets]
@@ -233,12 +244,29 @@ def split_case(kind, rng, n):
 def test_spectral_split_blocks_rebuild_the_map(kind, n):
     rng = np.random.default_rng([63, n, len(kind)])
     for _ in range(4):
-        split = check_split(split_case(kind, rng, n))
+        M = split_case(kind, rng, n)
+        split = check_split(M)
+        word = decompose(M)
+        assert float(np.linalg.norm(word_to_matrix(word, n) - M)) <= 1e-8 * math.sqrt(n)
         kinds = [b.kind for b in split.blocks]
         if kind == "fixed_only":
             assert kinds == ["fixed"]
         if kind == "negated_only":
             assert kinds == ["negated"] * n
+
+
+@pytest.mark.parametrize("n", (4, 8, 64))
+def test_spectral_split_of_a_nearly_orthogonal_map(n):
+    # M may miss orthogonality by up to EPS_VERIFY sqrt(n); its split and its
+    # word stay as close to it as that, with planes 1e-3 to 1e-7 apart
+    rng = np.random.default_rng([67, n])
+    for gap in (1e-3, 1e-5, 1e-7):
+        E = rng.standard_normal((n, n))
+        E *= 0.5 * EPS_VERIFY * math.sqrt(n) / np.linalg.norm(E)
+        M = conjugated(rng, n, [1.0, 1.0 + gap]) + E
+        resid = float(np.linalg.norm(M.T @ M - np.eye(n)))
+        assert float(np.linalg.norm(reassemble(spectral_split(M)) - M)) <= resid
+        assert float(np.linalg.norm(word_to_matrix(decompose(M), n) - M)) <= resid
 
 
 @pytest.mark.parametrize("n", SPLIT_DIMENSIONS)
