@@ -43,6 +43,9 @@ GROUPS = tuple(GEOMETRIES)
 # Largest O(n) dimension accepted in ON(n), --dim and hyper(), checked
 # before anything of that size is allocated.
 MAX_DIMENSION = 64
+# Largest verify --max-len: a word's directions are drawn as one array of
+# max-len rows, checked before anything is drawn.
+MAX_WORD_LENGTH = 1 << 16
 
 
 class ExpressionSyntaxError(GeometryError):
@@ -237,6 +240,9 @@ def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
     if key != last_key:
         oracle = geometry.word_oracle(word, dim)
         _input_oracle = (key, oracle)
+    # a word the rewrite left as it was has the input's oracle, bit for bit
+    if len(word_out) == len(word) and tuple(word_out) == word:
+        return geometry.oracle_distance(oracle, oracle)
     return geometry.oracle_distance(oracle, geometry.word_oracle(word_out, dim))
 
 
@@ -414,8 +420,10 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     if args.count < 0:
         raise UsageError(f"--count must be at least 0, got {args.count}")
-    if args.max_len < 0:
-        raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
+    if not 0 <= args.max_len <= MAX_WORD_LENGTH:
+        raise UsageError(f"--max-len must be from 0 to {MAX_WORD_LENGTH}, got {args.max_len}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     if args.group == "on" and not 2 <= args.dim <= MAX_DIMENSION:
         raise UsageError(f"--dim must be from 2 to {MAX_DIMENSION}, got {args.dim}")
     group = args.group

@@ -243,6 +243,8 @@ def test_pretty_parse_round_trip_is_fixed_point():
         ("arc_half_turn", ["arc", "SO3: refl(axis(0,1,0)) * refl(axis(1,0,0))"]),
         ("reduce_on2", ["reduce", "ON: refl(hyper(0,1)) * refl(hyper(1,1)) * refl(hyper(1,0))"]),
         ("normalize_sphere_antipodal", ["normalize", "S2: refl(circle(1,0,0)) * refl(circle(0,1,0)) * refl(circle(0,0,1))", "--trace"]),
+        ("verify_on5_json", ["verify", "--group", "on", "--dim", "5", "--json"]),
+        ("verify_s2", ["verify", "--group", "s2"]),
     ],
 )
 def test_golden_outputs(name, args):
@@ -358,7 +360,7 @@ def test_on_dimension_at_the_cap_is_accepted():
     assert expr.dim == cli.MAX_DIMENSION
 
 
-@pytest.mark.parametrize("option", ["--max-len", "--count"])
+@pytest.mark.parametrize("option", ["--max-len", "--count", "--seed"])
 def test_verify_rejects_negative_sizes(option, capsys):
     code = cli.main(["verify", "--group", "e2", option, "-1", "--json"])
     out, err = capsys.readouterr()
@@ -367,6 +369,29 @@ def test_verify_rejects_negative_sizes(option, capsys):
     payload = json.loads(err)
     assert payload["error"] == "UsageError"
     assert option in payload["message"]
+
+
+@pytest.mark.parametrize("max_len", [str(cli.MAX_WORD_LENGTH + 1), "99999999999999999999"])
+def test_verify_rejects_a_max_len_past_the_cap_before_drawing(max_len, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("nothing may be drawn for a rejected --max-len")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_draw)
+    monkeypatch.setattr(cli.sampling, "random_word", no_draw)
+    code = cli.main(["verify", "--group", "on", "--dim", "64", "--count", "1", "--max-len", max_len, "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert "--max-len" in payload["message"]
+
+
+def test_verify_accepts_max_len_at_the_cap(capsys):
+    assert cli.MAX_WORD_LENGTH == 1 << 16
+    code = cli.main(["verify", "--group", "e2", "--count", "0", "--max-len", str(cli.MAX_WORD_LENGTH), "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["max_len"] == cli.MAX_WORD_LENGTH
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
@@ -620,6 +645,51 @@ def test_residual_sees_an_input_list_mutated_in_place(group, dim):
     assert after != before
     del word[3:]
     assert cli.residual(group, word, out, dim) == _oracle_distance(group, word, out, dim)
+
+
+def _count_oracle_calls(monkeypatch, group):
+    geometry = cli.GEOMETRIES[group]
+    calls = []
+    oracle = geometry.word_oracle
+
+    def counted(word, dim=None):
+        calls.append(len(word))
+        return oracle(word, dim)
+
+    monkeypatch.setattr(geometry, "word_oracle", counted)
+    # forget the input a previous residual() remembered
+    monkeypatch.setattr(cli, "_input_oracle", (None, None))
+    return calls
+
+
+@pytest.mark.parametrize("group, dim", GROUP_DIMS)
+def test_residual_of_an_unchanged_word_takes_one_oracle(group, dim, monkeypatch):
+    rng = np.random.default_rng(94)
+    for length in (0, 1, 3, 8):
+        word = sampling.random_word(rng, group, length, dim=dim or 3)
+        expected = _oracle_distance(group, word, word, dim)
+        rebuilt = [cli.GEOMETRIES[group].mirror_from_values(m.values) for m in word]
+        # a copy, as a rewrite that changes nothing returns it, and equal mirrors
+        for out in (list(word), rebuilt):
+            assert out == word
+            calls = _count_oracle_calls(monkeypatch, group)
+            assert cli.residual(group, word, out, dim) == expected
+            assert calls == [length]
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("group, dim", GROUP_DIMS)
+def test_residual_of_a_changed_word_takes_two_oracles(group, dim, monkeypatch):
+    rng = np.random.default_rng(95)
+    word = sampling.random_word(rng, group, 5, dim=dim or 3)
+    other = sampling.random_word(rng, group, 1, dim=dim or 3)
+    # the same length with one mirror changed, and a shorter word
+    for out in (word[:4] + other, word[:3]):
+        expected = _oracle_distance(group, word, out, dim)
+        calls = _count_oracle_calls(monkeypatch, group)
+        assert cli.residual(group, word, out, dim) == expected
+        assert calls == [5, len(out)]
+        monkeypatch.undo()
 
 
 def test_residual_of_empty_inputs_tells_groups_and_dimensions_apart():
