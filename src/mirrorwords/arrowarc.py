@@ -22,13 +22,12 @@ from .numerics import (
     canonical_unit,
     components_n,
     cross3,
+    dot3,
     norm3,
-    rotate_about,
-    signed_angle_about,
     unit_n,
 )
 
-_DEFAULT_ANCHOR = np.array([1.0, 0.0, 0.0])
+_ANCHOR = (1.0, 0.0, 0.0)
 
 
 def _unit_point(p) -> np.ndarray:
@@ -80,10 +79,9 @@ class Arc:
         return f"Arc({self.tail.tolist()!r}, {self.head.tolist()!r})"
 
 
-def identity_arc(anchor=None) -> Arc:
+def identity_arc() -> Arc:
     """The degenerate arc of the identity, anchored at the probe point."""
-    p = _DEFAULT_ANCHOR if anchor is None else anchor
-    return Arc(p, p)
+    return Arc(_ANCHOR, _ANCHOR)
 
 
 def arc_to_rotation(arc: Arc) -> so3.Rotation:
@@ -91,13 +89,19 @@ def arc_to_rotation(arc: Arc) -> so3.Rotation:
     return so3.twice_angle_rotation(arc.tail, arc.head)
 
 
-def rotation_to_arc(r: so3.Rotation, anchor=None) -> Arc:
+def _turn(v, axis, angle: float) -> tuple[float, float, float]:
+    """v turned about the unit axis by angle, for a v perpendicular to the axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    t = cross3(axis, v)
+    return c * v[0] + s * t[0], c * v[1] + s * t[1], c * v[2] + s * t[2]
+
+
+def rotation_to_arc(r: so3.Rotation) -> Arc:
     """A half-angle arc on the circle polar to the axis, tail chosen by probe."""
     if r.is_identity:
-        return identity_arc(anchor)
-    tail = so3.probe_perpendicular(r.axis) if anchor is None else _unit_point(anchor)
-    head = rotate_about(tail, r.axis, r.angle / 2.0)
-    return Arc(tail, head)
+        return identity_arc()
+    tail = so3.probe_perpendicular(r.axis)
+    return Arc(tail, _turn(tail, r.axis, r.angle / 2.0))
 
 
 def slide(arc: Arc, delta: float) -> Arc:
@@ -105,7 +109,7 @@ def slide(arc: Arc, delta: float) -> Arc:
     if arc.is_identity:
         return arc
     axis = arc.circle_axis()
-    return Arc(rotate_about(arc.tail, axis, delta), rotate_about(arc.head, axis, delta))
+    return Arc(_turn(arc.tail, axis, delta), _turn(arc.head, axis, delta))
 
 
 def antipode_head(arc: Arc) -> Arc:
@@ -130,7 +134,9 @@ def triangle_compose(u: Arc, v: Arc) -> Arc:
     On distinct circles both arcs slide so that u's head and v's tail meet
     at an intersection point of the circles; the closing arc from u's tail
     to v's head encodes the composite rotation. On a shared circle the
-    slide alone suffices.
+    slide alone suffices. Each slide is a pencil turn (so3.pencil_turn):
+    the turn that takes one endpoint onto the meeting point, applied to
+    the other endpoint, with no angle.
     """
     if u.is_identity:
         return v
@@ -141,19 +147,16 @@ def triangle_compose(u: Arc, v: Arc) -> Arc:
     link = cross3(axis_u, axis_v)
     if norm3(link) <= EPS_COINCIDE:
         # same great circle: bring v's tail onto u's head
-        delta = signed_angle_about(v.tail, u.head, axis_v)
-        head = rotate_about(v.head, axis_v, delta)
-        return _closing_arc(u.tail, head)
+        return _closing_arc(u.tail, so3.pencil_turn(v.tail, u.head, v.head))
     meet = canonical_unit(link)
-    du = signed_angle_about(u.head, meet, axis_u)
-    dv = signed_angle_about(v.tail, meet, axis_v)
-    tail = rotate_about(u.tail, axis_u, du)
-    head = rotate_about(v.head, axis_v, dv)
+    tail = so3.pencil_turn(u.head, meet, u.tail)
+    head = so3.pencil_turn(v.tail, meet, v.head)
     return _closing_arc(tail, head)
 
 
-def arcs_to_svg(arcs, size: int = 400) -> str:
+def arcs_to_svg(arcs) -> str:
     """Orthographic (view down +z) SVG rendering of arcs on the unit sphere."""
+    size = 400
     cx = cy = size / 2.0
     radius = size * 0.42
 
@@ -169,11 +172,11 @@ def arcs_to_svg(arcs, size: int = 400) -> str:
             )
             continue
         axis = arc.circle_axis()
-        total = signed_angle_about(arc.tail, arc.head, axis)
+        total = math.atan2(norm3(cross3(arc.tail, arc.head)), dot3(arc.tail, arc.head))
         steps = 32
         pts = []
         for i in range(steps + 1):
-            q = rotate_about(arc.tail, axis, total * i / steps)
+            q = _turn(arc.tail, axis, total * i / steps)
             x, y = project(q)
             pts.append(f"{x:.2f} {y:.2f}")
         d = "M " + pts[0] + " L " + " L ".join(pts[1:])

@@ -313,26 +313,3 @@ def coincident3(a: Direction3, b: Direction3) -> bool:
     cy = az * bx - ax * bz
     cz = ax * by - ay * bx
     return math.sqrt(cx * cx + cy * cy + cz * cz) <= EPS_COINCIDE
-
-
-def rotate_about(v, axis, angle: float) -> tuple[float, float, float]:
-    """Rotate 3-vector v about a unit axis by angle (Rodrigues formula)."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    k = axis
-    kv = dot3(k, v)
-    kxv = cross3(k, v)
-    return (
-        v[0] * c + kxv[0] * s + k[0] * kv * (1.0 - c),
-        v[1] * c + kxv[1] * s + k[1] * kv * (1.0 - c),
-        v[2] * c + kxv[2] * s + k[2] * kv * (1.0 - c),
-    )
-
-
-def signed_angle_about(u, v, axis) -> float:
-    """Signed angle from u to v measured right-handedly about axis.
-
-    u and v are expected to lie in the plane perpendicular to axis; the
-    projection onto that plane is implicit in the atan2 arguments.
-    """
-    return math.atan2(dot3(cross3(u, v), axis), dot3(u, v))

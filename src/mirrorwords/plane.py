@@ -133,7 +133,9 @@ def coincident(a: Line, b: Line) -> bool:
     dot = a.nx * b.nx + a.ny * b.ny
     db = b.offset if dot > 0.0 else -b.offset
     scale = 1.0 + abs(a.offset) + abs(db)
-    return abs(a.offset - db) <= EPS_COINCIDE * scale
+    # capped: cancelling parallel lines leaves the translation 2|a.d - b.d|,
+    # which must stay within EPS_VERIFY / 2 however far they are from the origin
+    return abs(a.offset - db) <= min(EPS_COINCIDE * scale, EPS_VERIFY / 4)
 
 
 def _offset_in_frame(l: Line, frame: Line) -> float:

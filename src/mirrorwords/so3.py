@@ -161,33 +161,6 @@ def quaternion_to_rotation(q: Quaternion) -> Rotation:
     return rotation((x / s, y / s, z / s), angle)
 
 
-def quaternion_from_matrix(M) -> Quaternion:
-    """Unit quaternion of a rotation matrix (largest-pivot extraction)."""
-    m00, m01, m02 = M[0]
-    m10, m11, m12 = M[1]
-    m20, m21, m22 = M[2]
-    tr = m00 + m11 + m22
-    if tr > max(m00, m11, m22):
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = (0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
-    elif m00 >= m11 and m00 >= m22:
-        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = ((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
-    elif m11 >= m22:
-        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = ((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
-    else:
-        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
-    qq = Quaternion(*q)
-    n = qq.norm()
-    return Quaternion(qq.w / n, qq.x / n, qq.y / n, qq.z / n)
-
-
-def rotation_from_matrix(M) -> Rotation:
-    return quaternion_to_rotation(quaternion_from_matrix(M))
-
-
 def quaternion_distance(a: Quaternion, b: Quaternion) -> float:
     """Rotation angle separating two unit quaternions (sign-insensitive)."""
     r = a * b.conjugate()

@@ -20,16 +20,7 @@ from . import kernels, so3
 from .moves import normalize, replay
 # perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
 from .moves import apply_move  # noqa: F401
-from .numerics import (
-    EPS_COINCIDE,
-    Direction3,
-    NotConcurrent,
-    coincident3,
-    cross3,
-    dot3,
-    norm3,
-    wrap_angle,
-)
+from .numerics import EPS_COINCIDE, Direction3, coincident3, cross3, dot3, wrap_angle
 
 IDENTITY = "identity"
 REFLECTION = "reflection"
@@ -121,22 +112,6 @@ def compose_reflections(l: GreatCircle, m: GreatCircle) -> Classification:
     return Classification(ROTATION, axis=r.axis, angle=r.angle)
 
 
-def pencil_completion(
-    l: GreatCircle, m: GreatCircle, l2: GreatCircle
-) -> GreatCircle:
-    """The m2 with R_m . R_l = R_m2 . R_l2 through the same intersection pair.
-
-    The three poles must be coplanar (the circles share an antipodal point
-    pair); l2 is turned by the pole angle from l to m (so3.pencil_turn).
-    """
-    if coincident(l, m):
-        return l2
-    c = cross3(l.values, m.values)
-    if abs(dot3(l2.values, c)) > EPS_COINCIDE * norm3(c):
-        raise NotConcurrent("third circle misses the pencil's intersection pair")
-    return GreatCircle(so3.pencil_turn(l.values, m.values, l2.values))
-
-
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
     return normalize(word, coincident, partial(so3.reduce_leading_four, same=coincident), 3, trace)
@@ -147,8 +122,9 @@ def classify_word(word) -> Classification:
 
     An odd word is a rotoreflection M = Rot(u, psi) . S(u) with S the
     reflection in the circle polar to u; since -S(u) is the half-turn
-    about u, -M is the rotation about u by psi + pi, which hands the axis
-    and glide angle to the SO(3) extractor.
+    about u, -M is the rotation about u by psi + pi. -M is also R(q) for
+    the quaternion q of the half-turn word of the poles (word_to_matrix),
+    so axis and glide angle are read off q.
     """
     w = normalize_word(word)
     if len(w) == 0:
@@ -157,8 +133,8 @@ def classify_word(word) -> Classification:
         return Classification(REFLECTION, circle=w[0])
     if len(w) == 2:
         return compose_reflections(w[0], w[1])
-    M = word_to_matrix(w)
-    r = so3.rotation_from_matrix(-M)
+    q = kernels.line_word_quaternion([c.values for c in w])
+    r = so3.quaternion_to_rotation(so3.Quaternion(*q))
     psi = wrap_angle(r.angle - math.pi)
     if abs(psi) <= EPS_COINCIDE:
         return Classification(REFLECTION, circle=GreatCircle(r.axis))

@@ -19,6 +19,7 @@ from oracles import (
     classify_sphere_matrix,
     line_reflection_matrix,
     plane_word_map,
+    rotation_matrix,
     rotation_matrix_distance,
     same_axis_angle,
     same_direction,
@@ -249,8 +250,7 @@ def test_criterion_8_classification_cross_check():
         w = sampling.random_word(rng, "so3", int(rng.integers(1, 8)))
         r = so3.word_to_rotation(w)
         M = so3_word_matrix(w)
-        q_direct = so3.quaternion_from_matrix(M)
-        assert so3.quaternion_distance(so3.rotation_to_quaternion(r), q_direct) <= 1e-8
+        assert rotation_matrix_distance(rotation_matrix(r), M) <= 1e-8
 
     for _ in range(1000):
         n = int(rng.integers(2, 7))

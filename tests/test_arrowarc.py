@@ -1,6 +1,7 @@
 import math
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mirrorwords.arrowarc import (
     slide,
     triangle_compose,
 )
-from mirrorwords.numerics import DegenerateArc, DegenerateInput
+from mirrorwords.numerics import DegenerateArc, DegenerateInput, canonical_unit, cross3
 from mirrorwords.so3 import (
     quaternion_distance,
     rotation,
@@ -25,6 +26,7 @@ from mirrorwords.so3 import (
 )
 
 SQ2 = math.sqrt(2) / 2
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def arc_quaternion(arc):
@@ -147,6 +149,25 @@ def test_slide_keeps_rotation():
         assert quaternion_distance(arc_quaternion(slide(arc, d)), arc_quaternion(arc)) <= 1e-9
 
 
+def test_slide_and_rotation_to_arc_turn_about_the_axis():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        r = rotation(canonical_unit(rng.standard_normal(3)), rng.uniform(-math.pi, math.pi))
+        arc = rotation_to_arc(r)
+        assert np.linalg.norm(arc.head) == pytest.approx(1.0, abs=1e-12)
+        assert cross3(arc.tail, arc.head) @ r.axis == pytest.approx(
+            math.sin(r.angle / 2.0), abs=1e-12
+        )
+
+        delta = rng.uniform(-math.pi, math.pi)
+        out = slide(arc, delta)
+        axis = arc.circle_axis()
+        for before, after in ((arc.tail, out.tail), (arc.head, out.head)):
+            assert np.linalg.norm(after) == pytest.approx(1.0, abs=1e-12)
+            assert cross3(before, after) @ axis == pytest.approx(math.sin(delta), abs=1e-12)
+            assert before @ after == pytest.approx(math.cos(delta), abs=1e-12)
+
+
 def test_antipode_head_example():
     arc = Arc((1, 0, 0), (0, 1, 0))
     out = antipode_head(arc)
@@ -230,3 +251,14 @@ def test_svg_output_is_well_formed():
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     assert "1.1" in svg
+
+
+def test_svg_output_matches_golden():
+    arcs = [
+        rotation_to_arc(rotation((0.0, 0.0, 1.0), math.pi / 2)),  # quarter turn
+        rotation_to_arc(rotation((1.0, 2.0, 2.0), math.pi - 1e-3)),  # near half-turn
+        slide(Arc((0.6, 0.0, 0.8), (0.0, 0.6, 0.8)), 0.7),
+        Arc((1.0, 0.0, 0.0), (-0.99, 0.1, 0.05)),  # nearly antipodal endpoints
+        identity_arc(),
+    ]
+    assert arcs_to_svg(arcs) == (GOLDEN / "arcs_svg.txt").read_text()

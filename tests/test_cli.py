@@ -286,6 +286,18 @@ def test_exit_code_verification_failure():
     assert payload["status"] == "residual-exceeded"
 
 
+def test_distinct_parallel_lines_far_from_the_origin_do_not_cancel():
+    # 1e-3 apart at offset 1e6: an involution there would leave a translation of 2e-3
+    result = run_cli(
+        "normalize", "E2: refl(line(1,0,1000000)) * refl(line(1,0,1000000.001))", "--json"
+    )
+    assert result.returncode == 0, result.stdout
+    payload = json.loads(result.stdout)
+    assert len(payload["normalized"]["mirrors"]) == 2
+    assert payload["classification"]["kind"] == "translation"
+    assert payload["residual"] <= 1e-8
+
+
 def test_non_finite_mirror_is_a_usage_error():
     result = run_cli("normalize", "E2: refl(line(1e400,0,1)) * refl(line(1,0,0))", "--json")
     assert result.returncode == 2

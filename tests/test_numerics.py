@@ -12,9 +12,6 @@ from mirrorwords.numerics import (
     canonical_unit3,
     canonical_unit_n,
     components_n,
-    cross3,
-    rotate_about,
-    signed_angle_about,
     wrap_angle,
 )
 
@@ -236,17 +233,3 @@ def test_wrap_angle():
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
     assert wrap_angle(0.0) == 0.0
-
-
-def test_rotate_about_matches_signed_angle():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        axis = canonical_unit(rng.standard_normal(3))
-        v = rng.standard_normal(3)
-        v -= float(v @ axis) * axis
-        v /= np.linalg.norm(v)
-        theta = rng.uniform(-math.pi, math.pi)
-        w = rotate_about(v, axis, theta)
-        assert signed_angle_about(v, w, axis) == pytest.approx(theta, abs=1e-12)
-        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
-        assert cross3(v, w) @ axis == pytest.approx(math.sin(theta), abs=1e-12)

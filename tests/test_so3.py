@@ -11,6 +11,7 @@ from oracles import (
     quaternion_matrix,
     rotation_from_matrix_eig,
     rotation_matrix,
+    rotation_matrix_distance,
     same_axis_angle,
     so3_word_matrix,
 )
@@ -27,7 +28,6 @@ from mirrorwords.so3 import (
     normalize_word,
     projective_representative,
     quaternion_distance,
-    quaternion_from_matrix,
     quaternion_to_rotation,
     replay_moves,
     rotation,
@@ -286,7 +286,7 @@ def test_quaternion_composition_matches_matrices():
         r2 = sampling.random_rotation(rng)
         q = rotation_to_quaternion(r2) * rotation_to_quaternion(r1)
         M = rotation_matrix(r2) @ rotation_matrix(r1)
-        assert quaternion_distance(q, quaternion_from_matrix(M)) <= 1e-9
+        assert rotation_matrix_distance(quaternion_matrix(q), M) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from mirrorwords.sphere import (
     compose_reflections,
     normalize_word,
     oracle_distance,
-    pencil_completion,
     replay_moves,
     word_oracle,
     word_to_matrix,
@@ -97,21 +96,29 @@ def test_compose_matches_matrix_oracle():
         np.testing.assert_allclose(M, sphere_word_matrix([l, m]), atol=1e-9)
 
 
+def turned(l, m, l2):
+    """The m2 with (l, m) ~ (l2, m2) in one pencil: l2's pole by so3.pencil_turn."""
+    return GreatCircle(so3.pencil_turn(l.values, m.values, l2.values))
+
+
 def test_pencil_completion_longitudes():
-    m2 = pencil_completion(longitude(0), longitude(30), longitude(45))
+    m2 = turned(longitude(0), longitude(30), longitude(45))
     assert coincident(m2, longitude(75))
-    m3 = pencil_completion(longitude(0), longitude(90), longitude(10))
+    m3 = turned(longitude(0), longitude(90), longitude(10))
     assert coincident(m3, longitude(100))
 
 
 def test_pencil_completion_coincident_pair():
     l, l2 = longitude(13), longitude(77)
-    assert pencil_completion(l, l, l2) == l2
+    assert coincident(turned(l, l, l2), l2)
 
 
 def test_pencil_completion_rejects_outsiders():
+    # the four-step checks each circle it turns against the pair's common axis
+    axis = so3._common_axis(longitude(0), longitude(30))
+    so3._check_concurrent(longitude(45), axis)
     with pytest.raises(NotConcurrent):
-        pencil_completion(longitude(0), longitude(30), EQUATOR)
+        so3._check_concurrent(EQUATOR, axis)
 
 
 def test_pencil_completion_angle_equalities():
@@ -120,14 +127,13 @@ def test_pencil_completion_angle_equalities():
         l, m = sampling.random_circle(rng), sampling.random_circle(rng)
         if coincident(l, m):
             continue
+        from mirrorwords.so3 import rotation
+
         axis = np.cross(l.pole, m.pole)
-        axis /= np.linalg.norm(axis)
         theta = rng.uniform(0, math.pi)
         # a circle through the same intersection pair
-        from mirrorwords.numerics import rotate_about
-
-        l2 = GreatCircle(rotate_about(l.pole, axis, theta))
-        m2 = pencil_completion(l, m, l2)
+        l2 = GreatCircle(rotation_matrix(rotation(axis, theta)) @ l.pole)
+        m2 = turned(l, m, l2)
         assert angle_between_directions(l.pole, m.pole) == pytest.approx(
             angle_between_directions(l2.pole, m2.pole), abs=1e-9
         )
