@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import so3
 from .numerics import (
     EPS_COINCIDE,
     DegenerateArc,
     DegenerateInput,
-    canonical_unit,
+    canonical_unit3,
     components_n,
     cross3,
     dot3,
@@ -30,27 +28,27 @@ from .numerics import (
 _ANCHOR = (1.0, 0.0, 0.0)
 
 
-def _unit_point(p) -> np.ndarray:
+def _unit_point(p) -> tuple[float, float, float]:
     c = components_n(p)
     if len(c) != 3:
         raise DegenerateInput(f"a point on the sphere needs exactly three coordinates: {p!r}")
-    a = np.array(unit_n(c))
-    a.flags.writeable = False
-    return a
+    return tuple(unit_n(c))
 
 
-def _points_close(a, b) -> bool:
-    d0 = a[0] - b[0]
-    d1 = a[1] - b[1]
-    d2 = a[2] - b[2]
+def _points_close(a, b, sign: float = 1.0) -> bool:
+    """|a - sign b| <= EPS_COINCIDE; sign -1.0 tests for antipodal points."""
+    d0 = a[0] - sign * b[0]
+    d1 = a[1] - sign * b[1]
+    d2 = a[2] - sign * b[2]
     return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= EPS_COINCIDE
 
 
 class Arc:
     """Directed arc on a great circle; tail and head must not be antipodal.
 
-    The antipodal configuration would encode a full turn, i.e. the
-    identity, whose canonical arc is the degenerate one with tail == head.
+    The endpoints are unit 3-vectors as float tuples. The antipodal
+    configuration would encode a full turn, i.e. the identity, whose
+    canonical arc is the degenerate one with tail == head.
     """
 
     __slots__ = ("tail", "head")
@@ -58,7 +56,7 @@ class Arc:
     def __init__(self, tail, head):
         t = _unit_point(tail)
         h = _unit_point(head)
-        if _points_close(t, -h):
+        if _points_close(t, h, -1.0):
             raise DegenerateArc("antipodal endpoints encode the identity; use tail == head")
         self.tail = t
         self.head = h
@@ -67,16 +65,16 @@ class Arc:
     def is_identity(self) -> bool:
         return _points_close(self.tail, self.head)
 
-    def circle_axis(self) -> np.ndarray:
+    def circle_axis(self) -> tuple[float, float, float]:
         """Unit axis of the arc's great circle, oriented tail towards head."""
         c = cross3(self.tail, self.head)
         n = norm3(c)
         if n <= EPS_COINCIDE:
             raise DegenerateArc("the degenerate arc lies on no unique great circle")
-        return np.asarray(c) / n
+        return c[0] / n, c[1] / n, c[2] / n
 
     def __repr__(self):
-        return f"Arc({self.tail.tolist()!r}, {self.head.tolist()!r})"
+        return f"Arc({list(self.tail)!r}, {list(self.head)!r})"
 
 
 def identity_arc() -> Arc:
@@ -116,14 +114,13 @@ def antipode_head(arc: Arc) -> Arc:
     """Replace the head by its antipodal point; an involution on arcs."""
     if arc.is_identity:
         raise DegenerateArc("the identity arc has no antipodal-head variant")
-    return Arc(arc.tail, -arc.head)
+    return Arc(arc.tail, tuple(-x for x in arc.head))
 
 
 def _closing_arc(a, d) -> Arc:
     # the closing pair may degenerate two ways: same point (zero rotation)
     # or antipodal points (the two boundary lines coincide, a full turn)
-    d = np.asarray(d)
-    if _points_close(a, d) or _points_close(a, -d):
+    if _points_close(a, d) or _points_close(a, d, -1.0):
         return Arc(a, a)
     return Arc(a, d)
 
@@ -148,7 +145,7 @@ def triangle_compose(u: Arc, v: Arc) -> Arc:
     if norm3(link) <= EPS_COINCIDE:
         # same great circle: bring v's tail onto u's head
         return _closing_arc(u.tail, so3.pencil_turn(v.tail, u.head, v.head))
-    meet = canonical_unit(link)
+    meet = canonical_unit3(*link)
     tail = so3.pencil_turn(u.head, meet, u.tail)
     head = so3.pencil_turn(v.tail, meet, v.head)
     return _closing_arc(tail, head)

@@ -263,23 +263,6 @@ def spectral_split(M) -> SpectralSplit:
     return SpectralSplit(n, tuple(blocks))
 
 
-def reassemble(split: SpectralSplit) -> np.ndarray:
-    """Rebuild the orthogonal matrix from its spectral blocks."""
-    n = split.dimension
-    M = np.zeros((n, n))
-    for b in split.blocks:
-        if b.kind == "fixed":
-            M += b.basis.T @ b.basis
-        elif b.kind == "negated":
-            M -= b.basis.T @ b.basis
-        else:
-            c = math.cos(b.angle)
-            s = math.sin(b.angle)
-            R = np.array([[c, -s], [s, c]])
-            M += b.basis.T @ R @ b.basis
-    return M
-
-
 def decompose(M) -> list:
     """Write an orthogonal matrix as a word of at most n mirrors.
 

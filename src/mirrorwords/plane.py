@@ -17,7 +17,6 @@ reflections, with one formula for both kinds of pencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -133,9 +132,13 @@ def coincident(a: Line, b: Line) -> bool:
     dot = a.nx * b.nx + a.ny * b.ny
     db = b.offset if dot > 0.0 else -b.offset
     scale = 1.0 + abs(a.offset) + abs(db)
-    # capped: cancelling parallel lines leaves the translation 2|a.d - b.d|,
-    # which must stay within EPS_VERIFY / 2 however far they are from the origin
-    return abs(a.offset - db) <= min(EPS_COINCIDE * scale, EPS_VERIFY / 4)
+    # both tests scale with the distance from the origin: two lines that
+    # meet at distance D at angle |cross| are about |cross| D apart near the
+    # origin. The offset slack is capped: cancelling parallel lines leaves
+    # the translation 2|a.d - b.d|, which must stay within EPS_VERIFY / 2
+    # however far they are from the origin
+    cap = min(EPS_COINCIDE * scale, EPS_VERIFY / 4)
+    return abs(cross) * scale <= EPS_COINCIDE and abs(a.offset - db) <= cap
 
 
 def _offset_in_frame(l: Line, frame: Line) -> float:
@@ -215,34 +218,24 @@ def word_oracle(word, dim: int | None = None) -> Isometry:
 oracle_distance = isometry_distance
 
 
-@dataclass(frozen=True, eq=False)
-class Classification:
-    kind: str
-    axis: Line | None = None
-    vector: np.ndarray | None = None
-    center: np.ndarray | None = None
-    angle: float | None = None
-
-
-def compose_reflections(l: Line, m: Line) -> Classification:
+def compose_reflections(l: Line, m: Line) -> dict:
     """Classify R_m . R_l: identity, translation (parallel) or rotation (transverse).
 
     The translation moves by twice the line distance, perpendicular to the
     lines; the rotation angle is twice the signed angle from l to m about
-    the intersection point.
+    the intersection point. Lines count as parallel by coincident's scaled
+    angle test.
     """
-    if abs(_cross(l, m)) <= EPS_COINCIDE:
-        gap = _offset_in_frame(m, l) - l.offset
+    dm = _offset_in_frame(m, l)
+    if abs(_cross(l, m)) * (1.0 + abs(l.offset) + abs(dm)) <= EPS_COINCIDE:
+        gap = dm - l.offset
         if abs(gap) <= EPS_COINCIDE:
-            return Classification(IDENTITY)
+            return {"kind": IDENTITY}
         # + 0.0 makes a -0.0 component 0.0, as canonical_sign_n does for mirrors
-        return Classification(
-            TRANSLATION, vector=np.array([2.0 * gap * l.nx + 0.0, 2.0 * gap * l.ny + 0.0])
-        )
+        return {"kind": TRANSLATION, "vector": [2.0 * gap * l.nx + 0.0, 2.0 * gap * l.ny + 0.0]}
     x, y, w = _meet(l, m)
-    return Classification(
-        ROTATION, center=np.array([x / w + 0.0, y / w + 0.0]), angle=2.0 * _signed_gap(l, m)
-    )
+    center = [x / w + 0.0, y / w + 0.0]
+    return {"kind": ROTATION, "center": center, "angle": 2.0 * _signed_gap(l, m)}
 
 
 def pencil_completion(l: Line, m: Line, l2: Line) -> Line:
@@ -360,49 +353,37 @@ def normalize_word(word, trace: list | None = None, dim: int | None = None) -> l
     return normalize(word, coincident, _reduce_leading_four, 3, trace)
 
 
-def classify_word(word) -> Classification:
+def classification_json(word, dim: int | None = None) -> dict:
     """Normalize and classify: identity, reflection, translation, rotation or glide.
 
     Length three is split into reflection vs. glide by extracting the
-    invariant axis from the oracle matrix: the linear part of an odd word
+    invariant axis from the oracle map: the linear part of an odd word
     is I - 2uu^T, the axis is the line {u.x = d} with d = u.t/2, and the
     glide vector is the component of the translation along the axis.
     """
     w = normalize_word(word)
     if len(w) == 0:
-        return Classification(IDENTITY)
+        return {"kind": IDENTITY}
     if len(w) == 1:
-        return Classification(REFLECTION, axis=w[0])
+        return {"kind": REFLECTION, "axis": mirror_json(w[0])}
     if len(w) == 2:
         return compose_reflections(w[0], w[1])
-    iso = word_to_isometry(w)
-    B = (np.eye(2) - iso.linear) / 2.0  # = uu^T
-    if B[0, 0] >= B[1, 1]:
-        u = np.array([B[0, 0], B[1, 0]])
+    a00, a01, a10, a11, t0, t1 = word_to_isometry(w)
+    # the column of (I - linear) / 2 = uu^T with the larger diagonal entry
+    b00 = (1.0 - a00) / 2.0
+    b11 = (1.0 - a11) / 2.0
+    if b00 >= b11:
+        ux, uy = b00, (0.0 - a10) / 2.0
     else:
-        u = np.array([B[0, 1], B[1, 1]])
-    u /= math.hypot(u[0], u[1])
-    t = iso.translation
-    d = (u[0] * t[0] + u[1] * t[1]) / 2.0
-    g = -u[1] * t[0] + u[0] * t[1]
-    axis = Line(u, d)
+        ux, uy = (0.0 - a01) / 2.0, b11
+    h = math.hypot(ux, uy)
+    ux, uy = ux / h, uy / h
+    d = (ux * t0 + uy * t1) / 2.0
+    g = -uy * t0 + ux * t1
+    axis = mirror_json(Line((ux, uy), d))
     if abs(g) <= EPS_COINCIDE:
-        return Classification(REFLECTION, axis=axis)
-    return Classification(GLIDE, axis=axis, vector=np.array([-g * u[1] + 0.0, g * u[0] + 0.0]))
-
-
-def classification_json(word, dim: int | None = None) -> dict:
-    c = classify_word(word)
-    out = {"kind": c.kind}
-    if c.axis is not None:
-        out["axis"] = mirror_json(c.axis)
-    if c.vector is not None:
-        out["vector"] = list(c.vector)
-    if c.center is not None:
-        out["center"] = list(c.center)
-    if c.angle is not None:
-        out["angle"] = c.angle
-    return out
+        return {"kind": REFLECTION, "axis": axis}
+    return {"kind": GLIDE, "axis": axis, "vector": [-g * uy + 0.0, g * ux + 0.0]}
 
 
 def replay_moves(word, moves) -> list:

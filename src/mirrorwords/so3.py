@@ -75,10 +75,11 @@ coincident = coincident3
 class Rotation:
     """Axis-angle rotation; axis has canonical sign, angle lies in (-pi, pi].
 
+    The axis is a unit 3-vector as a float tuple, like a mirror's `values`.
     The identity is the canonical pair (axis (0,0,1), angle 0).
     """
 
-    axis: np.ndarray
+    axis: tuple[float, float, float]
     angle: float
 
     @property
@@ -86,7 +87,7 @@ class Rotation:
         return self.angle == 0.0
 
 
-IDENTITY_ROTATION = Rotation(np.array([0.0, 0.0, 1.0]), 0.0)
+IDENTITY_ROTATION = Rotation((0.0, 0.0, 1.0), 0.0)
 
 
 def rotation(axis, angle: float) -> Rotation:
@@ -105,7 +106,7 @@ def rotation(axis, angle: float) -> Rotation:
     u = canonical_unit3(*components3(axis))
     if dot3(u, axis) < 0.0:
         a = wrap_angle(-a)
-    return Rotation(np.array(u), a)
+    return Rotation(u, a)
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,6 @@ class Quaternion:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
 
-IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
-
-
 def word_to_quaternion(word) -> Quaternion:
     return Quaternion(*kernels.line_word_quaternion(a.values for a in word))
 
@@ -141,12 +139,6 @@ def word_to_quaternion(word) -> Quaternion:
 def word_oracle(word, dim: int | None = None) -> Quaternion:
     # looked up at call time: perfbench's traced run wraps `word_to_quaternion`
     return word_to_quaternion(word)
-
-
-def rotation_to_quaternion(r: Rotation) -> Quaternion:
-    h = r.angle / 2.0
-    s = math.sin(h)
-    return Quaternion(math.cos(h), s * r.axis[0], s * r.axis[1], s * r.axis[2])
 
 
 def quaternion_to_rotation(q: Quaternion) -> Rotation:

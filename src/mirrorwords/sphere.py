@@ -11,7 +11,6 @@ shared with SO(3), whose half-turns are negated circle reflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -95,21 +94,13 @@ def oracle_distance(A, B) -> float:
     return so3.rotation_angle(R)
 
 
-@dataclass(frozen=True, eq=False)
-class Classification:
-    kind: str
-    circle: GreatCircle | None = None
-    axis: np.ndarray | None = None
-    angle: float | None = None
-
-
-def compose_reflections(l: GreatCircle, m: GreatCircle) -> Classification:
+def compose_reflections(l: GreatCircle, m: GreatCircle) -> dict:
     """R_m . R_l: identity when the circles coincide, else a rotation about
     their intersection pair by twice the dihedral angle."""
     r = so3.twice_angle_rotation(l.values, m.values)
     if r.is_identity:
-        return Classification(IDENTITY)
-    return Classification(ROTATION, axis=r.axis, angle=r.angle)
+        return {"kind": IDENTITY}
+    return {"kind": ROTATION, "axis": list(r.axis), "angle": r.angle}
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
@@ -117,7 +108,7 @@ def normalize_word(word, trace: list | None = None, dim: int | None = None) -> l
     return normalize(word, coincident, partial(so3.reduce_leading_four, same=coincident), 3, trace)
 
 
-def classify_word(word) -> Classification:
+def classification_json(word, dim: int | None = None) -> dict:
     """Normalize and classify: identity, reflection, rotation or glide reflection.
 
     An odd word is a rotoreflection M = Rot(u, psi) . S(u) with S the
@@ -128,29 +119,17 @@ def classify_word(word) -> Classification:
     """
     w = normalize_word(word)
     if len(w) == 0:
-        return Classification(IDENTITY)
+        return {"kind": IDENTITY}
     if len(w) == 1:
-        return Classification(REFLECTION, circle=w[0])
+        return {"kind": REFLECTION, "circle": mirror_json(w[0])}
     if len(w) == 2:
         return compose_reflections(w[0], w[1])
     q = kernels.line_word_quaternion([c.values for c in w])
     r = so3.quaternion_to_rotation(so3.Quaternion(*q))
     psi = wrap_angle(r.angle - math.pi)
     if abs(psi) <= EPS_COINCIDE:
-        return Classification(REFLECTION, circle=GreatCircle(r.axis))
-    return Classification(GLIDE, axis=r.axis, angle=psi)
-
-
-def classification_json(word, dim: int | None = None) -> dict:
-    c = classify_word(word)
-    out = {"kind": c.kind}
-    if c.circle is not None:
-        out["circle"] = mirror_json(c.circle)
-    if c.axis is not None:
-        out["axis"] = list(c.axis)
-    if c.angle is not None:
-        out["angle"] = c.angle
-    return out
+        return {"kind": REFLECTION, "circle": mirror_json(GreatCircle(r.axis))}
+    return {"kind": GLIDE, "axis": list(r.axis), "angle": psi}
 
 
 def replay_moves(word, moves) -> list:

@@ -2,11 +2,41 @@
 
 These deliberately avoid the library's own code paths: affine maps are
 composed with plain numpy, classification reads numpy eigendecompositions.
+Two converters that only tests need live here too: a rotation's quaternion
+and the matrix rebuilt from an O(n) spectral split.
 """
 
 import math
 
 import numpy as np
+
+from mirrorwords.so3 import Quaternion
+
+IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
+
+
+def rotation_to_quaternion(r):
+    """The unit quaternion of an (axis, angle) rotation."""
+    h = r.angle / 2.0
+    s = math.sin(h)
+    return Quaternion(math.cos(h), s * r.axis[0], s * r.axis[1], s * r.axis[2])
+
+
+def reassemble(split):
+    """Rebuild the orthogonal matrix from its spectral blocks."""
+    n = split.dimension
+    M = np.zeros((n, n))
+    for b in split.blocks:
+        if b.kind == "fixed":
+            M += b.basis.T @ b.basis
+        elif b.kind == "negated":
+            M -= b.basis.T @ b.basis
+        else:
+            c = math.cos(b.angle)
+            s = math.sin(b.angle)
+            R = np.array([[c, -s], [s, c]])
+            M += b.basis.T @ R @ b.basis
+    return M
 
 
 def plane_mirror_map(normal, offset):

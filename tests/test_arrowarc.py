@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import same_axis_angle
+from oracles import rotation_to_quaternion, same_axis_angle
 from mirrorwords import sampling
 from mirrorwords.arrowarc import (
     Arc,
@@ -18,12 +18,8 @@ from mirrorwords.arrowarc import (
     slide,
     triangle_compose,
 )
-from mirrorwords.numerics import DegenerateArc, DegenerateInput, canonical_unit, cross3
-from mirrorwords.so3 import (
-    quaternion_distance,
-    rotation,
-    rotation_to_quaternion,
-)
+from mirrorwords.numerics import DegenerateArc, DegenerateInput, canonical_unit, cross3, dot3
+from mirrorwords.so3 import quaternion_distance, rotation
 
 SQ2 = math.sqrt(2) / 2
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,8 +108,8 @@ def test_arc_lies_on_polar_circle():
         if r.is_identity:
             continue
         arc = rotation_to_arc(r)
-        assert abs(float(arc.tail @ r.axis)) <= 1e-9
-        assert abs(float(arc.head @ r.axis)) <= 1e-9
+        assert abs(dot3(arc.tail, r.axis)) <= 1e-9
+        assert abs(dot3(arc.head, r.axis)) <= 1e-9
 
 
 def test_slide_examples():
@@ -155,7 +151,7 @@ def test_slide_and_rotation_to_arc_turn_about_the_axis():
         r = rotation(canonical_unit(rng.standard_normal(3)), rng.uniform(-math.pi, math.pi))
         arc = rotation_to_arc(r)
         assert np.linalg.norm(arc.head) == pytest.approx(1.0, abs=1e-12)
-        assert cross3(arc.tail, arc.head) @ r.axis == pytest.approx(
+        assert dot3(cross3(arc.tail, arc.head), r.axis) == pytest.approx(
             math.sin(r.angle / 2.0), abs=1e-12
         )
 
@@ -164,8 +160,8 @@ def test_slide_and_rotation_to_arc_turn_about_the_axis():
         axis = arc.circle_axis()
         for before, after in ((arc.tail, out.tail), (arc.head, out.head)):
             assert np.linalg.norm(after) == pytest.approx(1.0, abs=1e-12)
-            assert cross3(before, after) @ axis == pytest.approx(math.sin(delta), abs=1e-12)
-            assert before @ after == pytest.approx(math.cos(delta), abs=1e-12)
+            assert dot3(cross3(before, after), axis) == pytest.approx(math.sin(delta), abs=1e-12)
+            assert dot3(before, after) == pytest.approx(math.cos(delta), abs=1e-12)
 
 
 def test_antipode_head_example():

@@ -245,6 +245,13 @@ def test_pretty_parse_round_trip_is_fixed_point():
         ("normalize_sphere_antipodal", ["normalize", "S2: refl(circle(1,0,0)) * refl(circle(0,1,0)) * refl(circle(0,0,1))", "--trace"]),
         ("verify_on5_json", ["verify", "--group", "on", "--dim", "5", "--json"]),
         ("verify_s2", ["verify", "--group", "s2"]),
+        ("arc_so3_json", ["arc", "SO3: refl(axis(1,2,2)) * refl(axis(0,0,1))", "--json"]),
+        ("classify_s2_rotation_json", ["classify", "S2: refl(circle(1,0,0)) * refl(circle(0,1,1))", "--json"]),
+        (
+            "classify_s2_reflection_json",
+            ["classify", "S2: refl(circle(1,0,0)) * refl(circle(0,1,0)) * refl(circle(1,0,0))", "--json"],
+        ),
+        ("classify_e2_rotation_json", ["classify", "E2: refl(line(1,1,0)) * refl(line(1,0,2))", "--json"]),
     ],
 )
 def test_golden_outputs(name, args):
@@ -296,6 +303,20 @@ def test_distinct_parallel_lines_far_from_the_origin_do_not_cancel():
     assert len(payload["normalized"]["mirrors"]) == 2
     assert payload["classification"]["kind"] == "translation"
     assert payload["residual"] <= 1e-8
+
+
+def test_lines_meeting_far_from_the_origin_at_a_tiny_angle_do_not_cancel():
+    # a rotation by 1.8e-9 about (1e6, 0) moves the origin by 1.8e-3: the
+    # lines' angle test scales with their distance, as the offset test does
+    expression = "E2: refl(line(1,0,1000000)) * refl(line(1,0.0000000009,1000000))"
+    result = run_cli("normalize", expression, "--json")
+    assert result.returncode == 0, result.stdout
+    payload = json.loads(result.stdout)
+    assert len(payload["normalized"]["mirrors"]) == 2
+    assert payload["residual"] == 0.0
+    classified = run_cli("classify", expression)
+    assert classified.returncode == 0, classified.stderr
+    assert "classification: rotation about (1000000, 0) by -1.8e-09\n" in classified.stdout
 
 
 def test_non_finite_mirror_is_a_usage_error():

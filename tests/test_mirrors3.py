@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorwords import kernels, numerics, orthon, plane, sampling, so3, sphere
+from mirrorwords import arrowarc, kernels, numerics, orthon, plane, sampling, so3, sphere
 from mirrorwords.numerics import DegenerateInput
 
 MIRRORS3 = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
@@ -113,10 +113,11 @@ def test_oracle_gathers_read_the_floats():
     np.testing.assert_allclose(sphere.word_to_matrix(circles), expected, rtol=0, atol=1e-14)
 
 
-# Functions of the E2, S2, SO(3) and O(n) rewrite paths, which compute on
-# plain floats. Reading a mirror's array property builds an array, so it
-# counts as a numpy call too. The one exception is the SVD that finds the
-# O(n) head's linear dependency, once per reduction.
+# Functions of the E2, S2, SO(3) and O(n) rewrite paths, and of the
+# classifiers, 3-space rotations and arcs that read their results, which
+# compute on plain floats. Reading a mirror's array property builds an
+# array, so it counts as a numpy call too. The one exception is the SVD
+# that finds the O(n) head's linear dependency, once per reduction.
 FLOAT_PATH = {
     orthon: [
         "coincident",
@@ -128,6 +129,10 @@ FLOAT_PATH = {
         "validate_move",
     ],
     so3: [
+        "rotation",
+        "twice_angle_rotation",
+        "quaternion_to_rotation",
+        "word_to_rotation",
         "probe_perpendicular",
         "split_reflection",
         "pencil_turn",
@@ -144,6 +149,18 @@ FLOAT_PATH = {
         "verify_pencil_relation",
         "_join",
         "_reduce_leading_four",
+        "compose_reflections",
+        "classification_json",
+    ],
+    sphere: ["compose_reflections", "classification_json"],
+    arrowarc: [
+        "Arc.__init__",
+        "Arc.circle_axis",
+        "_unit_point",
+        "rotation_to_arc",
+        "slide",
+        "antipode_head",
+        "triangle_compose",
     ],
     numerics: [
         "Direction.__init__",
@@ -211,3 +228,18 @@ def test_rewrite_path_makes_no_numpy_call(module):
         assert uses == [], f"{module.__name__}.{name} uses numpy on lines {uses}"
         expected = (module, name) == (orthon, "_steer_moves")
         assert len(svds) == expected, f"{name} makes {len(svds)} SVD calls"
+
+
+def test_arrowarc_imports_no_numpy():
+    tree = ast.parse(Path(arrowarc.__file__).read_text(encoding="utf-8"))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name and name.split(".")[0] == "numpy"]
+
+
+def test_rotation_axes_and_arc_points_are_float_tuples():
+    r = so3.word_to_rotation([so3.Axis((1, 2, 2)), so3.Axis((0, 0, 1))])
+    arc = arrowarc.rotation_to_arc(r)
+    for v in (r.axis, so3.IDENTITY_ROTATION.axis, arc.tail, arc.head, arc.circle_axis()):
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is float for x in v)

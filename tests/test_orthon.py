@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import pair_product_distance, plane_singular_value
+from oracles import pair_product_distance, plane_singular_value, reassemble
 from mirrorwords import cli, kernels, moves, orthon, sampling
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
@@ -19,7 +19,6 @@ from mirrorwords.orthon import (
     Hyperplane,
     decompose,
     normalize_word,
-    reassemble,
     reduce_word,
     replay_moves,
     spectral_split,

@@ -23,10 +23,11 @@ from mirrorwords.plane import (
     ROTATION,
     TRANSLATION,
     Line,
-    classify_word,
+    classification_json,
     coincident,
     compose_reflections,
     isometry_distance,
+    mirror_json,
     normalize_word,
     pencil_completion,
     replay_moves,
@@ -153,20 +154,20 @@ def test_word_to_isometry_det_parity():
 
 def test_compose_identity():
     l = Line((1, 2), 3)
-    assert compose_reflections(l, Line((1, 2), 3)).kind == IDENTITY
+    assert compose_reflections(l, Line((1, 2), 3)) == {"kind": IDENTITY}
 
 
 def test_compose_translation():
     c = compose_reflections(vertical(0), vertical(1))
-    assert c.kind == TRANSLATION
-    np.testing.assert_allclose(c.vector, [2, 0], atol=1e-12)
+    assert c["kind"] == TRANSLATION
+    np.testing.assert_allclose(c["vector"], [2, 0], atol=1e-12)
 
 
 def test_compose_rotation():
     c = compose_reflections(X_AXIS, Line((1, -1), 0))
-    assert c.kind == ROTATION
-    np.testing.assert_allclose(c.center, [0, 0], atol=1e-12)
-    assert c.angle == pytest.approx(math.pi / 2)
+    assert c["kind"] == ROTATION
+    np.testing.assert_allclose(c["center"], [0, 0], atol=1e-12)
+    assert c["angle"] == pytest.approx(math.pi / 2)
 
 
 def test_pencil_completion_parallel():
@@ -403,9 +404,9 @@ def test_reduce_four_concurrent_rotation():
     out = normalize_word(w)
     assert len(out) == 2
     c = compose_reflections(out[0], out[1])
-    assert c.kind == ROTATION
-    np.testing.assert_allclose(c.center, [0, 0], atol=1e-9)
-    assert c.angle == pytest.approx(2 * math.pi / 3, abs=1e-9)
+    assert c["kind"] == ROTATION
+    np.testing.assert_allclose(c["center"], [0, 0], atol=1e-9)
+    assert c["angle"] == pytest.approx(2 * math.pi / 3, abs=1e-9)
 
 
 def test_reduce_four_random_oracle():
@@ -463,45 +464,45 @@ def test_trace_replay_reproduces_normal_form():
 
 
 def test_classify_single_mirror():
-    c = classify_word([X_AXIS])
-    assert c.kind == REFLECTION
-    assert c.axis == X_AXIS
+    c = classification_json([X_AXIS])
+    assert c == {"kind": REFLECTION, "axis": mirror_json(X_AXIS)}
 
 
 def test_classify_translation():
-    c = classify_word([vertical(0), vertical(1)])
-    assert c.kind == TRANSLATION
-    np.testing.assert_allclose(c.vector, [2, 0], atol=1e-12)
+    c = classification_json([vertical(0), vertical(1)])
+    assert c["kind"] == TRANSLATION
+    np.testing.assert_allclose(c["vector"], [2, 0], atol=1e-12)
 
 
 def test_classify_glide_example():
     # x-axis, then the diagonal y = x, then x = 3; frozen from the
     # eigen-analysis oracle: axis x - y = 3, glide vector (3, 3)
     w = [X_AXIS, Line((1, -1), 0), vertical(3)]
-    c = classify_word(w)
-    assert c.kind == GLIDE
-    assert coincident(c.axis, Line((SQ2, -SQ2), 3 * SQ2))
-    np.testing.assert_allclose(c.vector, [3, 3], atol=1e-9)
+    c = classification_json(w)
+    assert c["kind"] == GLIDE
+    axis = Line(c["axis"]["normal"], c["axis"]["offset"])
+    assert coincident(axis, Line((SQ2, -SQ2), 3 * SQ2))
+    np.testing.assert_allclose(c["vector"], [3, 3], atol=1e-9)
 
 
 def test_classify_matches_eigen_oracle():
     rng = np.random.default_rng(13)
     for _ in range(400):
         w = sampling.random_word(rng, "e2", int(rng.integers(0, 9)))
-        c = classify_word(w)
+        c = classification_json(w)
         A, t = plane_word_map(w)
         ref = classify_plane_map(A, t)
-        assert c.kind == ref[0]
-        if c.kind == TRANSLATION:
-            np.testing.assert_allclose(c.vector, ref[1], atol=1e-8)
-        elif c.kind == ROTATION:
-            np.testing.assert_allclose(c.center, ref[1], atol=1e-6)
-            assert c.angle == pytest.approx(ref[2], abs=1e-8)
-        elif c.kind == REFLECTION:
-            assert same_direction([c.axis.nx, c.axis.ny], ref[1])
-        elif c.kind == GLIDE:
-            assert same_direction([c.axis.nx, c.axis.ny], ref[1])
-            np.testing.assert_allclose(c.vector, ref[3], atol=1e-7)
+        assert c["kind"] == ref[0]
+        if c["kind"] == TRANSLATION:
+            np.testing.assert_allclose(c["vector"], ref[1], atol=1e-8)
+        elif c["kind"] == ROTATION:
+            np.testing.assert_allclose(c["center"], ref[1], atol=1e-6)
+            assert c["angle"] == pytest.approx(ref[2], abs=1e-8)
+        elif c["kind"] == REFLECTION:
+            assert same_direction(c["axis"]["normal"], ref[1])
+        elif c["kind"] == GLIDE:
+            assert same_direction(c["axis"]["normal"], ref[1])
+            np.testing.assert_allclose(c["vector"], ref[3], atol=1e-7)
 
 
 @pytest.mark.parametrize("jitter", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    IDENTITY_QUATERNION,
     householder,
     line_reflection_matrix,
     quaternion_matrix,
     rotation_from_matrix_eig,
     rotation_matrix,
     rotation_matrix_distance,
+    rotation_to_quaternion,
     same_axis_angle,
     so3_word_matrix,
 )
@@ -19,7 +21,6 @@ from mirrorwords import cli, sampling
 from mirrorwords.arrowarc import rotation_to_arc
 from mirrorwords.numerics import EPS_VERIFY, DegenerateInput, GeometryError, NotOrthogonal
 from mirrorwords.so3 import (
-    IDENTITY_QUATERNION,
     IDENTITY_ROTATION,
     Axis,
     Quaternion,
@@ -31,7 +32,6 @@ from mirrorwords.so3 import (
     quaternion_to_rotation,
     replay_moves,
     rotation,
-    rotation_to_quaternion,
     split_reflection,
     word_to_quaternion,
     word_to_rotation,
