@@ -1,0 +1,130 @@
+"""Digest of the rewrite's output on a fixed seeded corpus, one line per family.
+
+Run it before and after a change that should leave the rewrite's output
+as it is: a line that differs names a family in which a normal form, a
+trace, a residual, an error or a classification moved. Each line gives
+the family, its word count, the number of words that raised a
+GeometryError, and the first 16 hex digits of a SHA-256 over its words in
+order. A word adds the mirror values of its normal form, each move of its
+trace (kind, index and mirror values), its oracle residual and the
+`classification_json` of its normal form, or the type name of the error
+it raised. Floats enter by `repr`, so the digest changes with any bit.
+
+Families (each restarts the generator at SEED):
+  random <g> short     RANDOM_WORDS seeded words of lengths 0-12
+  random <g> long      LONG_WORDS seeded words of lengths 64-256
+  random <g> sandwich  LONG_WORDS words u.v.rev(v).w of seeded parts
+                       of lengths 0-64, whose middle cancels
+                       (g: e2, s2, so3, on2, on3, on5, on8)
+  near <g> <jitter>    perfbench's near_degenerate_word, six mirrors
+                       jittered about one direction, repeated to lengths
+                       6, 12 and 36, NEAR_WORDS words a length, as in
+                       scripts/robustness.py; S2 circles are the SO(3)
+                       axes' directions (g: e2, s2, so3, on3, on5)
+
+    python3 scripts/corpus_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from mirrorwords import cli, sampling  # noqa: E402
+from mirrorwords.numerics import GeometryError  # noqa: E402
+from mirrorwords.sphere import GreatCircle  # noqa: E402
+
+GROUPS = {
+    "e2": ("e2", 2),
+    "s2": ("s2", 3),
+    "so3": ("so3", 3),
+    "on2": ("on", 2),
+    "on3": ("on", 3),
+    "on5": ("on", 5),
+    "on8": ("on", 8),
+}
+NEAR_GROUPS = ("e2", "s2", "so3", "on3", "on5")
+JITTERS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)
+LENGTHS = (6, 12, 36)
+RANDOM_WORDS = 600
+LONG_WORDS = 20
+NEAR_WORDS = 200
+SEED = 77
+
+
+def _random_words(label: str, low: int, high: int, count: int):
+    group, dim = GROUPS[label]
+    rng = np.random.default_rng(SEED)
+    for _ in range(count):
+        yield sampling.random_word(rng, group, int(rng.integers(low, high + 1)), dim=dim)
+
+
+def _sandwiches(label: str, count: int):
+    group, dim = GROUPS[label]
+    rng = np.random.default_rng(SEED)
+    for _ in range(count):
+        u, v, w = (sampling.random_word(rng, group, int(n), dim=dim) for n in rng.integers(0, 65, 3))
+        yield u + v + v[::-1] + w
+
+
+def _near_words(label: str, jitter: float):
+    group, dim = GROUPS[label]
+    source = "so3" if group == "s2" else group
+    for length in LENGTHS:
+        rng = np.random.default_rng(SEED)
+        for _ in range(NEAR_WORDS):
+            six = workloads.near_degenerate_word(rng, source, dim, jitter)
+            if group == "s2":
+                six = [GreatCircle(a.values) for a in six]
+            yield [six[i % 6] for i in range(length)]
+
+
+def families():
+    """(name, group label, words) for every family, in output order."""
+    for label in GROUPS:
+        yield f"random {label} short", label, _random_words(label, 0, 12, RANDOM_WORDS)
+        yield f"random {label} long", label, _random_words(label, 64, 256, LONG_WORDS)
+        yield f"random {label} sandwich", label, _sandwiches(label, LONG_WORDS)
+    for label in NEAR_GROUPS:
+        for jitter in JITTERS:
+            yield f"near {label} {jitter:.0e}", label, _near_words(label, jitter)
+
+
+def record(label: str, word) -> tuple | str:
+    """What the digest reads of one word: its results, or its error's name."""
+    group, dim = GROUPS[label]
+    geometry = cli.GEOMETRIES[group]
+    trace = []
+    try:
+        out = geometry.normalize_word(word, trace, dim)
+        residual = cli.residual(group, word, out, dim)
+        classification = geometry.classification_json(out, dim)
+    except GeometryError as exc:
+        return type(exc).__name__
+    moves = tuple((m.kind, m.index, tuple(x.values for x in m.mirrors)) for m in trace)
+    return tuple(x.values for x in out), moves, residual, classification
+
+
+def main() -> int:
+    for name, label, words in families():
+        digest = hashlib.sha256()
+        count = raised = 0
+        for word in words:
+            r = record(label, word)
+            count += 1
+            raised += isinstance(r, str)
+            digest.update(repr(r).encode())
+            digest.update(b"\n")
+        print(f"{name:24s} words {count:5d}  raised {raised:4d}  sha256 {digest.hexdigest()[:16]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

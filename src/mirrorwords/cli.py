@@ -504,9 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_arc)
 
+    # reduce always lists its moves, so it takes no --trace
     p = sub.add_parser("reduce", help="run the (n+1) -> (n-1) reduction with its step trace")
     p.add_argument("expression")
-    add_common(p)
+    add_output(p)
+    p.add_argument("--tol", type=float, default=EPS_VERIFY, help="verification tolerance")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("verify", help="seeded randomized verification batch")

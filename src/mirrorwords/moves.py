@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .numerics import GeometryError
+
 INVOLUTION = "involution"  # delete an adjacent equal pair        (length -2)
 PENCIL = "pencil"          # replace an adjacent pair in-pencil   (length 0)
 POLAR_SPLIT = "polar_split"  # replace one line by an orthogonal pair (length +1)
@@ -23,36 +25,33 @@ class Move:
     mirrors: tuple = field(default=())
 
 
+# how many mirrors of the word a move of each kind replaces
+_WIDTH = {INVOLUTION: 2, PENCIL: 2, POLAR_SPLIT: 1}
+
+
 def apply_move(word, move: Move, same) -> list:
     """Apply one move to a word, returning a new list.
 
-    `same` is the mirror-coincidence predicate of the calling module. The
+    Each kind replaces the `_WIDTH` mirrors at its index by the mirrors it
+    carries, none for an involution. `same` is the mirror-coincidence
+    predicate of the calling module, read only by an involution. The
     structural preconditions are asserted here; geometric validity (pencil
     membership, product preservation) is the business of each module's
     replay checker.
     """
-    w = list(word)
-    i = move.index
-    if move.kind == INVOLUTION:
-        if not (0 <= i < len(w) - 1):
-            raise IndexError(f"involution index {i} out of range for length {len(w)}")
-        if not same(w[i], w[i + 1]):
-            raise ValueError(f"involution at {i}: mirrors do not coincide")
-        del w[i : i + 2]
-    elif move.kind == PENCIL:
-        if not (0 <= i < len(w) - 1):
-            raise IndexError(f"pencil index {i} out of range for length {len(w)}")
-        if len(move.mirrors) != 2:
-            raise ValueError("pencil move must carry exactly two mirrors")
-        w[i : i + 2] = list(move.mirrors)
-    elif move.kind == POLAR_SPLIT:
-        if not (0 <= i < len(w)):
-            raise IndexError(f"polar_split index {i} out of range for length {len(w)}")
-        if len(move.mirrors) != 2:
-            raise ValueError("polar_split move must carry exactly two mirrors")
-        w[i : i + 1] = list(move.mirrors)
-    else:
+    width = _WIDTH.get(move.kind)
+    if width is None:
         raise ValueError(f"unknown move kind {move.kind!r}")
+    i = move.index
+    if not (0 <= i <= len(word) - width):
+        raise IndexError(f"{move.kind} index {i} out of range for length {len(word)}")
+    if move.kind == INVOLUTION:
+        if not same(word[i], word[i + 1]):
+            raise ValueError(f"involution at {i}: mirrors do not coincide")
+    elif len(move.mirrors) != 2:
+        raise ValueError(f"{move.kind} move must carry exactly two mirrors")
+    w = list(word)
+    w[i : i + width] = () if move.kind == INVOLUTION else move.mirrors
     return w
 
 
@@ -64,10 +63,13 @@ def replay(word, moves, same) -> list:
     return states
 
 
-def emit(w: list, sink: list, move: Move, same) -> None:
-    """Record a move and apply it to w in place."""
+def emit(w: list, sink: list, move: Move) -> None:
+    """Record a pencil or polar-split move and apply it to w in place.
+
+    Only the rewrite loop records involutions, so no predicate is needed.
+    """
     sink.append(move)
-    w[:] = apply_move(w, move, same)
+    w[:] = apply_move(w, move, None)
 
 
 def _cancel_onto(stack: list, mirrors, same, sink: list) -> None:
@@ -95,8 +97,10 @@ def normalize(word, same, reduce_leading, target: int, sink: list | None = None)
     with the word length.
 
     Contract with the step: the head it gets is freely reduced, so no two
-    adjacent mirrors of it coincide, and it need not cancel a coincident
-    pair it leaves behind, since this loop cancels the result again.
+    adjacent mirrors of it coincide. It records only pencil and polar-split
+    moves and leaves a coincident pair, which this loop cancels with the
+    rest of the result; a head still longer than `target` after that means
+    the step broke the contract, and GeometryError is raised.
     """
     if sink is None:
         sink = []
@@ -111,6 +115,8 @@ def normalize(word, same, reduce_leading, target: int, sink: list | None = None)
         reduce_leading(head, sink)
         reduced, head = head, []
         _cancel_onto(head, reduced, same, sink)
+        if len(head) > target:
+            raise GeometryError("reduction step left no coincident pair")
         while head and rest and same(head[-1], rest[-1]):
             sink.append(Move(INVOLUTION, len(head) - 1))
             head.pop()

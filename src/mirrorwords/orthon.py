@@ -296,8 +296,8 @@ def _product_difference(x, v, e1, p) -> list:
     return [a - b for a, b in zip(p, _reflect(x, _reflect(v, _reflect(e1, p))))]
 
 
-def _steer_moves(w: list, sink: list) -> None:
-    """Cancel two mirrors of the n+1 in w by pencil steering.
+def _steer_moves(w: list, sink: list) -> int:
+    """Steer two of the n+1 mirrors in w onto each other; return the pair's index.
 
     No two adjacent mirrors of w coincide (the rewrite loop's contract).
     The n+1 normals obey one linear dependency sum c_i v_i = 0, found as
@@ -305,8 +305,9 @@ def _steer_moves(w: list, sink: list) -> None:
     pencil move rotates the pair (s, s+1) so that its second mirror is
     x ~ c_s v_s + c_{s+1} v_{s+1}, which lies in the span of the normals
     after it; x carries the pair's share of the dependency to the right
-    until two adjacent mirrors coincide. The first mirror of the pair is
-    read off the product: H_x H_v H_e1 is the reflection in it.
+    until two adjacent mirrors coincide; the caller cancels them. The
+    first mirror of the pair is read off the product: H_x H_v H_e1 is the
+    reflection in it. Records pencil moves only.
     """
     c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
     s = 0
@@ -343,12 +344,11 @@ def _steer_moves(w: list, sink: list) -> None:
             q2 = dot_n(r2, r2)
             if q < q2:
                 u_s, q = r2, q2
-        emit(w, sink, Move(PENCIL, s, (Hyperplane.from_square(u_s, q), x)), coincident)
+        emit(w, sink, Move(PENCIL, s, (Hyperplane.from_square(u_s, q), x)))
         s += 1
         # only a pencil move can have made the next pair coincide
         if coincident(w[s], w[s + 1]):
-            emit(w, sink, Move(INVOLUTION, s), coincident)
-            return
+            return s
 
 
 def reduce_word(word, trace: list | None = None, dim: int | None = None) -> list:
@@ -361,10 +361,11 @@ def reduce_word(word, trace: list | None = None, dim: int | None = None) -> list
     # a raw word may hold a coincident pair, which steering must not get
     for i in range(n):
         if coincident(w[i], w[i + 1]):
-            emit(w, sink, Move(INVOLUTION, i), coincident)
             break
     else:
-        _steer_moves(w, sink)
+        i = _steer_moves(w, sink)
+    sink.append(Move(INVOLUTION, i))
+    del w[i : i + 2]
     if trace is not None:
         trace.extend(sink)
     return w

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .moves import INVOLUTION, PENCIL, Move, emit, normalize, replay
+from .moves import PENCIL, Move, emit, normalize, replay
 # perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
 from .moves import apply_move  # noqa: F401
 from .numerics import (
@@ -305,16 +305,16 @@ def _join(k: Line, l: Line, m: Line, n: Line) -> tuple[float, float, float] | No
 
 
 def _reduce_leading_four(w: list, sink: list) -> None:
-    """Rewrite the leading four mirrors of w down to two, recording moves.
+    """Turn the leading four mirrors of w so that two neighbours coincide.
 
     A pair's pencil is a projective point: the meet of its two lines, at
     infinity for a parallel pair. Both pairs are turned in their pencils
-    onto the join of the two points, which then cancels. When the points
-    are one, (m, n) is turned onto l instead. When the join is the line at
-    infinity (two parallel pairs of different directions), or too far out
-    to carry a mirror, the middle pair is first turned by a right angle
-    about its own meet, once, which brings both points near. The rewrite
-    loop hands over a freely reduced head.
+    onto the join of the two points, which the rewrite loop then cancels.
+    When the points are one, (m, n) is turned onto l instead. When the join
+    is the line at infinity (two parallel pairs of different directions),
+    or too far out to carry a mirror, the middle pair is first turned by a
+    right angle about its own meet, once, which brings both points near.
+    The head it gets is freely reduced; it records pencil moves only.
     """
     k, l, m, n = w[0], w[1], w[2], w[3]
     join = _join(k, l, m, n)
@@ -332,20 +332,18 @@ def _reduce_leading_four(w: list, sink: list) -> None:
         # product keeps its centre and angle
         l = Line((-l.ny, l.nx), (l.nx * y - l.ny * x) / s)
         m = Line((-m.ny, m.nx), (m.nx * y - m.ny * x) / s)
-        emit(w, sink, Move(PENCIL, 1, (l, m)), coincident)
+        emit(w, sink, Move(PENCIL, 1, (l, m)))
         join = _join(k, l, m, n)
     h = 0.0 if join is None else math.hypot(join[0], join[1])
     if h == 0.0:
         # one pencil: turn (m, n) so that m lands on l
-        emit(w, sink, Move(PENCIL, 2, (l, pencil_completion(m, n, l))), coincident)
-        emit(w, sink, Move(INVOLUTION, 1), coincident)
+        emit(w, sink, Move(PENCIL, 2, (l, pencil_completion(m, n, l))))
         return
     # divided here, not in Line: a join 1e9 or more from the origin has a
     # normal part under Line's EPS_COINCIDE floor as a unit 3-vector
     mid = Line((join[0] / h, join[1] / h), -join[2] / h)
-    emit(w, sink, Move(PENCIL, 0, (pencil_completion(l, k, mid), mid)), coincident)
-    emit(w, sink, Move(PENCIL, 2, (mid, pencil_completion(m, n, mid))), coincident)
-    emit(w, sink, Move(INVOLUTION, 1), coincident)
+    emit(w, sink, Move(PENCIL, 0, (pencil_completion(l, k, mid), mid)))
+    emit(w, sink, Move(PENCIL, 2, (mid, pencil_completion(m, n, mid))))
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:

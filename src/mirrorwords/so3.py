@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import kernels
-from .moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move, emit, normalize, replay
+from .moves import PENCIL, POLAR_SPLIT, Move, emit, normalize, replay
 # perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
 from .moves import apply_move  # noqa: F401
 from .numerics import (
@@ -246,14 +245,14 @@ def _check_concurrent(mirror, axis) -> None:
         raise NotConcurrent("third mirror misses the pencil's common axis")
 
 
-def reduce_leading_four(w: list, sink: list, same) -> None:
-    """Rewrite the leading four mirrors of w down to two, recording moves.
+def reduce_leading_four(w: list, sink: list) -> None:
+    """Turn the leading four mirrors of w so that two neighbours coincide.
 
     The step of both sphere.GreatCircle and Axis words, whose class it
-    reads from w; `same` is the calling module's coincidence predicate.
-    Both pairs are turned in their pencils onto the mirror through both
-    common axes (direction axis_kl x axis_mn), which then cancels. The
-    rewrite loop hands over a freely reduced head.
+    reads from w. Both pairs are turned in their pencils onto the mirror
+    through both common axes (direction axis_kl x axis_mn), which the
+    rewrite loop then cancels. The head it gets is freely reduced; it
+    records pencil moves only.
     """
     k, l, m, n = w[0], w[1], w[2], w[3]
     cls = type(k)
@@ -263,39 +262,36 @@ def reduce_leading_four(w: list, sink: list, same) -> None:
     if norm3(link) <= EPS_COINCIDE:
         # both pairs share one pencil: turn (m, n) so that m lands on l
         n2 = cls(pencil_turn(m.values, l.values, n.values))
-        emit(w, sink, Move(PENCIL, 2, (l, n2)), same)
-        emit(w, sink, Move(INVOLUTION, 1), same)
+        emit(w, sink, Move(PENCIL, 2, (l, n2)))
         return
 
     # the mirror through both common axes
     mid = cls(link)
     _check_concurrent(mid, axis_kl)
     k2 = cls(pencil_turn(l.values, k.values, mid.values))
-    emit(w, sink, Move(PENCIL, 0, (k2, mid)), same)
+    emit(w, sink, Move(PENCIL, 0, (k2, mid)))
     _check_concurrent(mid, axis_mn)
     n2 = cls(pencil_turn(m.values, n.values, mid.values))
-    emit(w, sink, Move(PENCIL, 2, (mid, n2)), same)
-    emit(w, sink, Move(INVOLUTION, 1), same)
+    emit(w, sink, Move(PENCIL, 2, (mid, n2)))
 
 
 def _reduce_leading_three(w: list, sink: list) -> None:
-    """Rewrite the leading three lines of w down to two, recording moves.
+    """Turn the leading three lines of w so that two neighbours coincide.
 
     Splits the first line into an orthogonal pair whose second member lies
-    in the plane of the other two, then collapses the coplanar triple by a
-    pencil move and an involution. The rewrite loop hands over a freely
-    reduced head and cancels the two lines left if they coincide.
+    in the plane of the other two, then turns the coplanar triple by a
+    pencil move so that the pair (b, b) is left for the rewrite loop to
+    cancel. The head it gets is freely reduced.
     """
     k, l, m = w[0], w[1], w[2]
     plane_normal = canonical_unit3(*cross3(l.values, m.values))
     b, c = split_reflection(k, plane_normal)
     # R_k = R_c . R_b = R_b . R_c (orthogonal pair), insert as [c, b]
     # so the coplanar triple (b, l, m) sits adjacently
-    emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)), coincident)
+    emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)))
     # turn the pair (l, m), now at positions 2 and 3, so that l lands on b
     m2_new = Axis(pencil_turn(w[2].values, b.values, w[3].values))
-    emit(w, sink, Move(PENCIL, 2, (b, m2_new)), coincident)
-    emit(w, sink, Move(INVOLUTION, 1), coincident)
+    emit(w, sink, Move(PENCIL, 2, (b, m2_new)))
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
@@ -305,7 +301,7 @@ def normalize_word(word, trace: list | None = None, dim: int | None = None) -> l
     lines, then the three-to-two step on what is left. The second pass
     gets the whole current word, so its trace indices stay valid.
     """
-    w = normalize(word, coincident, partial(reduce_leading_four, same=coincident), 3, trace)
+    w = normalize(word, coincident, reduce_leading_four, 3, trace)
     return normalize(w, coincident, _reduce_leading_three, 2, trace)
 
 

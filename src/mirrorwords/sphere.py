@@ -11,7 +11,6 @@ shared with SO(3), whose half-turns are negated circle reflections.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -105,7 +104,7 @@ def compose_reflections(l: GreatCircle, m: GreatCircle) -> dict:
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:
     """Rewrite a word to length at most 3 (2 for even length), oracle-equal."""
-    return normalize(word, coincident, partial(so3.reduce_leading_four, same=coincident), 3, trace)
+    return normalize(word, coincident, so3.reduce_leading_four, 3, trace)
 
 
 def classification_json(word, dim: int | None = None) -> dict:

@@ -450,11 +450,20 @@ def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys):
     assert cli.main([*command, "--tol", "0"]) in (0, 1)
 
 
-@pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--trace"]])
-def test_classify_rejects_the_rewriting_options(option, capsys):
-    # classify checks no residual and lists no steps: argparse refuses both
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["classify", "E2: refl(line(1,0,1)) * refl(line(1,0,0))"], ["--tol", "1e-3"]),
+        (["classify", "E2: refl(line(1,0,1)) * refl(line(1,0,0))"], ["--trace"]),
+        (["reduce", "ON: refl(hyper(0,1)) * refl(hyper(1,1)) * refl(hyper(1,0))"], ["--trace"]),
+    ],
+    ids=["option0", "option1", "reduce-trace"],
+)
+def test_classify_rejects_the_rewriting_options(command, option, capsys):
+    # classify checks no residual and lists no steps, and reduce always
+    # lists its steps: argparse refuses the options they would ignore
     with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "E2: refl(line(1,0,1)) * refl(line(1,0,0))", *option])
+        cli.main([*command, *option])
     assert exc.value.code == 2
     assert option[0] in capsys.readouterr().err
     assert cli.main(["classify", "ON: refl(hyper(1,0))", "--json", "--dim", "2"]) == 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mirrorwords import moves, orthon, plane, sampling, so3, sphere
-from mirrorwords.moves import INVOLUTION, PENCIL, Move
+from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
+from mirrorwords.numerics import GeometryError
 
 GEOMETRIES = {
     "e2": (plane, lambda w, trace: plane.normalize_word(w, trace), 2),
@@ -14,6 +15,54 @@ GEOMETRIES = {
     "so3": (so3, lambda w, trace: so3.normalize_word(w, trace), 3),
     "on3": (orthon, lambda w, trace: orthon.normalize_word(w, dim=3, trace=trace), 3),
 }
+
+
+@pytest.mark.parametrize(
+    "word, move, expected",
+    [
+        ([1, 2, 3, 4], Move(INVOLUTION, -1), (IndexError, "involution index -1 out of range for length 4")),
+        ([1, 2, 3, 4], Move(INVOLUTION, 3), (IndexError, "involution index 3 out of range for length 4")),
+        ([1, 2, 3, 4], Move(PENCIL, -1, (5, 6)), (IndexError, "pencil index -1 out of range for length 4")),
+        ([1, 2, 3, 4], Move(PENCIL, 3, (5, 6)), (IndexError, "pencil index 3 out of range for length 4")),
+        (
+            [1, 2, 3, 4],
+            Move(POLAR_SPLIT, -1, (5, 6)),
+            (IndexError, "polar_split index -1 out of range for length 4"),
+        ),
+        (
+            [1, 2, 3, 4],
+            Move(POLAR_SPLIT, 4, (5, 6)),
+            (IndexError, "polar_split index 4 out of range for length 4"),
+        ),
+        ([1, 2, 3, 4], Move(INVOLUTION, 1), (ValueError, "involution at 1: mirrors do not coincide")),
+        ([1, 2, 3, 4], Move(PENCIL, 1, (5,)), (ValueError, "pencil move must carry exactly two mirrors")),
+        ([1, 2, 3, 4], Move(PENCIL, 1, (5, 6, 7)), (ValueError, "pencil move must carry exactly two mirrors")),
+        (
+            [1, 2, 3, 4],
+            Move(POLAR_SPLIT, 1, (5,)),
+            (ValueError, "polar_split move must carry exactly two mirrors"),
+        ),
+        (
+            [1, 2, 3, 4],
+            Move(POLAR_SPLIT, 1, (5, 6, 7)),
+            (ValueError, "polar_split move must carry exactly two mirrors"),
+        ),
+        ([1, 2, 3, 4], Move("swap", 99), (ValueError, "unknown move kind 'swap'")),
+        # an involution deletes its pair whatever mirrors it carries
+        ([1, 2, 2, 3], Move(INVOLUTION, 1, (5, 6)), [1, 3]),
+        ([1, 2, 3], Move(PENCIL, 1, (5, 6)), [1, 5, 6]),
+        ([1, 2, 3], Move(POLAR_SPLIT, 2, (5, 6)), [1, 2, 5, 6]),
+    ],
+)
+def test_apply_move_splices_or_names_the_broken_precondition(word, move, expected):
+    if isinstance(expected, list):
+        assert moves.apply_move(word, move, operator.eq) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as exc:
+        moves.apply_move(word, move, operator.eq)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_free_reduction_cascades_on_the_stack():
@@ -24,13 +73,12 @@ def test_free_reduction_cascades_on_the_stack():
 
 
 def test_reduction_step_sees_only_the_leading_mirrors():
-    # toy step: [a, b, c] -> [a, a, b + c - a] -> [b + c - a]
+    # toy step: [a, b, c] -> [a, a, b + c - a], whose pair the loop cancels
     seen = []
 
     def step(w, sink):
         seen.append(list(w))
-        moves.emit(w, sink, Move(PENCIL, 1, (w[0], w[1] + w[2] - w[0])), operator.eq)
-        moves.emit(w, sink, Move(INVOLUTION, 0), operator.eq)
+        moves.emit(w, sink, Move(PENCIL, 1, (w[0], w[1] + w[2] - w[0])))
 
     word = [1, 2, 3, 4, 5, 6]
     trace = []
@@ -40,6 +88,51 @@ def test_reduction_step_sees_only_the_leading_mirrors():
     assert out == [5, 6]
     assert trace == [Move(PENCIL, 1, (1, 4)), Move(INVOLUTION, 0), Move(INVOLUTION, 0)]
     assert moves.replay(word, trace, operator.eq)[-1] == out
+
+
+def test_a_step_that_leaves_no_pair_raises_after_one_call():
+    calls = 0
+
+    def step(w, sink):
+        # swaps the first pair, so no two neighbours of the head are equal
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            pytest.fail("the loop called again a step that left no coincident pair")
+        moves.emit(w, sink, Move(PENCIL, 0, (w[1], w[0])))
+
+    with pytest.raises(GeometryError, match="no coincident pair"):
+        moves.normalize([1, 2, 3, 4, 5], operator.eq, step, 2)
+    assert calls == 1
+
+
+# (step, coincidence predicate, head length, group, dimension)
+STEPS = {
+    "e2": (plane._reduce_leading_four, plane.coincident, 4, "e2", 2),
+    "s2": (so3.reduce_leading_four, sphere.coincident, 4, "s2", 3),
+    "so3-four": (so3.reduce_leading_four, so3.coincident, 4, "so3", 3),
+    "so3-three": (so3._reduce_leading_three, so3.coincident, 3, "so3", 3),
+    **{f"on{n}": (orthon._steer_moves, orthon.coincident, n + 1, "on", n) for n in (2, 3, 5, 8)},
+}
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_each_step_records_pencil_and_polar_split_moves_and_leaves_a_pair(name):
+    # the rewrite loop is the only place that cancels: a step records no
+    # involution and hands back the coincident pair it built
+    step, same, length, group, dim = STEPS[name]
+    rng = np.random.default_rng(514)
+    for _ in range(50):
+        head = sampling.random_word(rng, group, length, dim=dim)
+        assert not any(same(a, b) for a, b in zip(head, head[1:]))
+        w, sink = list(head), []
+        index = step(w, sink)
+        assert sink and all(m.kind in (PENCIL, POLAR_SPLIT) for m in sink)
+        assert moves.replay(head, sink, same)[-1] == w
+        pairs = [i for i in range(len(w) - 1) if same(w[i], w[i + 1])]
+        assert pairs
+        if step is orthon._steer_moves:
+            assert index in pairs
 
 
 def _palindrome(word):

@@ -621,11 +621,10 @@ def _eager_steer_moves(w, sink):
         cs = math.copysign(share, dot_n(x.values, y))
         r1, r2 = (orthon._product_difference(x.values, v, e1, p) for p in (e1, e2))
         u_s = r1 if dot_n(r1, r1) >= dot_n(r2, r2) else r2
-        moves.emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)), orthon.coincident)
+        moves.emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)))
         s += 1
         if orthon.coincident(w[s], w[s + 1]):
-            moves.emit(w, sink, Move(INVOLUTION, s), orthon.coincident)
-            return
+            return s
 
 
 def _steering_corpus(rng):
