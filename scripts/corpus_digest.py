@@ -4,11 +4,13 @@ Run it before and after a change that should leave the rewrite's output
 as it is: a line that differs names a family in which a normal form, a
 trace, a residual, an error or a classification moved. Each line gives
 the family, its word count, the number of words that raised a
-GeometryError, and the first 16 hex digits of a SHA-256 over its words in
-order. A word adds the mirror values of its normal form, each move of its
-trace (kind, index and mirror values), its oracle residual and the
-`classification_json` of its normal form, or the type name of the error
-it raised. Floats enter by `repr`, so the digest changes with any bit.
+GeometryError, the number whose residual exceeds EPS_VERIFY, the worst
+residual of the words that did not raise, and the first 16 hex digits of
+a SHA-256 over its words in order. A word adds the mirror values of its
+normal form, each move of its trace (kind, index and mirror values), its
+oracle residual and the `classification_json` of its normal form, or the
+type name of the error it raised. Floats enter by `repr`, so the digest
+changes with any bit.
 
 Families (each restarts the generator at SEED):
   random <g> short     RANDOM_WORDS seeded words of lengths 0-12
@@ -38,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from mirrorwords import cli, sampling  # noqa: E402
-from mirrorwords.numerics import GeometryError  # noqa: E402
+from mirrorwords.numerics import EPS_VERIFY, GeometryError  # noqa: E402
 from mirrorwords.sphere import GreatCircle  # noqa: E402
 
 GROUPS = {
@@ -115,14 +117,22 @@ def record(label: str, word) -> tuple | str:
 def main() -> int:
     for name, label, words in families():
         digest = hashlib.sha256()
-        count = raised = 0
+        count = raised = over = 0
+        worst = 0.0
         for word in words:
             r = record(label, word)
             count += 1
-            raised += isinstance(r, str)
+            if isinstance(r, str):
+                raised += 1
+            else:
+                over += r[2] > EPS_VERIFY
+                worst = max(worst, r[2])
             digest.update(repr(r).encode())
             digest.update(b"\n")
-        print(f"{name:24s} words {count:5d}  raised {raised:4d}  sha256 {digest.hexdigest()[:16]}")
+        print(
+            f"{name:24s} words {count:5d}  raised {raised:4d}  over {over:4d}  "
+            f"worst {worst:.3e}  sha256 {digest.hexdigest()[:16]}"
+        )
     return 0
 
 

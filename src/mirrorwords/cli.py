@@ -61,7 +61,7 @@ class DimensionMismatch(GeometryError):
 
 
 class UsageError(GeometryError):
-    """A command-line argument lies outside its valid range."""
+    """A command-line argument lies outside its valid range or names no writable file."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,8 +370,11 @@ def _cmd_arc(args) -> int:
         "arc": {"tail": list(arc.tail), "head": list(arc.head)},
     }
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(arrowarc.arcs_to_svg([arc]))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(arrowarc.arcs_to_svg([arc]))
+        except OSError as exc:
+            raise UsageError(f"--svg cannot write {args.svg}: {exc.strerror}") from None
         payload["svg"] = args.svg
     if args.json:
         _emit_json(payload)

@@ -35,10 +35,6 @@ _RANK_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
-# Half-width of the band about the tie |r1|^2 = |r2|^2 = 2 in which the
-# steering step computes r2 as well (see _steer_moves).
-_TIE_BAND = 1e-2
-
 KEYWORD = "hyper"
 # a hyperplane takes as many components as its dimension
 ARITY = None
@@ -283,17 +279,15 @@ def decompose(M) -> list:
     return word
 
 
-def _reflect(n, p) -> list:
-    d = 0.0
-    for a, b in zip(n, p):
-        d += a * b
-    t = 2.0 * d
-    return [b - t * a for a, b in zip(n, p)]
+def _pencil_turn(l, m, p) -> list:
+    """so3.pencil_turn in any dimension: (l.m) p + m (l.p) - l (m.p).
 
-
-def _product_difference(x, v, e1, p) -> list:
-    """p - H_x H_v H_e1 p for unit normals x, v, e1."""
-    return [a - b for a, b in zip(p, _reflect(x, _reflect(v, _reflect(e1, p))))]
+    The double cross product (l x m) x p expands to m (l.p) - l (m.p), which
+    holds in every dimension; for p in the plane of unit l and m it is p
+    turned in that plane by the angle from l to m.
+    """
+    c, lp, mp = dot_n(l, m), dot_n(l, p), dot_n(m, p)
+    return [c * a + lp * b - mp * d for a, b, d in zip(p, m, l)]
 
 
 def _steer_moves(w: list, sink: list) -> int:
@@ -306,8 +300,9 @@ def _steer_moves(w: list, sink: list) -> int:
     x ~ c_s v_s + c_{s+1} v_{s+1}, which lies in the span of the normals
     after it; x carries the pair's share of the dependency to the right
     until two adjacent mirrors coincide; the caller cancels them. The
-    first mirror of the pair is read off the product: H_x H_v H_e1 is the
-    reflection in it. Records pencil moves only.
+    first mirror of the pair is x turned back in the pair's plane by the
+    angle from e1 to v, the pencil turn of S2 and SO(3). Records pencil
+    moves only.
     """
     c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
     s = 0
@@ -326,25 +321,9 @@ def _steer_moves(w: list, sink: list) -> int:
             raise DegenerateSteering("steering invariant broken; input too degenerate")
         x = Hyperplane.from_square(y, square)
         cs = math.copysign(share, dot_n(x.values, y))
-        # M = H_x H_v H_e1 is the reflection in u_s, so p - M p = 2 (u_s . p) u_s;
-        # of the orthonormal pair p = e1, e2 the one nearer u_s gives the longer
-        # vector. All three maps are applied, since for nearly parallel e1 and v
-        # the computed e2 is orthogonal to e1 only to about ulp / angle(e1, v).
-        u_s = _product_difference(x.values, v, e1, e1)  # r1
-        q = dot_n(u_s, u_s)
-        # |r1|^2 + |r2|^2 = 4 up to 4 (e1 . e2): about n ulp / angle(e1, v),
-        # under n 1e-6 for a pair that does not coincide. Above the band r2
-        # would lose the comparison, so it is not computed.
-        if q < 2.0 + _TIE_BAND:
-            d = dot_n(v, e1)
-            u = [b - d * a for a, b in zip(e1, v)]
-            norm = math.sqrt(dot_n(u, u))
-            e2 = [a / norm for a in u]
-            r2 = _product_difference(x.values, v, e1, e2)
-            q2 = dot_n(r2, r2)
-            if q < q2:
-                u_s, q = r2, q2
-        emit(w, sink, Move(PENCIL, s, (Hyperplane.from_square(u_s, q), x)))
+        # x turned back by the angle from e1 to v, so (e1, v) ~ (u_s, x)
+        u_s = _pencil_turn(v, e1, x.values)
+        emit(w, sink, Move(PENCIL, s, (Hyperplane.from_square(u_s, dot_n(u_s, u_s)), x)))
         s += 1
         # only a pencil move can have made the next pair coincide
         if coincident(w[s], w[s + 1]):

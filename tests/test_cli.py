@@ -584,6 +584,18 @@ def test_arc_svg_output(tmp_path):
     assert root.tag.endswith("svg")
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_arc_svg_to_an_unwritable_path_exits_2_with_a_json_error(tmp_path, where):
+    path = tmp_path / "no" / "arc.svg" if where == "missing" else tmp_path
+    result = run_cli("arc", "SO3: refl(axis(1,0,0)) * refl(axis(0,1,0))", "--svg", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["status"] == "error"
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"--svg cannot write {path}: ")
+
+
 def test_compose_mixed_groups_rejected():
     result = run_cli("compose", "E2: refl(line(1,0,0))", "S2: refl(circle(1,0,0))")
     assert result.returncode == 2

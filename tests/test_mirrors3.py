@@ -121,8 +121,7 @@ def test_oracle_gathers_read_the_floats():
 FLOAT_PATH = {
     orthon: [
         "coincident",
-        "_reflect",
-        "_product_difference",
+        "_pencil_turn",
         "_steer_moves",
         "_pair_product_distance",
         "_off_plane_residual",

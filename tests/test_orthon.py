@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import pair_product_distance, plane_singular_value, reassemble
-from mirrorwords import cli, kernels, moves, orthon, sampling
+from mirrorwords import cli, kernels, orthon, sampling, so3
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
     EPS_COINCIDE,
@@ -595,59 +595,35 @@ def test_random_word_rejects_dimension_below_one(dim):
     assert sampling.random_word(rng, "on", 0, dim=dim) == []
 
 
-def _eager_steer_moves(w, sink):
-    """The steering step with both candidates and the full Hyperplane constructor.
-
-    The reference for _steer_moves, which computes r2 only near the tie and
-    builds its hyperplanes from known squared norms: the same arithmetic,
-    so the same bits.
-    """
-    c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
-    s = 0
-    while abs(c[s]) <= orthon._RANK_TOL:
-        s += 1
-    cs = c[s]
-    while True:
-        e1, v, cv = w[s].values, w[s + 1].values, c[s + 1]
-        y = [cs * a + cv * b for a, b in zip(e1, v)]
-        share = math.sqrt(dot_n(y, y))
-        if s >= len(w) - 2 or share <= EPS_COINCIDE:
-            raise DegenerateSteering("steering invariant broken; input too degenerate")
-        d = dot_n(v, e1)
-        u = [b - d * a for a, b in zip(e1, v)]
-        norm = math.sqrt(dot_n(u, u))
-        e2 = [a / norm for a in u]
-        x = Hyperplane(y)
-        cs = math.copysign(share, dot_n(x.values, y))
-        r1, r2 = (orthon._product_difference(x.values, v, e1, p) for p in (e1, e2))
-        u_s = r1 if dot_n(r1, r1) >= dot_n(r2, r2) else r2
-        moves.emit(w, sink, Move(PENCIL, s, (Hyperplane(u_s), x)))
-        s += 1
-        if orthon.coincident(w[s], w[s + 1]):
-            return s
+def test_pencil_turn_is_the_so3_turn():
+    rng = np.random.default_rng(73)
+    for _ in range(500):
+        l, m, p = (Hyperplane(rng.standard_normal(3)).values for _ in range(3))
+        expected = so3.pencil_turn(l, m, p)
+        got = orthon._pencil_turn(l, m, p)
+        assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-15
 
 
-def _steering_corpus(rng):
-    for n in (2, 3, 5, 8):
-        for length in (*range(4, 20, 3), 64):
-            yield n, sampling.random_word(rng, "on", length, dim=n)
-        for k in range(1, n):
-            for jitter in (1e-5, 1e-7, 1e-9, 3e-9):
-                yield n, [h for _ in range(k) for h in _jittered(rng, n, jitter, 3)]
-
-
-def test_steering_matches_the_eager_reference_bit_for_bit():
-    rng = np.random.default_rng(72)
-    for n, w in _steering_corpus(rng):
-        results = []
-        for step in (orthon._steer_moves, _eager_steer_moves):
-            trace = []
-            try:
-                out = moves.normalize(w, orthon.coincident, step, n, trace)
-            except DegenerateSteering:
-                out = None
-            results.append((out, trace))
-        assert results[0] == results[1]
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_steering_pencil_move_keeps_the_pair_product(n):
+    # one pencil move built as _steer_moves builds it, on pairs from far apart
+    # to nearly coincident, carrying shares of the dependency down to 1e-8
+    rng = np.random.default_rng(74)
+    for angle in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 3e-9):
+        for share in (1e-2, 1e-4, 1e-6, 1e-8):
+            for _ in range(10):
+                q = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+                e1 = Hyperplane(q[0]).values
+                v = Hyperplane(math.cos(angle) * q[0] + math.sin(angle) * q[1]).values
+                cs, cv = rng.standard_normal(2)
+                scale = share / float(np.linalg.norm(cs * np.array(e1) + cv * np.array(v)))
+                cs, cv = cs * scale, cv * scale
+                y = [cs * a + cv * b for a, b in zip(e1, v)]
+                x = Hyperplane.from_square(y, dot_n(y, y)).values
+                u = orthon._pencil_turn(v, e1, x)
+                u = Hyperplane.from_square(u, dot_n(u, u)).values
+                assert orthon._pair_product_distance(e1, v, u, x) <= 1e-14
+                assert orthon._off_plane_residual(e1, v, u, x) <= 1e-14
 
 
 @pytest.mark.parametrize(
