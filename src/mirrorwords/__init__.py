@@ -26,7 +26,6 @@ from .numerics import (
     NotConcurrent,
     NotOrthogonal,
     WrongLength,
-    angle_between_directions,
     canonical_unit,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "NotOrthogonal",
     "WrongLength",
     "canonical_unit",
-    "angle_between_directions",
     "__version__",
 ]

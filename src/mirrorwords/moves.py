@@ -9,7 +9,7 @@ normal-form length; the loop itself is the same for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 from .numerics import GeometryError
 
@@ -18,11 +18,47 @@ PENCIL = "pencil"          # replace an adjacent pair in-pencil   (length 0)
 POLAR_SPLIT = "polar_split"  # replace one line by an orthogonal pair (length +1)
 
 
-@dataclass(frozen=True)
 class Move:
-    kind: str
-    index: int
-    mirrors: tuple = field(default=())
+    """One recorded move: its kind, the word index it applies at, its new mirrors.
+
+    An immutable record with value equality, hash and repr as a frozen
+    dataclass gives them, at about half the cost to build: the rewrite
+    builds one per move. Not a tuple, so that it counts as one move where
+    a sequence of moves is counted by its length.
+    """
+
+    __slots__ = ("kind", "index", "mirrors")
+
+    def __init__(self, kind: str, index: int, mirrors: tuple = ()):
+        _set_kind(self, kind)
+        _set_index(self, index)
+        _set_mirrors(self, mirrors)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not Move:
+            return NotImplemented
+        return (self.kind, self.index, self.mirrors) == (other.kind, other.index, other.mirrors)
+
+    def __hash__(self):
+        return hash((self.kind, self.index, self.mirrors))
+
+    def __repr__(self):
+        return f"Move(kind={self.kind!r}, index={self.index!r}, mirrors={self.mirrors!r})"
+
+    def __reduce__(self):  # copy and pickle, which would set the slots one by one
+        return Move, (self.kind, self.index, self.mirrors)
+
+
+# the slots' own setters, which __setattr__ does not block
+_set_kind = Move.kind.__set__
+_set_index = Move.index.__set__
+_set_mirrors = Move.mirrors.__set__
 
 
 # how many mirrors of the word a move of each kind replaces

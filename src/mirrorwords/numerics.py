@@ -68,16 +68,6 @@ def canonical_unit(v) -> np.ndarray:
     return np.array(canonical_unit_n(components_n(v)))
 
 
-def angle_between_directions(u, v) -> float:
-    """Unsigned angle in [0, pi/2] between the unoriented lines spanned by u, v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = float(u @ v)
-    w = u - c * v
-    s = math.sqrt(float(w @ w))
-    return math.atan2(s, abs(c))
-
-
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     t = math.fmod(theta, 2.0 * math.pi)
@@ -122,19 +112,20 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
     The same floats, bit for bit; it is kept because the S2 and SO(3)
     rewrites build a 3-vector mirror for every move they record.
     """
-    square = x * x + y * y + z * z
-    if square == math.inf and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-        # finite components whose squares overflow still define a direction
-        top = max(abs(x), abs(y), abs(z))
-        x, y, z = x / top, y / top, z / top
-        square = x * x + y * y + z * z
-    norm = math.sqrt(square)
-    if norm <= EPS_COINCIDE:
-        raise DegenerateInput(f"zero vector cannot define a direction: {(x, y, z)!r}")
-    if not norm < math.inf:  # also false for NaN
-        raise DegenerateInput(
-            f"vector with a non-finite norm cannot define a direction: {(x, y, z)!r}"
-        )
+    norm = math.sqrt(x * x + y * y + z * z)
+    # the common case first: a norm that passes both tests below
+    if not EPS_COINCIDE < norm < math.inf:
+        if norm == math.inf and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            # finite components whose squares overflow still define a direction
+            top = max(abs(x), abs(y), abs(z))
+            x, y, z = x / top, y / top, z / top
+            norm = math.sqrt(x * x + y * y + z * z)
+        if norm <= EPS_COINCIDE:
+            raise DegenerateInput(f"zero vector cannot define a direction: {(x, y, z)!r}")
+        if not norm < math.inf:  # also false for NaN
+            raise DegenerateInput(
+                f"vector with a non-finite norm cannot define a direction: {(x, y, z)!r}"
+            )
     if abs(norm - 1.0) > _UNIT_SLACK:
         x, y, z = x / norm, y / norm, z / norm
     # the first component above eps decides the sign; a unit vector has one
@@ -194,16 +185,18 @@ def unit_n(v: list[float]) -> list[float]:
 
 def unit_from_square(v: list[float], square: float) -> list[float]:
     """unit_n(v), bit for bit, for a caller that already has square = dot_n(v, v)."""
-    if square == math.inf and all(map(math.isfinite, v)):
-        # finite components whose squares overflow still define a direction
-        top = max(map(abs, v))
-        v = [x / top for x in v]
-        square = dot_n(v, v)
     norm = math.sqrt(square)
-    if norm <= EPS_COINCIDE:
-        raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
-    if not norm < math.inf:  # also false for NaN
-        raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
+    # the common case first: a norm that passes both tests below
+    if not EPS_COINCIDE < norm < math.inf:
+        if square == math.inf and all(map(math.isfinite, v)):
+            # finite components whose squares overflow still define a direction
+            top = max(map(abs, v))
+            v = [x / top for x in v]
+            norm = math.sqrt(dot_n(v, v))
+        if norm <= EPS_COINCIDE:
+            raise DegenerateInput(f"zero vector cannot define a direction: {v!r}")
+        if not norm < math.inf:  # also false for NaN
+            raise DegenerateInput(f"vector with a non-finite norm cannot define a direction: {v!r}")
     if abs(norm - 1.0) > _UNIT_SLACK:
         v = [x / norm for x in v]
     return v
@@ -279,6 +272,16 @@ class Direction3(Direction):
 
     def __init__(self, v):
         self.values = canonical_unit3(*components3(v))
+
+    @classmethod
+    def from_floats(cls, x: float, y: float, z: float):
+        """cls((x, y, z)), bit for bit, for three floats: it skips components3.
+
+        For a rewrite step, which builds its mirrors from floats it computed.
+        """
+        d = object.__new__(cls)
+        d.values = canonical_unit3(x, y, z)
+        return d
 
 
 # The 3-vector helpers below take any indexable 3-vectors (tuples, arrays)

@@ -73,6 +73,10 @@ def coincident(a: Hyperplane, b: Hyperplane) -> bool:
     c = 0.0
     for x, y in zip(p, q):
         c += x * y
+    # p and q are unit within _UNIT_SLACK, so |p - c q|^2 = 1 - c^2 +- 4e-13:
+    # below c^2 = 0.999999 it exceeds 1e-6, far above EPS_COINCIDE^2
+    if c * c < 0.999999:
+        return False
     square = 0.0
     for x, y in zip(p, q):
         d = x - c * y
@@ -279,18 +283,7 @@ def decompose(M) -> list:
     return word
 
 
-def _pencil_turn(l, m, p) -> list:
-    """so3.pencil_turn in any dimension: (l.m) p + m (l.p) - l (m.p).
-
-    The double cross product (l x m) x p expands to m (l.p) - l (m.p), which
-    holds in every dimension; for p in the plane of unit l and m it is p
-    turned in that plane by the angle from l to m.
-    """
-    c, lp, mp = dot_n(l, m), dot_n(l, p), dot_n(m, p)
-    return [c * a + lp * b - mp * d for a, b, d in zip(p, m, l)]
-
-
-def _steer_moves(w: list, sink: list) -> int:
+def _steer_moves(w: list, sink: list, c: list | None = None) -> int:
     """Steer two of the n+1 mirrors in w onto each other; return the pair's index.
 
     No two adjacent mirrors of w coincide (the rewrite loop's contract).
@@ -301,29 +294,46 @@ def _steer_moves(w: list, sink: list) -> int:
     after it; x carries the pair's share of the dependency to the right
     until two adjacent mirrors coincide; the caller cancels them. The
     first mirror of the pair is x turned back in the pair's plane by the
-    angle from e1 to v, the pencil turn of S2 and SO(3). Records pencil
-    moves only.
+    angle from e1 to v, the pencil turn of S2 and SO(3) with its double
+    cross product expanded, (v.e1) x + e1 (v.x) - v (e1.x), which holds in
+    every dimension. Records pencil moves only. A given c stands for the
+    null vector, so that one move can be driven from a chosen dependency.
     """
-    c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
+    if c is None:
+        c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
     s = 0
     while abs(c[s]) <= _RANK_TOL:
         s += 1
     cs = c[s]
+    from_square = Hyperplane.from_square
     while True:
         e1 = w[s].values
         v = w[s + 1].values
         cv = c[s + 1]
         y = [cs * a + cv * b for a, b in zip(e1, v)]
-        square = dot_n(y, y)
+        square = 0.0
+        for t in y:
+            square += t * t
         share = math.sqrt(square)
         # no mirrors are left to carry the dependency, or the pair holds all of it
         if s >= len(w) - 2 or share <= EPS_COINCIDE:
             raise DegenerateSteering("steering invariant broken; input too degenerate")
-        x = Hyperplane.from_square(y, square)
-        cs = math.copysign(share, dot_n(x.values, y))
-        # x turned back by the angle from e1 to v, so (e1, v) ~ (u_s, x)
-        u_s = _pencil_turn(v, e1, x.values)
-        emit(w, sink, Move(PENCIL, s, (Hyperplane.from_square(u_s, dot_n(u_s, u_s)), x)))
+        x = from_square(y, square)
+        p = x.values
+        # the four dots of the turn and the sign, each summed left to right
+        ve1 = vx = e1x = xy = 0.0
+        for a, b, q, t in zip(e1, v, p, y):
+            ve1 += b * a
+            vx += b * q
+            e1x += a * q
+            xy += q * t
+        cs = math.copysign(share, xy)
+        # x turned back by the angle from e1 to v, so (e1, v) ~ (u, x)
+        u = [ve1 * q + vx * a - e1x * b for q, a, b in zip(p, e1, v)]
+        square = 0.0
+        for t in u:
+            square += t * t
+        emit(w, sink, Move(PENCIL, s, (from_square(u, square), x)))
         s += 1
         # only a pencil move can have made the next pair coincide
         if coincident(w[s], w[s + 1]):

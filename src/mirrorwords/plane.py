@@ -73,6 +73,20 @@ class Line:
             ) from None
         except OverflowError:  # an int past the float range; its repr may exceed the digit limit
             raise DegenerateInput("a line needs a normal and an offset in the float range") from None
+        self._canonical(nx, ny, d, normal, offset)
+
+    @classmethod
+    def from_floats(cls, nx: float, ny: float, d: float) -> "Line":
+        """Line((nx, ny), d), bit for bit, for three floats: it skips the type guards.
+
+        For a rewrite step, which builds its mirrors from floats it computed.
+        """
+        line = object.__new__(cls)
+        line._canonical(nx, ny, d, (nx, ny), d)
+        return line
+
+    def _canonical(self, nx: float, ny: float, d: float, normal, offset) -> None:
+        """Store the line's representative; normal and offset only name a rejected input."""
         norm = math.hypot(nx, ny)
         if norm <= EPS_COINCIDE:
             raise DegenerateInput(f"zero normal cannot define a line: {normal!r}")
@@ -268,7 +282,7 @@ def pencil_completion(l: Line, m: Line, l2: Line) -> Line:
         ty -= s * line.ny
     if abs(nx * ty - ny * tx) > EPS_COINCIDE * (1.0 + math.hypot(tx, ty)):
         raise NotConcurrent("third line is off the pencil of the first two")
-    return Line((nx, ny), 0.5 * (nx * tx + ny * ty))
+    return Line.from_floats(nx, ny, 0.5 * (nx * tx + ny * ty))
 
 
 def verify_pencil_relation(l: Line, m: Line, l2: Line, m2: Line) -> bool:
@@ -330,8 +344,8 @@ def _reduce_leading_four(w: list, sink: list) -> None:
     ) * (abs(join[0]) + abs(join[1])):
         # turn both middle lines by +90 degrees about their meet: the
         # product keeps its centre and angle
-        l = Line((-l.ny, l.nx), (l.nx * y - l.ny * x) / s)
-        m = Line((-m.ny, m.nx), (m.nx * y - m.ny * x) / s)
+        l = Line.from_floats(-l.ny, l.nx, (l.nx * y - l.ny * x) / s)
+        m = Line.from_floats(-m.ny, m.nx, (m.nx * y - m.ny * x) / s)
         emit(w, sink, Move(PENCIL, 1, (l, m)))
         join = _join(k, l, m, n)
     h = 0.0 if join is None else math.hypot(join[0], join[1])
@@ -341,7 +355,7 @@ def _reduce_leading_four(w: list, sink: list) -> None:
         return
     # divided here, not in Line: a join 1e9 or more from the origin has a
     # normal part under Line's EPS_COINCIDE floor as a unit 3-vector
-    mid = Line((join[0] / h, join[1] / h), -join[2] / h)
+    mid = Line.from_floats(join[0] / h, join[1] / h, -join[2] / h)
     emit(w, sink, Move(PENCIL, 0, (pencil_completion(l, k, mid), mid)))
     emit(w, sink, Move(PENCIL, 2, (mid, pencil_completion(m, n, mid))))
 

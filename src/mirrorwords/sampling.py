@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .arrowarc import Arc, rotation_to_arc, slide
+from .numerics import dot_n
 from .orthon import Hyperplane
 from .plane import Line
 from .so3 import Axis, rotation
@@ -94,7 +95,12 @@ def random_word(rng: np.random.Generator, group: str, length: int, dim: int = 3)
     keep = norms > _MIN_NORM
     if not keep.all():
         V, norms = V[keep], norms[keep]
-    word = [cls(row) for row in (V / norms[:, None]).tolist()]
+    rows = (V / norms[:, None]).tolist()
+    # the constructor's floats, without its type checks on floats drawn here
+    if cls is Hyperplane:
+        word = [cls.from_square(row, dot_n(row, row)) for row in rows]
+    else:
+        word = [cls.from_floats(x, y, z) for x, y, z in rows]
     while len(word) < length:
         word.append(cls(_unit(rng, dim)))
     return word

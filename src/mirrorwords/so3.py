@@ -216,8 +216,7 @@ def split_reflection(k: Axis, plane_normal) -> tuple[Axis, Axis]:
         b_dir = canonical_unit3(*c)
     else:
         b_dir = probe_perpendicular(d)
-    c_dir = canonical_unit3(*cross3(d, b_dir))
-    return Axis(b_dir), Axis(c_dir)
+    return Axis.from_floats(*b_dir), Axis.from_floats(*cross3(d, b_dir))
 
 
 def pencil_turn(l, m, l2) -> tuple[float, float, float]:
@@ -261,17 +260,17 @@ def reduce_leading_four(w: list, sink: list) -> None:
     link = cross3(axis_kl, axis_mn)
     if norm3(link) <= EPS_COINCIDE:
         # both pairs share one pencil: turn (m, n) so that m lands on l
-        n2 = cls(pencil_turn(m.values, l.values, n.values))
+        n2 = cls.from_floats(*pencil_turn(m.values, l.values, n.values))
         emit(w, sink, Move(PENCIL, 2, (l, n2)))
         return
 
     # the mirror through both common axes
-    mid = cls(link)
+    mid = cls.from_floats(*link)
     _check_concurrent(mid, axis_kl)
-    k2 = cls(pencil_turn(l.values, k.values, mid.values))
+    k2 = cls.from_floats(*pencil_turn(l.values, k.values, mid.values))
     emit(w, sink, Move(PENCIL, 0, (k2, mid)))
     _check_concurrent(mid, axis_mn)
-    n2 = cls(pencil_turn(m.values, n.values, mid.values))
+    n2 = cls.from_floats(*pencil_turn(m.values, n.values, mid.values))
     emit(w, sink, Move(PENCIL, 2, (mid, n2)))
 
 
@@ -290,7 +289,7 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     # so the coplanar triple (b, l, m) sits adjacently
     emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)))
     # turn the pair (l, m), now at positions 2 and 3, so that l lands on b
-    m2_new = Axis(pencil_turn(w[2].values, b.values, w[3].values))
+    m2_new = Axis.from_floats(*pencil_turn(w[2].values, b.values, w[3].values))
     emit(w, sink, Move(PENCIL, 2, (b, m2_new)))
 
 

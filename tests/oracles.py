@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: affine maps are
 composed with plain numpy, classification reads numpy eigendecompositions.
-Two converters that only tests need live here too: a rotation's quaternion
-and the matrix rebuilt from an O(n) spectral split.
+Helpers that only tests need live here too: a rotation's quaternion, the
+angle between two unoriented lines and the matrix rebuilt from an O(n)
+spectral split.
 """
 
 import math
@@ -20,6 +21,16 @@ def rotation_to_quaternion(r):
     h = r.angle / 2.0
     s = math.sin(h)
     return Quaternion(math.cos(h), s * r.axis[0], s * r.axis[1], s * r.axis[2])
+
+
+def angle_between_directions(u, v) -> float:
+    """Unsigned angle in [0, pi/2] between the unoriented lines spanned by u, v."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    c = float(u @ v)
+    w = u - c * v
+    s = math.sqrt(float(w @ w))
+    return math.atan2(s, abs(c))
 
 
 def reassemble(split):

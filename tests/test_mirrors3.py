@@ -121,7 +121,6 @@ def test_oracle_gathers_read_the_floats():
 FLOAT_PATH = {
     orthon: [
         "coincident",
-        "_pencil_turn",
         "_steer_moves",
         "_pair_product_distance",
         "_off_plane_residual",
@@ -141,6 +140,8 @@ FLOAT_PATH = {
         "_reduce_leading_three",
     ],
     plane: [
+        "Line.from_floats",
+        "Line._canonical",
         "coincident",
         "_cross",
         "_meet",
@@ -166,6 +167,7 @@ FLOAT_PATH = {
         "Direction.from_square",
         "Direction.__eq__",
         "Direction3.__init__",
+        "Direction3.from_floats",
         "components3",
         "canonical_unit3",
         "cross3",

@@ -1,6 +1,8 @@
 """The shared rewrite loop: free reduction, trace indices and linear cost."""
 
+import copy
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +65,27 @@ def test_apply_move_splices_or_names_the_broken_precondition(word, move, expecte
         moves.apply_move(word, move, operator.eq)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_move_is_an_immutable_value():
+    mirrors = (so3.Axis((1, 0, 0)), so3.Axis((0, 1, 0)))
+    move = Move(PENCIL, 3, mirrors)
+    assert (move.kind, move.index, move.mirrors) == (PENCIL, 3, mirrors)
+    assert move == Move(PENCIL, 3, tuple(mirrors)) and hash(move) == hash(Move(PENCIL, 3, mirrors))
+    assert hash(move) == hash((PENCIL, 3, mirrors))
+    assert move != Move(PENCIL, 4, mirrors) and move != Move(INVOLUTION, 3)
+    assert Move(INVOLUTION, 0) == Move(INVOLUTION, 0, ()) and Move(INVOLUTION, 0).mirrors == ()
+    assert move != (PENCIL, 3, mirrors)
+    assert len({move, Move(PENCIL, 3, mirrors), Move(INVOLUTION, 3)}) == 2
+    assert repr(Move(INVOLUTION, 2)) == "Move(kind='involution', index=2, mirrors=())"
+    assert repr(move) == f"Move(kind='pencil', index=3, mirrors={mirrors!r})"
+    for name in ("kind", "index", "mirrors", "other"):
+        with pytest.raises(AttributeError):
+            setattr(move, name, 0)
+    with pytest.raises(AttributeError):
+        del move.kind
+    assert move == Move(PENCIL, 3, mirrors)
+    assert copy.deepcopy(move) == move and pickle.loads(pickle.dumps(move)) == move
 
 
 def test_free_reduction_cascades_on_the_stack():

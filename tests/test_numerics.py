@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import angle_between_directions
 from mirrorwords.numerics import (
     EPS_COINCIDE,
     DegenerateInput,
-    angle_between_directions,
     canonical_unit,
     canonical_unit3,
     canonical_unit_n,

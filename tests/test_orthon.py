@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import pair_product_distance, plane_singular_value, reassemble
-from mirrorwords import cli, kernels, orthon, sampling, so3
+from mirrorwords import cli, kernels, orthon, sampling, so3, sphere
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
     DegenerateInput,
     DegenerateSteering,
+    canonical_unit3,
     dot_n,
     NotOrthogonal,
     WrongLength,
@@ -595,19 +596,32 @@ def test_random_word_rejects_dimension_below_one(dim):
     assert sampling.random_word(rng, "on", 0, dim=dim) == []
 
 
+def _steering_move(e1, v, cs, cv):
+    """The pencil move _steer_moves records on the pair (e1, v) for the dependency's (cs, cv)."""
+    y = [cs * a + cv * b for a, b in zip(e1, v)]
+    # the third mirror is the move's x itself, so steering stops after one move
+    w = [Hyperplane(e1), Hyperplane(v), Hyperplane(y)]
+    sink = []
+    assert orthon._steer_moves(w, sink, [cs, cv, 0.0]) == 1
+    (move,) = sink
+    return move
+
+
 def test_pencil_turn_is_the_so3_turn():
+    # the first mirror of a steering move is x turned back by the angle from e1 to v
     rng = np.random.default_rng(73)
     for _ in range(500):
-        l, m, p = (Hyperplane(rng.standard_normal(3)).values for _ in range(3))
-        expected = so3.pencil_turn(l, m, p)
-        got = orthon._pencil_turn(l, m, p)
-        assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-15
+        e1, v = (Hyperplane(rng.standard_normal(3)).values for _ in range(2))
+        cs, cv = rng.standard_normal(2)
+        u, x = (h.values for h in _steering_move(e1, v, cs, cv).mirrors)
+        expected = canonical_unit3(*so3.pencil_turn(v, e1, x))
+        assert max(abs(a - b) for a, b in zip(u, expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_steering_pencil_move_keeps_the_pair_product(n):
-    # one pencil move built as _steer_moves builds it, on pairs from far apart
-    # to nearly coincident, carrying shares of the dependency down to 1e-8
+    # one pencil move of _steer_moves, on pairs from far apart to nearly
+    # coincident, carrying shares of the dependency down to 1e-8
     rng = np.random.default_rng(74)
     for angle in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 3e-9):
         for share in (1e-2, 1e-4, 1e-6, 1e-8):
@@ -618,10 +632,7 @@ def test_steering_pencil_move_keeps_the_pair_product(n):
                 cs, cv = rng.standard_normal(2)
                 scale = share / float(np.linalg.norm(cs * np.array(e1) + cv * np.array(v)))
                 cs, cv = cs * scale, cv * scale
-                y = [cs * a + cv * b for a, b in zip(e1, v)]
-                x = Hyperplane.from_square(y, dot_n(y, y)).values
-                u = orthon._pencil_turn(v, e1, x)
-                u = Hyperplane.from_square(u, dot_n(u, u)).values
+                u, x = (h.values for h in _steering_move(e1, v, cs, cv).mirrors)
                 assert orthon._pair_product_distance(e1, v, u, x) <= 1e-14
                 assert orthon._off_plane_residual(e1, v, u, x) <= 1e-14
 
@@ -640,15 +651,59 @@ def test_steering_pencil_move_keeps_the_pair_product(n):
         [1e-10, 0.0],
         [math.inf, 0.0],
         [math.nan, 1.0],
+        [-0.0, 1.0, -0.0],
+        [-0.0, -0.0, -1.0],
+        [EPS_COINCIDE, -1.0, 0.0],
+        [-EPS_COINCIDE, 1.0, 0.0],
+        [-EPS_COINCIDE, -EPS_COINCIDE, 0.5],
+        [1.0 + 1e-14, 0.0, 0.0],
+        [1.0 - 1e-14, -0.0, 0.0],
+        [-0.6 * (1.0 - 1e-14), 0.8, 0.0],
+        [1e308, -1e308, 1e308],
+        [-1e200, 1e200, 0.0],
+        [1e-10, 0.0, 0.0],
+        [0.0, -math.inf, 1.0],
+        [1.0, math.nan, 0.0],
+        [0.0, 0.0, 0.0],
     ],
 )
 def test_hyperplane_from_square_is_the_constructor(v):
-    try:
-        expected = Hyperplane(v).values
-    except DegenerateInput:
-        with pytest.raises(DegenerateInput):
-            Hyperplane.from_square(list(v), dot_n(v, v))
-        return
-    h = Hyperplane.from_square(list(v), dot_n(v, v))
-    assert type(h) is Hyperplane
-    assert [x.hex() for x in h.values] == [x.hex() for x in expected]
+    # the rewrite's float paths: every n through from_square, 3-vectors
+    # through Direction3.from_floats too
+    paths = [(Hyperplane, lambda: Hyperplane.from_square(list(v), dot_n(v, v)))]
+    if len(v) == 3:
+        for cls in (so3.Axis, sphere.GreatCircle):
+            paths.append((cls, lambda cls=cls: cls.from_floats(*v)))
+    for cls, build in paths:
+        try:
+            expected = cls(v).values
+        except DegenerateInput:
+            with pytest.raises(DegenerateInput):
+                build()
+            continue
+        h = build()
+        assert type(h) is cls
+        assert [x.hex() for x in h.values] == [x.hex() for x in expected]
+
+
+def _two_loop_coincident(a, b):
+    p, q = a.values, b.values
+    c = dot_n(p, q)
+    return math.sqrt(sum((x - c * y) ** 2 for x, y in zip(p, q))) <= EPS_COINCIDE
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_coincident_is_the_two_loop_formula(n):
+    # the early exit at c^2 < 0.999999 sits at the angle asin(1e-3)
+    edge = math.asin(1e-3)
+    angles = [1e-12, 1e-10, 9e-10, 1e-9, 1.1e-9, 1e-8, 1e-6, 1e-4, 1e-2]
+    angles += [edge * (1.0 + k * 1e-7) for k in range(-3, 4)]
+    rng = np.random.default_rng(75)
+    for angle in angles:
+        for _ in range(20):
+            q = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+            a = Hyperplane(q[0])
+            for sign in (1.0, -1.0):
+                b = Hyperplane(sign * (math.cos(angle) * q[0] + math.sin(angle) * q[1]))
+                assert orthon.coincident(a, b) == _two_loop_coincident(a, b)
+                assert orthon.coincident(b, a) == _two_loop_coincident(b, a)

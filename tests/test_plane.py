@@ -93,6 +93,43 @@ def test_line_rejects_non_finite(normal, offset):
         Line(normal, offset)
 
 
+@pytest.mark.parametrize(
+    "nx, ny, d",
+    [
+        (0.6, 0.8, 2.0),
+        (-3.0, 4.0, -10.0),
+        (-0.0, 1.0, -0.0),
+        (-0.0, -1.0, 0.5),
+        (EPS_COINCIDE, -1.0, 1.0),
+        (-EPS_COINCIDE, -1.0, 1.0),
+        (-EPS_COINCIDE, 1.0, -0.0),
+        (1.0 + 1e-14, 0.0, 3.0),
+        (-(1.0 - 1e-14), -0.0, 3.0),
+        (0.6 * (1.0 + 1e-14), -0.8, 1e-300),
+        (1e308, -1e308, 1e308),
+        (-1e200, 1e200, 5.0),
+        (1e-10, 0.0, 1.0),
+        (0.0, 0.0, 0.0),
+        (math.inf, 0.0, 1.0),
+        (0.0, 1.0, -math.inf),
+        (math.nan, 1.0, 0.0),
+        (1.0, 0.0, math.nan),
+    ],
+)
+def test_line_from_floats_is_the_constructor(nx, ny, d):
+    # the rewrite's float path: the same representative, or the same error
+    try:
+        expected = Line((nx, ny), d)
+    except DegenerateInput as error:
+        with pytest.raises(DegenerateInput) as raised:
+            Line.from_floats(nx, ny, d)
+        assert str(raised.value) == str(error)
+        return
+    line = Line.from_floats(nx, ny, d)
+    assert type(line) is Line
+    assert [x.hex() for x in line.values] == [x.hex() for x in expected.values]
+
+
 @pytest.mark.parametrize("offset", [3, np.float64(3.0)])
 def test_line_takes_any_real_offset(offset):
     line, expected = Line((-3, 4), offset), Line((-3, 4), 3.0)

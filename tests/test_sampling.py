@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from mirrorwords import sampling
+from mirrorwords import cli, sampling
 
-# verify-mix's group configurations
+# verify-mix's group configurations, then the CLI's other O(n) dimensions
+# from the least to the largest
 CONFIGS = [("e2", 2), ("s2", 3), ("so3", 3), ("on", 3), ("on", 5), ("on", 8)]
+CONFIGS += [("on", 2), ("on", 16), ("on", cli.MAX_DIMENSION)]
 LENGTHS = list(range(9)) + [64]
 
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    angle_between_directions,
     classify_sphere_matrix,
     rotation_matrix,
     rotation_matrix_distance,
@@ -14,7 +15,7 @@ from oracles import (
     sphere_word_matrix,
 )
 from mirrorwords import cli, orthon, sampling, so3
-from mirrorwords.numerics import DegenerateSteering, NotConcurrent, angle_between_directions
+from mirrorwords.numerics import DegenerateSteering, NotConcurrent
 from mirrorwords.sphere import (
     GLIDE,
     IDENTITY,
@@ -301,5 +302,27 @@ def test_normal_form_matches_the_o3_rewrite_of_the_poles(poles):
         on_out = orthon.normalize_word([orthon.Hyperplane(c.values) for c in w], dim=3)
     except DegenerateSteering:
         assume(False)
+    assert len(out) <= 3
+    assert float(np.abs(word_to_matrix(out) - orthon.word_to_matrix(on_out, 3)).max()) <= 1e-12
+
+
+# Poles on which the O(3) rewrite loses digits: against a 50-digit product
+# of the input its normal form misses by 2.0e-12, the S2 one by 3.6e-16, so
+# the two oracles differ by 2.0e-12. The test above draws them only by chance.
+_O3_DIGIT_LOSS_POLES = [
+    (0.52011364, 2.58498848, 0.87868133),
+    (1, 2, 2),
+    (-0.80599184, 0.35200428, 1.02428273),
+    (0.52011364, 2.58498848, 0.87868133),
+    (-2, 3, 1),
+    (0, 0, 1),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the O(3) rewrite loses digits here")
+def test_normal_form_matches_the_o3_rewrite_of_the_digit_loss_poles():
+    w = [GreatCircle(p) for p in _O3_DIGIT_LOSS_POLES]
+    out = normalize_word(w)
+    on_out = orthon.normalize_word([orthon.Hyperplane(c.values) for c in w], dim=3)
     assert len(out) <= 3
     assert float(np.abs(word_to_matrix(out) - orthon.word_to_matrix(on_out, 3)).max()) <= 1e-12
