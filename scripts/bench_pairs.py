@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import shutil
@@ -66,7 +65,7 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "parent": summary(parent),
         "change": summary(change),
         "change_better_in_pairs": wins,
-        "relative_change": round(c_med / p_med - 1.0, 4) if p_med else math.nan,
+        "relative_change": round(c_med / p_med - 1.0, 4),
     }
 
 
@@ -99,13 +98,10 @@ def machine() -> dict:
                 break
     except OSError:
         pass
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
+    import numpy
+
     return {"cpus": os.cpu_count(), "cpu_model": model,
-            "python": platform.python_version(), "numpy": numpy_version}
+            "python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def run_pairs(parent_dir: Path, args) -> dict:
