@@ -1,18 +1,19 @@
 """Alternating parent/change pairs of perfbench/run.py on one workload.
 
 The change is the checkout this script sits in, as it is on disk. The
-parent is a git revision, checked out with `git worktree add` into a
-temporary directory that is removed afterwards (or an existing checkout,
-given with --parent-dir). Pair i runs both sides on seed SEED + i, parent
-first when i is even and change first when it is odd.
+parent is a git revision, written with `git archive` into a temporary
+directory that is removed afterwards; unlike a worktree, the copy leaves
+nothing registered in the repository. Pair i runs both sides on seed
+SEED + i, parent first when i is even and change first when it is odd.
 
 It prints each side's median and quartiles of every end-to-end metric, the
 pairs the change wins, and whether the performance rule holds for the
 claimed metric: the change better in at least 9 of 10 pairs (and at least
 10 pairs), and the gap between the medians larger than the parent's IQR.
 The runs go into BENCH_<label>.json under a section (the workload by
-default), so that several invocations fill one file; --claim also records
-the rule's result there.
+default), so that several invocations fill one file, each section with the
+parent's commit and the change's (its HEAD, and whether the tracked files
+differ from it); --claim also records the rule's result there.
 
     python3 scripts/bench_pairs.py --workload long-words --parent HEAD~1 \\
         --pairs 10 --seed 701 --seconds 25 --label lean_rewrite --claim
@@ -24,13 +25,14 @@ the rule's result there.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -39,6 +41,19 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 WIN_SHARE = 0.9
 MIN_PAIRS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(commit: str, dest: Path) -> None:
+    """Write the tracked files of commit into dest."""
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest, filter="data")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -133,7 +148,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
     p.add_argument("--parent", default="HEAD", help="git revision of the parent (default HEAD)")
-    p.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--seconds", type=float, default=float(BENCHMARK["run_seconds"]))
@@ -145,20 +159,19 @@ def main(argv=None) -> int:
     if args.pairs < 2 or args.seconds <= 0:
         p.error("--pairs must be at least 2 and --seconds positive")
 
-    tmp = None
-    if args.parent_dir is None:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-        parent_dir = tmp / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-    else:
-        parent_dir = args.parent_dir.resolve()
     try:
-        section = run_pairs(parent_dir, args)
-    finally:
-        if tmp is not None:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)], cwd=ROOT)
-            shutil.rmtree(tmp, ignore_errors=True)
+        parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    except subprocess.CalledProcessError:
+        p.error(f"--parent {args.parent} is not a commit of this repository")
+    commits = {
+        "parent": parent,
+        "change": git("rev-parse", "HEAD"),
+        "change_tracked_files_differ": bool(git("status", "--porcelain", "--untracked-files=no")),
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        export(parent, Path(tmp))
+        section = run_pairs(Path(tmp), args)
+    section["commits"] = commits
 
     print(f"{args.workload}, {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"{args.seconds:g} s")
@@ -188,6 +201,7 @@ def main(argv=None) -> int:
             "rule": f">= {MIN_PAIRS} alternating pairs, change better in >= {WIN_SHARE:.0%} of "
                     "them, median gap > parent IQR",
             "result": verdict,
+            "commits": commits,
         }
     bench[args.section or args.workload] = section
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")

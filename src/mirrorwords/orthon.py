@@ -283,7 +283,7 @@ def decompose(M) -> list:
     return word
 
 
-def _steer_moves(w: list, sink: list, c: list | None = None) -> int:
+def _steer_moves(w: list, sink: list) -> int:
     """Steer two of the n+1 mirrors in w onto each other; return the pair's index.
 
     No two adjacent mirrors of w coincide (the rewrite loop's contract).
@@ -296,11 +296,9 @@ def _steer_moves(w: list, sink: list, c: list | None = None) -> int:
     first mirror of the pair is x turned back in the pair's plane by the
     angle from e1 to v, the pencil turn of S2 and SO(3) with its double
     cross product expanded, (v.e1) x + e1 (v.x) - v (e1.x), which holds in
-    every dimension. Records pencil moves only. A given c stands for the
-    null vector, so that one move can be driven from a chosen dependency.
+    every dimension. Records pencil moves only.
     """
-    if c is None:
-        c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
+    c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
     s = 0
     while abs(c[s]) <= _RANK_TOL:
         s += 1

@@ -596,30 +596,34 @@ def test_random_word_rejects_dimension_below_one(dim):
     assert sampling.random_word(rng, "on", 0, dim=dim) == []
 
 
-def _steering_move(e1, v, cs, cv):
+def _steering_move(monkeypatch, e1, v, cs, cv):
     """The pencil move _steer_moves records on the pair (e1, v) for the dependency's (cs, cv)."""
     y = [cs * a + cv * b for a, b in zip(e1, v)]
     # the third mirror is the move's x itself, so steering stops after one move
     w = [Hyperplane(e1), Hyperplane(v), Hyperplane(y)]
     sink = []
-    assert orthon._steer_moves(w, sink, [cs, cv, 0.0]) == 1
+    # the SVD's last right singular vector is the chosen dependency
+    null = np.array([[cs, cv, 0.0]])
+    with monkeypatch.context() as m:
+        m.setattr(orthon.np.linalg, "svd", lambda a: (None, None, null))
+        assert orthon._steer_moves(w, sink) == 1
     (move,) = sink
     return move
 
 
-def test_pencil_turn_is_the_so3_turn():
+def test_pencil_turn_is_the_so3_turn(monkeypatch):
     # the first mirror of a steering move is x turned back by the angle from e1 to v
     rng = np.random.default_rng(73)
     for _ in range(500):
         e1, v = (Hyperplane(rng.standard_normal(3)).values for _ in range(2))
         cs, cv = rng.standard_normal(2)
-        u, x = (h.values for h in _steering_move(e1, v, cs, cv).mirrors)
+        u, x = (h.values for h in _steering_move(monkeypatch, e1, v, cs, cv).mirrors)
         expected = canonical_unit3(*so3.pencil_turn(v, e1, x))
         assert max(abs(a - b) for a, b in zip(u, expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_steering_pencil_move_keeps_the_pair_product(n):
+def test_steering_pencil_move_keeps_the_pair_product(monkeypatch, n):
     # one pencil move of _steer_moves, on pairs from far apart to nearly
     # coincident, carrying shares of the dependency down to 1e-8
     rng = np.random.default_rng(74)
@@ -632,7 +636,7 @@ def test_steering_pencil_move_keeps_the_pair_product(n):
                 cs, cv = rng.standard_normal(2)
                 scale = share / float(np.linalg.norm(cs * np.array(e1) + cv * np.array(v)))
                 cs, cv = cs * scale, cv * scale
-                u, x = (h.values for h in _steering_move(e1, v, cs, cv).mirrors)
+                u, x = (h.values for h in _steering_move(monkeypatch, e1, v, cs, cv).mirrors)
                 assert orthon._pair_product_distance(e1, v, u, x) <= 1e-14
                 assert orthon._off_plane_residual(e1, v, u, x) <= 1e-14
 
