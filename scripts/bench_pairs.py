@@ -12,8 +12,8 @@ claimed metric: the change better in at least 9 of 10 pairs (and at least
 10 pairs), and the gap between the medians larger than the parent's IQR.
 The runs go into BENCH_<label>.json under a section (the workload by
 default), so that several invocations fill one file, each section with the
-parent's commit and the change's (its HEAD, and whether the tracked files
-differ from it); --claim also records the rule's result there.
+parent's commit and the change's (its HEAD, and the tracked files that
+differ from it on disk); --claim also records the rule's result there.
 
     python3 scripts/bench_pairs.py --workload long-words --parent HEAD~1 \\
         --pairs 10 --seed 701 --seconds 25 --label lean_rewrite --claim
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     commits = {
         "parent": parent,
         "change": git("rev-parse", "HEAD"),
-        "change_tracked_files_differ": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_differs_in": git("diff", "--name-only", "HEAD").split(),
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         export(parent, Path(tmp))
