@@ -12,7 +12,13 @@ Expression grammar (whitespace-insensitive)::
 
 "*" composes right to left, matching operator notation: the leftmost term
 in the text acts last, so the stored word (first mirror acts first) is the
-reversed term list.
+reversed term list. Digits are ASCII only; names are ASCII and read
+case-insensitively.
+
+A valid text is read in one regex match per term and its mirrors are built
+from floats (`_parse_terms`). Any other text goes to the token walk
+(`_parse_tokens`), the one error reporter: its error type, message and
+position do not depend on the fast reading.
 
 Exit codes: 0 success, 1 verification failure, 2 parse, usage or geometry error.
 """
@@ -33,7 +39,8 @@ from .moves import Move
 from .numerics import EPS_VERIFY, GeometryError
 
 # The one place a group tag is looked up. Each geometry module exports
-# KEYWORD, ARITY, mirror_from_values, mirror_json, normalize_word,
+# KEYWORD, ARITY, mirror_from_values, mirror_from_floats (the same mirror,
+# bit for bit, from a list of floats), mirror_json, normalize_word,
 # word_oracle(word, dim) (the word's isometry, matrix or quaternion),
 # oracle_distance(x, y) (between two such) and classification_json;
 # each mirror has `values`.
@@ -71,11 +78,21 @@ class Expression:
     dim: int | None = None
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
-    r"|(?P<punct>[():,*])"
-    r"|(?P<bad>\S)"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+# ASCII digits only: float() would also read other scripts' digits. Each
+# string it matches has one parse, so a repeated group of numbers cannot
+# backtrack exponentially, as one of \d+\.?\d* can ("123" parses three ways).
+_NUM = r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+
+_TOKEN_RE = re.compile(rf"(?P<name>{_NAME})|(?P<num>{_NUM})|(?P<punct>[():,*])|(?P<bad>\S)")
+
+# The fast reading: the header, then "id" or one whole term per match. Names
+# are captured and compared lower-cased, as the walk does: re.IGNORECASE
+# would let "ſ" match "s".
+_HEADER_RE = re.compile(rf"\s*({_NAME})\s*(?:\(\s*({_NUM})\s*\)\s*)?:")
+_ID_RE = re.compile(rf"\s*({_NAME})\s*")
+_TERM_RE = re.compile(
+    rf"\s*({_NAME})\s*\(\s*({_NAME})\s*\(\s*({_NUM}(?:\s*,\s*{_NUM})*)\s*\)\s*\)\s*"
 )
 
 
@@ -97,6 +114,69 @@ def _on_dimension(word, dim: int | None) -> int:
 
 def parse_expression(text: str, default_dim: int | None = None) -> Expression:
     """Parse an expression into a group tag and a first-acts-first word."""
+    return _parse_terms(text, default_dim) or _parse_tokens(text, default_dim)
+
+
+def _parse_terms(text: str, default_dim: int | None) -> Expression | None:
+    """parse_expression of a valid text, or None where the token walk would raise.
+
+    All terms are matched and checked before any mirror is built; a mirror
+    that fails to build also gives None, and the walk then reports it.
+    """
+    m = _HEADER_RE.match(text)
+    if m is None:
+        return None
+    name, dim_text = m.groups()
+    group = name.lower()
+    geometry = GEOMETRIES.get(group)
+    if geometry is None:
+        return None
+    dim = None
+    if dim_text is not None:
+        value = float(dim_text)
+        if group != "on" or not (2 <= value <= MAX_DIMENSION and value.is_integer()):
+            return None
+        dim = int(value)
+    pos = m.end()
+    rows = []
+    m = _ID_RE.fullmatch(text, pos)
+    if m is None or m[1].lower() != "id":
+        keyword = geometry.KEYWORD
+        end = len(text)
+        while True:
+            m = _TERM_RE.match(text, pos)
+            if m is None or m[1].lower() != "refl" or m[2].lower() != keyword:
+                return None
+            rows.append(m[3].split(","))
+            pos = m.end()
+            if pos == end:
+                break
+            if text[pos] != "*":
+                return None
+            pos += 1
+    if geometry.ARITY is None:
+        if rows:
+            if dim is None:
+                dim = len(rows[0])
+            if not 2 <= dim <= MAX_DIMENSION or any(len(parts) != dim for parts in rows):
+                return None
+    elif any(len(parts) != geometry.ARITY for parts in rows):
+        return None
+    build = geometry.mirror_from_floats
+    try:
+        # float() strips only some of the whitespace \s lets in around a number
+        terms = [build([float(x.strip()) for x in parts]) for parts in rows]
+        if group == "on" and dim is None:
+            dim = _on_dimension(terms, default_dim)
+            _check_dimension(dim)
+    except GeometryError:
+        return None
+    terms.reverse()
+    return Expression(group, terms, dim)
+
+
+def _parse_tokens(text: str, default_dim: int | None = None) -> Expression:
+    """parse_expression by a walk over the text's tokens; raises at the first fault."""
     # the whole text is scanned first: an unexpected character anywhere wins
     # over a grammar error before it. A token is its value (a lower-case name,
     # a punctuation mark or a float) and its position; None marks the end.

@@ -59,6 +59,11 @@ class Hyperplane(Direction):
 mirror_from_values = Hyperplane
 
 
+def mirror_from_floats(values: list[float]) -> Hyperplane:
+    """mirror_from_values(values), bit for bit, for a list of floats."""
+    return Hyperplane.from_square(values, dot_n(values, values))
+
+
 def mirror_json(h: Hyperplane) -> dict:
     return {"normal": list(h.values)}
 

@@ -134,6 +134,11 @@ def mirror_from_values(values) -> Line:
     return Line(values[:2], values[2])
 
 
+def mirror_from_floats(values: list[float]) -> Line:
+    """mirror_from_values(values), bit for bit, for three floats; a rejected normal shows as a tuple."""
+    return Line.from_floats(*values)
+
+
 def mirror_json(l: Line) -> dict:
     return {"normal": [l.nx, l.ny], "offset": l.offset}
 

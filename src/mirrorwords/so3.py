@@ -63,6 +63,11 @@ class Axis(Direction3):
 mirror_from_values = Axis
 
 
+def mirror_from_floats(values: list[float]) -> Axis:
+    """mirror_from_values(values), bit for bit, for three floats."""
+    return Axis.from_floats(*values)
+
+
 def mirror_json(a: Axis) -> dict:
     return {"direction": list(a.values)}
 

@@ -44,6 +44,11 @@ class GreatCircle(Direction3):
 mirror_from_values = GreatCircle
 
 
+def mirror_from_floats(values: list[float]) -> GreatCircle:
+    """mirror_from_values(values), bit for bit, for three floats."""
+    return GreatCircle.from_floats(*values)
+
+
 def mirror_json(c: GreatCircle) -> dict:
     return {"pole": list(c.values)}
 

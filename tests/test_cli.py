@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -113,36 +114,41 @@ def test_parse_rejects_mixed_dimensions():
         pretty(Expression("on", []))
 
 
-@pytest.mark.parametrize(
-    "text, position",
-    [
-        ("E2: refl(line(1,2))", 9),
-        ("S2: refl(circle(1,2,3,4))", 9),
-        ("SO3: refl(axis(1))", 10),
-        ("ON: refl(hyper(1))", 9),
-    ],
-)
+COMPONENT_COUNT_CASES = [
+    ("E2: refl(line(1,2))", 9),
+    ("S2: refl(circle(1,2,3,4))", 9),
+    ("SO3: refl(axis(1))", 10),
+    ("ON: refl(hyper(1))", 9),
+]
+
+
+@pytest.mark.parametrize("text, position", COMPONENT_COUNT_CASES)
 def test_parse_rejects_wrong_component_count(text, position):
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression(text)
     assert err.value.position == position
 
 
-@pytest.mark.parametrize(
-    "text, error, position",
-    [
-        # an unexpected character anywhere beats the earlier missing ':' at 3
-        ("E2 refl(line(1,0,0)) $", ExpressionSyntaxError, 21),
-        ("E2 refl(line(1,0,0))", ExpressionSyntaxError, 3),
-        ("E2: refl(line(1,,0))", ExpressionSyntaxError, 16),
-        ("S2: refl(line(1,0,0))", ExpressionSyntaxError, 9),
-        ("E2: id *", ExpressionSyntaxError, 7),
-        ("E2: refl(line(1,0,0)) *", ExpressionSyntaxError, 23),
-        ("", ExpressionSyntaxError, 0),
-        ("ON(2.5): id", DimensionMismatch, None),
-        ("ON(3): refl(hyper(1,0,0)) * refl(hyper(1,0))", DimensionMismatch, None),
-    ],
-)
+ERROR_CASES = [
+    # an unexpected character anywhere beats the earlier missing ':' at 3
+    ("E2 refl(line(1,0,0)) $", ExpressionSyntaxError, 21),
+    ("E2 refl(line(1,0,0))", ExpressionSyntaxError, 3),
+    ("E2: refl(line(1,,0))", ExpressionSyntaxError, 16),
+    ("S2: refl(line(1,0,0))", ExpressionSyntaxError, 9),
+    ("E2: id *", ExpressionSyntaxError, 7),
+    ("E2: refl(line(1,0,0)) *", ExpressionSyntaxError, 23),
+    ("", ExpressionSyntaxError, 0),
+    ("ON(2.5): id", DimensionMismatch, None),
+    ("ON(3): refl(hyper(1,0,0)) * refl(hyper(1,0))", DimensionMismatch, None),
+    # digits are ASCII only: float() would read these as 1 and 3
+    ("E2: refl(line(\u0661,0,0))", ExpressionSyntaxError, 14),
+    ("ON(\u0663): id", ExpressionSyntaxError, 3),
+    # "\u017f" (long s) is not "s", although it upper-cases to "S"
+    ("SO3: refl(axi\u017f(0,0,1))", ExpressionSyntaxError, 13),
+]
+
+
+@pytest.mark.parametrize("text, error, position", ERROR_CASES)
 def test_parse_error_type_and_position(text, error, position):
     with pytest.raises(error) as err:
         parse_expression(text)
@@ -172,6 +178,111 @@ def _parse_or_geometry_error(text):
         assert isinstance(parse_expression(text, default_dim=3), Expression)
     except GeometryError:
         pass
+    _assert_parses_as_the_walk(text, default_dim=3)
+
+
+def _parse_outcome(parse, text, default_dim):
+    """What parse makes of text: its expression with every float in hex, or its error."""
+    try:
+        expr = parse(text, default_dim)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    word = [(type(m), tuple(map(float.hex, m.values))) for m in expr.word]
+    return expr.group, expr.dim, word
+
+
+def _assert_parses_as_the_walk(text, default_dim=None):
+    # the token walk reads every text, and is the reference of the fast reading
+    expected = _parse_outcome(cli._parse_tokens, text, default_dim)
+    assert _parse_outcome(parse_expression, text, default_dim) == expected
+    # a text the walk accepts never reaches it
+    accepted = isinstance(expected[0], str)
+    assert (cli._parse_terms(text, default_dim) is not None) == accepted
+
+
+_EQUIVALENCE_TEXTS = [
+    "E2: refl(line(1,0,2)) * refl(line(1,0,0))",
+    "so3 : REFL ( Axis ( 0 , 0 , 1 ) )",
+    "S2:refl(circle(1,0,0))*refl(circle(0,1,0))",
+    "ON: refl(hyper(1,2)) * refl(hyper(3,-4))",
+    "ON ( 3.0 ) : refl(hyper(+1, .5e-3, 2.)) * refl(hyper(1e2,0,0))",
+    "ON(3): id",
+    "ON: id",
+    "ON(65): id",
+    "E2: ID",
+    "E2: id\n",
+    "E2: idx",
+    "E2: refl(line(1,0,0)) * ",
+    "E2: refl(line(1e400,0,0))",
+    "E2: refl(line(-0.0,1,-0.0))",
+    "E2: refl(line(0,0,1)) * refl(line(1,2))",
+    "S2: refl(circle(0,0,0)) $",
+    "ON: refl(hyper(1,0,0)) * refl(hyper(0,0))",
+    "ON: refl(hyper(" + ",".join(["1"] * 65) + "))",
+    "ON(2): refl(hyper(1,1,1))",
+    "E2(3): id",
+    "E3: id",
+    "E2: refl(line(1_0,0,0))",
+    "E2: refl(line(1.5.5,0,0))",
+    "E2: refl(line(1e,0,0))",
+    "E2: reflx(line(1,0,0))",
+    "E2: refl(line1(1,0,0))",
+    "E2: refl(line(1,0,0)) refl(line(1,0,0))",
+    "E2: refl(line(1,0,0))) ",
+    "E2: refl(line(\uff11,0,0))",
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [text for text, _ in COMPONENT_COUNT_CASES]
+    + [text for text, _, _ in ERROR_CASES]
+    + _EQUIVALENCE_TEXTS,
+)
+@pytest.mark.parametrize("default_dim", [None, 4])
+def test_parse_agrees_with_the_token_walk(text, default_dim):
+    _assert_parses_as_the_walk(text, default_dim)
+
+
+# every character str.isspace() accepts, which \s matches and float() strips
+_WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("space", _WHITESPACE, ids=[f"U+{ord(c):04X}" for c in _WHITESPACE])
+def test_parse_agrees_with_the_token_walk_on_every_whitespace(space):
+    words = ["ON", "(", "3", ")", ":", "refl", "(", "hyper", "(", "1", ",", "-2.5", ",", "3", ")", ")"]
+    _assert_parses_as_the_walk(space.join(words))
+    _assert_parses_as_the_walk(space + space.join(words) + space)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    _expression_tokens(),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(list("0159.eE+-_,*():$ aAxsS") + ["\u017f", "\u0661", "\u00a0", "\n"]),
+)
+def test_parse_agrees_with_the_token_walk_after_one_edit(tokens, where, how, char):
+    # delete, replace or insert one character of a valid expression
+    text = " ".join(tokens)
+    where %= len(text) + 1
+    cut = text[where + 1:] if how < 2 else text[where:]
+    _assert_parses_as_the_walk(text[:where] + ("" if how == 0 else char) + cut)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a repeated group of \d+\.?\d* numbers backtracks exponentially here
+        "ON: refl(hyper(" + ",".join(["123456789012"] * 12) + ")) $",
+        "ON: refl(hyper(" + ",".join(["12345678901234567890"] * 64) + ")",
+    ],
+)
+def test_parse_of_long_numbers_fails_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionSyntaxError):
+        parse_expression(text)
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -206,25 +317,50 @@ def test_parse_is_whitespace_insensitive():
 
 def _random_expression(rng):
     group = ["e2", "s2", "so3", "on"][int(rng.integers(0, 4))]
-    dim = int(rng.integers(2, 6)) if group == "on" else None
-    word = sampling.random_word(rng, group, int(rng.integers(0, 5)), dim=dim or 3)
+    dim = int(rng.integers(2, 9)) if group == "on" else None
+    word = sampling.random_word(rng, group, int(rng.integers(0, 65)), dim=dim or 3)
     if group == "on" and word and rng.integers(0, 2):
         dim = None  # the dimension is then the mirrors'
     return Expression(group, word, dim)
 
 
+def _assert_round_trip(expr):
+    text = pretty(expr)
+    again = parse_expression(text)
+    assert pretty(again) == text
+    assert again.group == expr.group
+    assert cli.word_json(expr.group, expr.word, expr.dim).get("dimension") == again.dim
+    assert len(again.word) == len(expr.word)
+    for a, b in zip(again.word, expr.word):
+        assert type(a) is type(b)
+        assert list(map(float.hex, a.values)) == list(map(float.hex, b.values))
+
+
 def test_pretty_parse_round_trip_is_fixed_point():
     rng = np.random.default_rng(70)
     for _ in range(200):
-        expr = _random_expression(rng)
-        text = pretty(expr)
-        again = parse_expression(text)
-        assert pretty(again) == text
-        assert again.group == expr.group
-        assert cli.word_json(expr.group, expr.word, expr.dim).get("dimension") == again.dim
-        assert len(again.word) == len(expr.word)
-        for a, b in zip(again.word, expr.word):
-            assert a == b
+        _assert_round_trip(_random_expression(rng))
+
+
+@pytest.mark.parametrize(
+    "group, mirror",
+    [
+        ("e2", plane.Line((1, 0), 1e300)),
+        ("e2", plane.Line((0.6, 0.8), -1e300)),
+        ("e2", plane.Line((1, 0), 5e-324)),
+        ("e2", plane.Line((-0.0, 1.0), -0.0)),
+        ("e2", plane.Line((1, 1e-300), 2.0)),
+        ("s2", sphere.GreatCircle((1, 1e-300, 0))),
+        ("s2", sphere.GreatCircle((-0.0, -0.0, 1.0))),
+        ("so3", so3.Axis((1, 5e-324, -1e-300))),
+        ("so3", so3.Axis((-0.0, 2.0, -0.0))),
+        ("on", orthon.Hyperplane([1e-300, 1, 0, 0])),
+        ("on", orthon.Hyperplane([1, 2.5e-320, -0.0])),
+        ("on", orthon.Hyperplane([-0.0, -3.0])),
+    ],
+)
+def test_pretty_parse_round_trip_of_extreme_floats(group, mirror):
+    _assert_round_trip(Expression(group, [mirror, mirror]))
 
 
 # ---------------------------------------------------------------- goldens
