@@ -17,8 +17,8 @@ case-insensitively.
 
 A valid text is read in one regex match per term and its mirrors are built
 from floats (`_parse_terms`). Any other text goes to the token walk
-(`_parse_tokens`), the one error reporter: its error type, message and
-position do not depend on the fast reading.
+(`_parse_tokens`), the one error reporter, so error types, messages,
+positions and their precedence are the walk's, as before.
 
 Exit codes: 0 success, 1 verification failure, 2 parse, usage or geometry error.
 """
@@ -175,7 +175,7 @@ def _parse_terms(text: str, default_dim: int | None) -> Expression | None:
     return Expression(group, terms, dim)
 
 
-def _parse_tokens(text: str, default_dim: int | None = None) -> Expression:
+def _parse_tokens(text: str, default_dim: int | None) -> Expression:
     """parse_expression by a walk over the text's tokens; raises at the first fault."""
     # the whole text is scanned first: an unexpected character anywhere wins
     # over a grammar error before it. A token is its value (a lower-case name,
