@@ -26,7 +26,6 @@ from .numerics import (
     NotConcurrent,
     NotOrthogonal,
     WrongLength,
-    canonical_unit,
 )
 
 __version__ = "0.1.0"
@@ -51,6 +50,5 @@ __all__ = [
     "NotConcurrent",
     "NotOrthogonal",
     "WrongLength",
-    "canonical_unit",
     "__version__",
 ]

@@ -15,10 +15,12 @@ in the text acts last, so the stored word (first mirror acts first) is the
 reversed term list. Digits are ASCII only; names are ASCII and read
 case-insensitively.
 
-A valid text is read in one regex match per term and its mirrors are built
-from floats (`_parse_terms`). Any other text goes to the token walk
-(`_parse_tokens`), the one error reporter, so error types, messages,
-positions and their precedence are the walk's, as before.
+A text is read in one regex match per term and its mirrors are built from
+floats (`_parse_terms`). Where every term matches and passes the arity and
+dimension checks, a mirror that fails to build raises there, as the token
+walk would at the same term. Any other text goes to the token walk
+(`_parse_tokens`), which raises at its first fault, so error types,
+messages, positions and their precedence are the walk's.
 
 Exit codes: 0 success, 1 verification failure, 2 parse, usage or geometry error.
 """
@@ -39,11 +41,10 @@ from .moves import Move
 from .numerics import EPS_VERIFY, GeometryError
 
 # The one place a group tag is looked up. Each geometry module exports
-# KEYWORD, ARITY, mirror_from_values, mirror_from_floats (the same mirror,
-# bit for bit, from a list of floats), mirror_json, normalize_word,
-# word_oracle(word, dim) (the word's isometry, matrix or quaternion),
-# oracle_distance(x, y) (between two such) and classification_json;
-# each mirror has `values`.
+# KEYWORD, ARITY, mirror_from_floats (a mirror from its list of floats),
+# mirror_json, normalize_word, word_oracle(word, dim) (the word's isometry,
+# matrix or quaternion), oracle_distance(x, y) (between two such) and
+# classification_json; each mirror is its float tuple `values`.
 GEOMETRIES = {"e2": plane, "s2": sphere, "so3": so3, "on": orthon}
 GROUPS = tuple(GEOMETRIES)
 
@@ -109,7 +110,7 @@ def _on_dimension(word, dim: int | None) -> int:
         return dim
     if not word:
         raise DimensionMismatch("empty ON word needs an explicit dimension, e.g. ON(3): id")
-    return word[0].dimension
+    return len(word[0].values)
 
 
 def parse_expression(text: str, default_dim: int | None = None) -> Expression:
@@ -118,10 +119,10 @@ def parse_expression(text: str, default_dim: int | None = None) -> Expression:
 
 
 def _parse_terms(text: str, default_dim: int | None) -> Expression | None:
-    """parse_expression of a valid text, or None where the token walk would raise.
+    """parse_expression of a text the term grammar matches, else None.
 
-    All terms are matched and checked before any mirror is built; a mirror
-    that fails to build also gives None, and the walk then reports it.
+    All terms are matched and checked before any mirror is built, in text
+    order; the first that fails to build raises what the token walk would.
     """
     m = _HEADER_RE.match(text)
     if m is None:
@@ -163,14 +164,11 @@ def _parse_terms(text: str, default_dim: int | None) -> Expression | None:
     elif any(len(parts) != geometry.ARITY for parts in rows):
         return None
     build = geometry.mirror_from_floats
-    try:
-        # float() strips only some of the whitespace \s lets in around a number
-        terms = [build([float(x.strip()) for x in parts]) for parts in rows]
-        if group == "on" and dim is None:
-            dim = _on_dimension(terms, default_dim)
-            _check_dimension(dim)
-    except GeometryError:
-        return None
+    # float() strips only some of the whitespace \s lets in around a number
+    terms = [build([float(x.strip()) for x in parts]) for parts in rows]
+    if group == "on" and dim is None:
+        dim = _on_dimension(terms, default_dim)
+        _check_dimension(dim)
     terms.reverse()
     return Expression(group, terms, dim)
 
@@ -242,7 +240,7 @@ def _parse_tokens(text: str, default_dim: int | None) -> Expression:
                     )
             elif len(values) != geometry.ARITY:
                 raise ExpressionSyntaxError(f"{keyword}() takes {geometry.ARITY} components", pos)
-            terms.append(geometry.mirror_from_values(values))
+            terms.append(geometry.mirror_from_floats(values))
             take(")")
             if tokens[i][0] != "*":
                 break
@@ -251,7 +249,7 @@ def _parse_tokens(text: str, default_dim: int | None) -> Expression:
 
     word = list(reversed(terms))
     if group == "on":
-        dims = {m.dimension for m in word}
+        dims = {len(m.values) for m in word}
         if len(dims) > 1:
             raise DimensionMismatch(f"mixed mirror dimensions {sorted(dims)}")
         if dims:
@@ -266,7 +264,7 @@ def _parse_tokens(text: str, default_dim: int | None) -> Expression:
 
 
 def _mirror_text(geometry, mirror) -> str:
-    return f"{geometry.KEYWORD}({','.join(repr(float(x)) for x in mirror.values)})"
+    return f"{geometry.KEYWORD}({','.join(map(repr, mirror.values))})"
 
 
 def pretty(expr: Expression) -> str:

@@ -4,15 +4,13 @@ Every mirror given by a unit vector up to sign is a Direction: it stores
 canonical_unit_n of its input (canonical_unit3 in 3-space, the same floats)
 as the tuple `values`, so that one geometric mirror has exactly one stored
 representative, which is what makes exact equality usable in golden tests.
-unit_n is the one normalization rule; canonical_unit is its array form for
-callers outside the rewrite.
+unit_n is the one normalization rule. Everything here computes in plain
+floats; the module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 # Predicate tolerance (is this the same line? are these parallel?) must be
 # stricter than the verification tolerance that bounds accumulated oracle
@@ -57,17 +55,6 @@ class DegenerateSteering(GeometryError):
     """O(n) steering found no pair to cancel: the input is too near degenerate."""
 
 
-def canonical_unit(v) -> np.ndarray:
-    """Normalize v and fix its sign so the first significant component is positive.
-
-    The sign convention gives unsigned directions (mirror normals, axes) a
-    unique representative: canonical_unit(v) == canonical_unit(-v).
-    Raises DegenerateInput on (near-)zero input or a non-finite norm.
-    The array form of canonical_unit_n, for any flat vector.
-    """
-    return np.array(canonical_unit_n(components_n(v)))
-
-
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     t = math.fmod(theta, 2.0 * math.pi)
@@ -90,13 +77,20 @@ def shown(v) -> str:
         return f"<{type(v).__name__} too long to print>"
 
 
+# float() reads these as text ("1", b"1"), so a component of one of these
+# types is refused rather than read as a number
+TEXT_TYPES = (str, bytes, bytearray)
+
+
 def components3(v) -> tuple[float, float, float]:
     """The three components of a 3-vector as floats; DegenerateInput otherwise."""
-    # unpacking a string yields its characters, which float() accepts
+    # a whole string or bytes would unpack into characters or ints
     if type(v) is not tuple and isinstance(v, (str, bytes)):
         raise DegenerateInput(f"a 3-vector needs numeric components: {shown(v)}")
     try:
         x, y, z = v
+        if isinstance(x, TEXT_TYPES) or isinstance(y, TEXT_TYPES) or isinstance(z, TEXT_TYPES):
+            raise TypeError
         return float(x), float(y), float(z)
     except (TypeError, ValueError):
         raise DegenerateInput(
@@ -150,8 +144,12 @@ def components_n(v) -> list[float]:
         tolist = getattr(v, "tolist", None)
         if tolist is not None:
             v = tolist()
+    out = []
     try:
-        out = list(map(float, v))
+        for x in v:
+            if isinstance(x, TEXT_TYPES):
+                raise TypeError
+            out.append(float(x))
     except (TypeError, ValueError):
         raise DegenerateInput(f"a vector needs flat, numeric components: {shown(v)}") from None
     except OverflowError:  # an int past the float range; its repr may exceed the digit limit
@@ -247,11 +245,6 @@ class Direction:
         d = object.__new__(cls)
         d.values = canonical_sign_n(unit_from_square(v, square))
         return d
-
-    def _array(self) -> np.ndarray:
-        a = np.array(self.values)
-        a.flags.writeable = False
-        return a
 
     def __eq__(self, other):
         if type(other) is not type(self):

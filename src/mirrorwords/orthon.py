@@ -43,24 +43,15 @@ ARITY = None
 class Hyperplane(Direction):
     """Mirror hyperplane {x : normal . x = 0}, canonical-sign unit normal.
 
-    The normal is kept as the float tuple `values` (see Direction); the
-    public `normal` array is a read-only copy built on each access.
+    The normal is kept as the float tuple `values` (see Direction); its
+    dimension is len(values).
     """
 
     __slots__ = ()
 
-    normal = property(Direction._array)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
-
-mirror_from_values = Hyperplane
-
 
 def mirror_from_floats(values: list[float]) -> Hyperplane:
-    """mirror_from_values(values), bit for bit, for a list of floats."""
+    """The hyperplane whose normal is a list of floats."""
     return Hyperplane.from_square(values, dot_n(values, values))
 
 
@@ -90,7 +81,6 @@ def coincident(a: Hyperplane, b: Hyperplane) -> bool:
 
 
 def _word_dimension(word, dim: int | None) -> int:
-    # len(values), not the `dimension` property: this runs on every oracle call
     if word:
         d = len(word[0].values)
         for h in word:

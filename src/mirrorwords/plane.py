@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import kernels
 from .moves import PENCIL, Move, emit, normalize, replay
 # perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
@@ -28,6 +26,7 @@ from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
+    TEXT_TYPES,
     DegenerateInput,
     NotConcurrent,
     shown,
@@ -57,12 +56,15 @@ class Line:
 
     def __init__(self, normal, offset: float = 0.0):
         try:
-            # unpacking a string yields its characters, and float() reads digit strings
-            if (type(normal) is not tuple and isinstance(normal, (str, bytes))) or (
-                type(offset) is not float and isinstance(offset, (str, bytes))
-            ):
+            # a whole string or bytes would unpack into characters or ints
+            if type(normal) is not tuple and isinstance(normal, (str, bytes)):
                 raise TypeError
             nx, ny = normal
+            # float() reads digit strings
+            if isinstance(nx, TEXT_TYPES) or isinstance(ny, TEXT_TYPES) or (
+                isinstance(offset, TEXT_TYPES)
+            ):
+                raise TypeError
             nx = float(nx)
             ny = float(ny)
             d = float(offset)
@@ -107,14 +109,6 @@ class Line:
         self.offset = d + 0.0
 
     @property
-    def normal(self) -> np.ndarray:
-        return np.array([self.nx, self.ny])
-
-    @property
-    def direction(self) -> np.ndarray:
-        return np.array([-self.ny, self.nx])
-
-    @property
     def values(self) -> tuple[float, float, float]:
         return self.nx, self.ny, self.offset
 
@@ -130,12 +124,8 @@ class Line:
         return f"Line(({self.nx!r}, {self.ny!r}), {self.offset!r})"
 
 
-def mirror_from_values(values) -> Line:
-    return Line(values[:2], values[2])
-
-
 def mirror_from_floats(values: list[float]) -> Line:
-    """mirror_from_values(values), bit for bit, for three floats; a rejected normal shows as a tuple."""
+    """The line of three floats (normal_x, normal_y, offset)."""
     return Line.from_floats(*values)
 
 
@@ -194,7 +184,7 @@ def _signed_gap(a: Line, b: Line) -> float:
 
 
 class Isometry(NamedTuple):
-    """Oracle representation: x -> linear @ x + translation, kept as six floats."""
+    """Oracle representation: x -> A x + t with A = [[a00, a01], [a10, a11]], t = (t0, t1)."""
 
     a00: float
     a01: float
@@ -202,14 +192,6 @@ class Isometry(NamedTuple):
     a11: float
     t0: float
     t1: float
-
-    @property
-    def linear(self) -> np.ndarray:
-        return np.array([[self.a00, self.a01], [self.a10, self.a11]])
-
-    @property
-    def translation(self) -> np.ndarray:
-        return np.array([self.t0, self.t1])
 
 
 def word_to_isometry(word) -> Isometry:

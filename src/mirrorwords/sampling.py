@@ -43,7 +43,9 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_line(rng: np.random.Generator) -> Line:
-    return Line(_unit(rng, 2), rng.uniform(-OFFSET_RANGE, OFFSET_RANGE))
+    nx, ny = _unit(rng, 2).tolist()
+    # the constructor's floats, without its type checks on floats drawn here
+    return Line.from_floats(nx, ny, rng.uniform(-OFFSET_RANGE, OFFSET_RANGE))
 
 
 def random_circle(rng: np.random.Generator) -> GreatCircle:

@@ -51,20 +51,14 @@ ARITY = 3
 class Axis(Direction3):
     """A line through the origin, stored as a canonical-sign unit direction.
 
-    The direction is kept as the float tuple `values` (see Direction3);
-    `direction` gives it as a read-only array.
+    The direction is kept as the float tuple `values` (see Direction3).
     """
 
     __slots__ = ()
 
-    direction = property(Direction3._array)
-
-
-mirror_from_values = Axis
-
 
 def mirror_from_floats(values: list[float]) -> Axis:
-    """mirror_from_values(values), bit for bit, for three floats."""
+    """The axis whose direction is three floats."""
     return Axis.from_floats(*values)
 
 

@@ -32,20 +32,14 @@ ARITY = 3
 class GreatCircle(Direction3):
     """Great circle {x on S2 : pole . x = 0}, pole stored with canonical sign.
 
-    The pole is kept as the float tuple `values` (see Direction3);
-    `pole` gives it as a read-only array.
+    The pole is kept as the float tuple `values` (see Direction3).
     """
 
     __slots__ = ()
 
-    pole = property(Direction3._array)
-
-
-mirror_from_values = GreatCircle
-
 
 def mirror_from_floats(values: list[float]) -> GreatCircle:
-    """mirror_from_values(values), bit for bit, for three floats."""
+    """The great circle whose pole is three floats."""
     return GreatCircle.from_floats(*values)
 
 

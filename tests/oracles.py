@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: affine maps are
 composed with plain numpy, classification reads numpy eigendecompositions.
 Helpers that only tests need live here too: a rotation's quaternion, the
-angle between two unoriented lines and the matrix rebuilt from an O(n)
-spectral split.
+angle between two unoriented lines, the matrix rebuilt from an O(n)
+spectral split, and arrays of a mirror's floats and of a plane isometry.
 """
 
 import math
@@ -14,6 +14,16 @@ import numpy as np
 from mirrorwords.so3 import Quaternion
 
 IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
+
+
+def vector(mirror) -> np.ndarray:
+    """A mirror's float tuple `values` as an array: its pole, axis or normal."""
+    return np.array(mirror.values)
+
+
+def affine(iso):
+    """(A, t) of a plane.Isometry x -> A x + t, as arrays."""
+    return np.array([[iso.a00, iso.a01], [iso.a10, iso.a11]]), np.array([iso.t0, iso.t1])
 
 
 def rotation_to_quaternion(r):
@@ -114,7 +124,7 @@ def plane_singular_value(a, b, c, d):
 
 def line_reflection_matrix(axis):
     """Half-turn about a line through the origin: 2dd^T - I, det +1, squares to I."""
-    d = np.asarray(axis.direction)
+    d = vector(axis)
     return 2.0 * np.outer(d, d) - np.eye(3)
 
 
@@ -137,7 +147,7 @@ def rotation_matrix_distance(A, B):
 def sphere_word_matrix(word):
     M = np.eye(3)
     for c in word:
-        p = np.asarray(c.pole)
+        p = vector(c)
         M = (np.eye(3) - 2.0 * np.outer(p, p)) @ M
     return M
 

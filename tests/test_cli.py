@@ -25,6 +25,10 @@ from mirrorwords.cli import (
 from mirrorwords.moves import Move
 from mirrorwords.numerics import DegenerateInput, GeometryError
 
+# the traced benchmark run, whose wrappers look names up on each geometry module
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -90,6 +94,21 @@ def test_parse_single_axis():
 def test_parse_rejects_zero_normal():
     with pytest.raises(DegenerateInput):
         parse_expression("E2: refl(line(0,0,0))")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("E2: refl(line(0,0,1))", "zero normal cannot define a line: (0.0, 0.0)"),
+        ("E2: refl(line(1,0,1e400))", "line needs a finite normal and offset: (1.0, 0.0), inf"),
+    ],
+)
+def test_parse_of_a_line_that_fails_to_build_names_its_normal_as_a_tuple(text, message):
+    # the fast reading raises the build error itself, as the walk would
+    for parse in (parse_expression, cli._parse_terms, cli._parse_tokens):
+        with pytest.raises(DegenerateInput) as err:
+            parse(text, None)
+        assert str(err.value) == message
 
 
 def test_parse_syntax_error_position():
@@ -182,11 +201,13 @@ def _parse_or_geometry_error(text):
 
 
 def _parse_outcome(parse, text, default_dim):
-    """What parse makes of text: its expression with every float in hex, or its error."""
+    """What parse makes of text: its expression with every float in hex, its error, or None."""
     try:
         expr = parse(text, default_dim)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
+    if expr is None:
+        return None
     word = [(type(m), tuple(map(float.hex, m.values))) for m in expr.word]
     return expr.group, expr.dim, word
 
@@ -195,9 +216,13 @@ def _assert_parses_as_the_walk(text, default_dim=None):
     # the token walk reads every text, and is the reference of the fast reading
     expected = _parse_outcome(cli._parse_tokens, text, default_dim)
     assert _parse_outcome(parse_expression, text, default_dim) == expected
-    # a text the walk accepts never reaches it
-    accepted = isinstance(expected[0], str)
-    assert (cli._parse_terms(text, default_dim) is not None) == accepted
+    # the fast reading gives the walk's expression or error, and hands the
+    # walk only text that the walk rejects
+    fast = _parse_outcome(cli._parse_terms, text, default_dim)
+    if fast is None:
+        assert not isinstance(expected[0], str)
+    else:
+        assert fast == expected
 
 
 _EQUIVALENCE_TEXTS = [
@@ -692,6 +717,35 @@ def test_cli_looks_groups_up_in_the_geometry_table():
             assert tags <= allowed, f"{func.name} compares with {sorted(tags - allowed)}"
 
 
+# what the command line needs of each geometry module
+GEOMETRY_RECORD = (
+    "KEYWORD",
+    "ARITY",
+    "mirror_from_floats",
+    "mirror_json",
+    "normalize_word",
+    "word_oracle",
+    "oracle_distance",
+    "classification_json",
+)
+
+
+@pytest.mark.parametrize("group", cli.GROUPS)
+def test_every_geometry_exports_its_record_and_the_traced_names(group):
+    geometry = cli.GEOMETRIES[group]
+    assert [name for name in GEOMETRY_RECORD if not hasattr(geometry, name)] == []
+    # the traced run wraps `coincident` and `apply_move` on every geometry
+    # module, as well as its layers (the rewrite, replay_moves, the oracle
+    # gather); a module without one of them stops the traced run
+    assert geometry in tracing.GEOMETRY
+    traced = {"coincident", "apply_move"}
+    traced.update(attr for module, attr, *_ in tracing.SPAN_LAYERS if module is geometry)
+    assert {"normalize_word", "replay_moves"} < traced
+    assert sorted(name for name in traced if not hasattr(geometry, name)) == []
+    # one way to build a mirror
+    assert not hasattr(geometry, "mirror_from_values")
+
+
 def test_arc_rejects_other_groups():
     result = run_cli("arc", "E2: refl(line(1,0,0))")
     assert result.returncode == 2
@@ -858,7 +912,7 @@ def test_residual_of_an_unchanged_word_takes_one_oracle(group, dim, monkeypatch)
     for length in (0, 1, 3, 8):
         word = sampling.random_word(rng, group, length, dim=dim or 3)
         expected = _oracle_distance(group, word, word, dim)
-        rebuilt = [cli.GEOMETRIES[group].mirror_from_values(m.values) for m in word]
+        rebuilt = [cli.GEOMETRIES[group].mirror_from_floats(list(m.values)) for m in word]
         # a copy, as a rewrite that changes nothing returns it, and equal mirrors
         for out in (list(word), rebuilt):
             assert out == word

@@ -1,9 +1,8 @@
 """Mirrors stored as plain floats: so3.Axis, sphere.GreatCircle, orthon.Hyperplane.
 
 All three are numerics.Direction: each stores its canonical unit vector as
-the float tuple `values` and computes the rewrite on floats; the public
-`direction`, `pole` and `normal` arrays are read-only copies built on
-demand.
+the float tuple `values`, its one view, and computes the rewrite on
+floats. numerics and plane import no numpy at all.
 """
 
 import ast
@@ -16,13 +15,17 @@ import pytest
 from mirrorwords import arrowarc, kernels, numerics, orthon, plane, sampling, so3, sphere
 from mirrorwords.numerics import DegenerateInput
 
-MIRRORS3 = [(so3.Axis, "direction"), (sphere.GreatCircle, "pole")]
+# each case is named by its class and its vector's mirror_json key
+MIRRORS3 = [
+    pytest.param(so3.Axis, id="Axis-direction"),
+    pytest.param(sphere.GreatCircle, id="GreatCircle-pole"),
+]
 # a hyperplane of 3-space takes the same inputs as the 3-vector mirrors
-MIRRORS = MIRRORS3 + [(orthon.Hyperplane, "normal")]
+MIRRORS = MIRRORS3 + [pytest.param(orthon.Hyperplane, id="Hyperplane-normal")]
 
 
-@pytest.mark.parametrize("cls, attr", MIRRORS)
-def test_equality_and_hash_by_value(cls, attr):
+@pytest.mark.parametrize("cls", MIRRORS)
+def test_equality_and_hash_by_value(cls):
     rng = np.random.default_rng(70)
     for _ in range(100):
         v = rng.standard_normal(3)
@@ -30,7 +33,7 @@ def test_equality_and_hash_by_value(cls, attr):
         assert a is not b
         assert a == b and hash(a) == hash(b)
         assert cls(-v) == a and hash(cls(-v)) == hash(a)
-        assert cls(tuple(getattr(a, attr))) == a
+        assert cls(a.values) == a
     assert len({cls((1, 0, 0)), cls((-2, 0, 0)), cls((0, 1, 0))}) == 2
     assert cls((1, 0, 0)) != cls((0, 1, 0))
 
@@ -40,22 +43,7 @@ def test_an_axis_is_never_a_great_circle():
     assert sphere.GreatCircle((1, 0, 0)) != so3.Axis((1, 0, 0))
 
 
-@pytest.mark.parametrize("cls, attr", MIRRORS)
-def test_vector_is_a_read_only_float64_array(cls, attr):
-    m = cls((0, -3, 4))
-    v = getattr(m, attr)
-    assert isinstance(v, np.ndarray)
-    assert v.dtype == np.float64 and v.shape == (3,)
-    assert not v.flags.writeable
-    with pytest.raises(ValueError):
-        v[0] = 1.0
-    np.testing.assert_array_equal(v, [0.0, 0.6, -0.8])
-    assert m.values == (0.0, 0.6, -0.8)
-    assert all(type(x) is float for x in m.values)
-    assert math.copysign(1.0, m.values[0]) == 1.0  # +0.0, not -0.0
-
-
-@pytest.mark.parametrize("cls, attr", MIRRORS3)
+@pytest.mark.parametrize("cls", MIRRORS3)
 @pytest.mark.parametrize(
     "v",
     [
@@ -67,25 +55,35 @@ def test_vector_is_a_read_only_float64_array(cls, attr):
         np.ones((3, 3)),
         pytest.param("123", id="digit-str"),
         pytest.param(b"123", id="digit-bytes"),
+        # float() reads a digit string as a number
+        pytest.param(("1", "0", "0"), id="digit-str-components"),
+        pytest.param(["1", 0, 0], id="digit-str-component"),
+        pytest.param((b"1", 0, 0), id="digit-bytes-component"),
+        pytest.param((0, bytearray(b"1"), 0), id="digit-bytearray-component"),
+        pytest.param(np.array(["1", "0", "0"]), id="digit-str-array"),
         pytest.param((10**400, 0, 0), id="huge-int"),
         pytest.param((10**5000, 0, 0), id="int-past-repr-digit-limit"),
         pytest.param((10**5000, 0), id="wrong-length-int-past-repr-digit-limit"),
     ],
 )
-def test_wrong_number_of_components_is_rejected(cls, attr, v):
+def test_wrong_number_of_components_is_rejected(cls, v):
     with pytest.raises(DegenerateInput):
         cls(v)
 
 
-@pytest.mark.parametrize("cls, attr", MIRRORS)
-def test_vector_rules_of_canonical_unit_hold(cls, attr):
+@pytest.mark.parametrize("cls", MIRRORS)
+def test_vector_rules_of_canonical_unit_hold(cls):
+    m = cls((0, -3, 4))
+    assert m.values == (0.0, 0.6, -0.8)
+    assert all(type(x) is float for x in m.values)
+    assert math.copysign(1.0, m.values[0]) == 1.0  # +0.0, not -0.0
     with pytest.raises(DegenerateInput):
         cls((0.0, 0.0, 0.0))
     with pytest.raises(DegenerateInput):
         cls((float("nan"), 0.0, 1.0))
     with pytest.raises(DegenerateInput):
         cls((1e400, 0.0, 1.0))
-    np.testing.assert_allclose(getattr(cls((1e200, 1e200, 0)), attr), getattr(cls((1, 1, 0)), attr), atol=1e-15)
+    np.testing.assert_allclose(cls((1e200, 1e200, 0)).values, cls((1, 1, 0)).values, atol=1e-15)
 
 
 def test_wrong_length_input_fails_before_the_rewrite():
@@ -104,20 +102,19 @@ def test_oracle_gathers_read_the_floats():
     rng = np.random.default_rng(71)
     word = sampling.random_word(rng, "on", 5, dim=4)
     np.testing.assert_array_equal(
-        orthon.word_to_matrix(word), kernels.householder_word_matrix(np.array([h.normal for h in word]))
+        orthon.word_to_matrix(word), kernels.householder_word_matrix(np.array([h.values for h in word]))
     )
     circles = sampling.random_word(rng, "s2", 5)
     expected = np.eye(3)
     for c in circles:
-        expected = (np.eye(3) - 2.0 * np.outer(c.pole, c.pole)) @ expected
+        expected = (np.eye(3) - 2.0 * np.outer(c.values, c.values)) @ expected
     np.testing.assert_allclose(sphere.word_to_matrix(circles), expected, rtol=0, atol=1e-14)
 
 
 # Functions of the E2, S2, SO(3) and O(n) rewrite paths, and of the
 # classifiers, 3-space rotations and arcs that read their results, which
-# compute on plain floats. Reading a mirror's array property builds an
-# array, so it counts as a numpy call too. The one exception is the SVD
-# that finds the O(n) head's linear dependency, once per reduction.
+# compute on plain floats. The one exception is the SVD that finds the O(n)
+# head's linear dependency, once per reduction.
 FLOAT_PATH = {
     orthon: [
         "coincident",
@@ -182,7 +179,6 @@ FLOAT_PATH = {
         "canonical_unit_n",
     ],
 }
-ARRAYS = {attr for _, attr in MIRRORS}
 
 
 def _functions(tree):
@@ -221,21 +217,28 @@ def test_rewrite_path_makes_no_numpy_call(module):
             node.lineno
             for node in body
             if id(node) not in allowed
-            and (
-                (isinstance(node, ast.Name) and node.id == "np")
-                or (isinstance(node, ast.Attribute) and node.attr in ARRAYS)
-            )
+            and isinstance(node, ast.Name)
+            and node.id == "np"
         ]
         assert uses == [], f"{module.__name__}.{name} uses numpy on lines {uses}"
         expected = (module, name) == (orthon, "_steer_moves")
         assert len(svds) == expected, f"{name} makes {len(svds)} SVD calls"
 
 
-def test_arrowarc_imports_no_numpy():
-    tree = ast.parse(Path(arrowarc.__file__).read_text(encoding="utf-8"))
+def _numpy_imports(module) -> list:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name and name.split(".")[0] == "numpy"]
+    return [name for name in imported if name and name.split(".")[0] == "numpy"]
+
+
+def test_arrowarc_imports_no_numpy():
+    assert _numpy_imports(arrowarc) == []
+
+
+@pytest.mark.parametrize("module", [numerics, plane], ids=lambda m: m.__name__)
+def test_float_module_imports_no_numpy(module):
+    assert _numpy_imports(module) == []
 
 
 def test_rotation_axes_and_arc_points_are_float_tuples():

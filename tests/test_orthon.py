@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import pair_product_distance, plane_singular_value, reassemble
+from oracles import pair_product_distance, plane_singular_value, reassemble, vector
 from mirrorwords import cli, kernels, orthon, sampling, so3, sphere
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
@@ -122,7 +122,7 @@ def test_decompose_plane_rotation():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     word = decompose(R)
     assert len(word) == 2
-    gap = abs(float(word[0].normal @ word[1].normal))
+    gap = abs(float(vector(word[0]) @ vector(word[1])))
     assert gap == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
     np.testing.assert_allclose(word_to_matrix(word, 2), R, atol=1e-12)
 
@@ -305,7 +305,7 @@ def test_reduce_word_plane_examples():
     for n in (2, 3, 5):
         w = sampling.random_word(rng, "on", n + 1, dim=n)
         for i in range(n):
-            near = Hyperplane(w[i].normal + 1e-11 * rng.standard_normal(n))
+            near = Hyperplane(vector(w[i]) + 1e-11 * rng.standard_normal(n))
             for twin in (w[i], near):
                 v = list(w)
                 v[i + 1] = twin

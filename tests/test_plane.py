@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classify_plane_map, plane_word_map, same_direction
+from oracles import affine, classify_plane_map, plane_word_map, same_direction
 from mirrorwords import cli, sampling
 from mirrorwords.numerics import (
     EPS_COINCIDE,
@@ -57,8 +57,8 @@ def origin_line(theta_deg):
 
 def mirror_image(line, p):
     """Image of point p under the oracle map of the one-mirror word [line]."""
-    iso = word_to_isometry([line])
-    return iso.linear @ np.asarray(p, dtype=float) + iso.translation
+    A, t = affine(word_to_isometry([line]))
+    return A @ np.asarray(p, dtype=float) + t
 
 
 @pytest.mark.parametrize(
@@ -86,6 +86,12 @@ def mirror_image(line, p):
         pytest.param((1, 0), 10**5000, id="int-past-repr-digit-limit"),
         # malformed and holding such an int: the message must not repr it
         pytest.param((10**5000, 0, 0), 0, id="wrong-length-int-past-repr-digit-limit"),
+        # digit strings as components, which float() reads as numbers
+        pytest.param(("1", "0"), 0.0, id="digit-str-normal"),
+        pytest.param([1, "0"], 0.0, id="digit-str-normal-component"),
+        pytest.param((b"1", 0), 0.0, id="digit-bytes-normal-component"),
+        pytest.param((1, 0), bytearray(b"1"), id="digit-bytearray-offset"),
+        pytest.param(np.array(["1", "0"]), 0.0, id="digit-str-array"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):
@@ -166,19 +172,19 @@ def test_reflect_point_involution():
 
 
 def test_word_to_isometry_empty_and_involution():
-    iso = word_to_isometry([])
-    np.testing.assert_array_equal(iso.linear, np.eye(2))
-    np.testing.assert_array_equal(iso.translation, np.zeros(2))
+    A, t = affine(word_to_isometry([]))
+    np.testing.assert_array_equal(A, np.eye(2))
+    np.testing.assert_array_equal(t, np.zeros(2))
     l = Line((2, 1), 3)
-    iso2 = word_to_isometry([l, l])
-    np.testing.assert_allclose(iso2.linear, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(iso2.translation, np.zeros(2), atol=1e-12)
+    A, t = affine(word_to_isometry([l, l]))
+    np.testing.assert_allclose(A, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(t, np.zeros(2), atol=1e-12)
 
 
 def test_word_to_isometry_translation():
-    iso = word_to_isometry([vertical(0), vertical(1)])
-    np.testing.assert_allclose(iso.linear, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(iso.translation, [2, 0], atol=1e-12)
+    A, t = affine(word_to_isometry([vertical(0), vertical(1)]))
+    np.testing.assert_allclose(A, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(t, [2, 0], atol=1e-12)
 
 
 def test_word_to_isometry_det_parity():
@@ -186,7 +192,7 @@ def test_word_to_isometry_det_parity():
     for _ in range(200):
         w = sampling.random_word(rng, "e2", int(rng.integers(0, 9)))
         iso = word_to_isometry(w)
-        assert np.linalg.det(iso.linear) == pytest.approx((-1.0) ** len(w), abs=1e-10)
+        assert np.linalg.det(affine(iso)[0]) == pytest.approx((-1.0) ** len(w), abs=1e-10)
 
 
 def test_compose_identity():
@@ -387,9 +393,9 @@ def test_reduce_four_two_translations():
     w = [vertical(0), vertical(1), Line((0, 1), 0), Line((0, 1), 1)]
     out = normalize_word(w)
     assert len(out) == 2
-    iso = word_to_isometry(out)
-    np.testing.assert_allclose(iso.linear, np.eye(2), atol=1e-9)
-    np.testing.assert_allclose(iso.translation, [2, 2], atol=1e-9)
+    A, t = affine(word_to_isometry(out))
+    np.testing.assert_allclose(A, np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(t, [2, 2], atol=1e-9)
 
 
 @pytest.mark.parametrize("jitter", [1e-9, 1e-10, 1e-11, 1e-12])
@@ -480,7 +486,7 @@ def test_odd_words_never_identity():
     for _ in range(200):
         w = sampling.random_word(rng, "e2", int(rng.integers(0, 4)) * 2 + 1)
         iso = word_to_isometry(w)
-        assert np.linalg.det(iso.linear) < 0
+        assert np.linalg.det(affine(iso)[0]) < 0
         assert isometry_distance(iso, identity) > 0.5
 
 
@@ -494,7 +500,7 @@ def test_trace_replay_reproduces_normal_form():
         assert states[-1] == out
         for st in states:
             iso = word_to_isometry(st)
-            assert np.linalg.det(iso.linear) == pytest.approx(
+            assert np.linalg.det(affine(iso)[0]) == pytest.approx(
                 (-1.0) ** len(st), abs=1e-9
             )
             assert isometry_distance(iso, word_to_isometry(w)) <= 1e-8

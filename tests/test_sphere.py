@@ -13,6 +13,7 @@ from oracles import (
     same_axis_angle,
     same_direction,
     sphere_word_matrix,
+    vector,
 )
 from mirrorwords import cli, orthon, sampling, so3
 from mirrorwords.numerics import DegenerateSteering, NotConcurrent
@@ -64,7 +65,7 @@ def test_reflect_point_involution():
     rng = np.random.default_rng(40)
     for _ in range(200):
         c = sampling.random_circle(rng)
-        p = sampling.random_axis(rng).direction
+        p = vector(sampling.random_axis(rng))
         np.testing.assert_allclose(mirror_image(c, mirror_image(c, p)), p, atol=1e-12)
         assert np.linalg.norm(mirror_image(c, p)) == pytest.approx(1.0, abs=1e-12)
 
@@ -131,16 +132,16 @@ def test_pencil_completion_angle_equalities():
             continue
         from mirrorwords.so3 import rotation
 
-        axis = np.cross(l.pole, m.pole)
+        axis = np.cross(vector(l), vector(m))
         theta = rng.uniform(0, math.pi)
         # a circle through the same intersection pair
-        l2 = GreatCircle(rotation_matrix(rotation(axis, theta)) @ l.pole)
+        l2 = GreatCircle(rotation_matrix(rotation(axis, theta)) @ vector(l))
         m2 = turned(l, m, l2)
-        assert angle_between_directions(l.pole, m.pole) == pytest.approx(
-            angle_between_directions(l2.pole, m2.pole), abs=1e-9
+        assert angle_between_directions(vector(l), vector(m)) == pytest.approx(
+            angle_between_directions(vector(l2), vector(m2)), abs=1e-9
         )
-        assert angle_between_directions(l.pole, l2.pole) == pytest.approx(
-            angle_between_directions(m.pole, m2.pole), abs=1e-9
+        assert angle_between_directions(vector(l), vector(l2)) == pytest.approx(
+            angle_between_directions(vector(m), vector(m2)), abs=1e-9
         )
         assert (
             rotation_matrix_distance(
