@@ -77,15 +77,15 @@ def shown(v) -> str:
         return f"<{type(v).__name__} too long to print>"
 
 
-# float() reads these as text ("1", b"1"), so a component of one of these
-# types is refused rather than read as a number
+# float() reads these as text ("1", b"1"), and a whole one unpacks into
+# characters or ints, so neither a component nor a vector may be one
 TEXT_TYPES = (str, bytes, bytearray)
 
 
 def components3(v) -> tuple[float, float, float]:
     """The three components of a 3-vector as floats; DegenerateInput otherwise."""
     # a whole string or bytes would unpack into characters or ints
-    if type(v) is not tuple and isinstance(v, (str, bytes)):
+    if type(v) is not tuple and isinstance(v, TEXT_TYPES):
         raise DegenerateInput(f"a 3-vector needs numeric components: {shown(v)}")
     try:
         x, y, z = v
@@ -138,7 +138,7 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
 def components_n(v) -> list[float]:
     """The components of a flat, non-empty vector as floats; DegenerateInput otherwise."""
     if type(v) is not list:
-        if isinstance(v, (str, bytes)):
+        if isinstance(v, TEXT_TYPES):
             raise DegenerateInput(f"a vector needs numeric components: {shown(v)}")
         # an array's tolist() nests its rows, which float() then rejects
         tolist = getattr(v, "tolist", None)

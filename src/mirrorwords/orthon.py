@@ -49,6 +49,11 @@ class Hyperplane(Direction):
 
     __slots__ = ()
 
+    @property
+    def normal(self) -> tuple[float, ...]:
+        """`values` under the name perfbench's independent checker reads."""
+        return self.values
+
 
 def mirror_from_floats(values: list[float]) -> Hyperplane:
     """The hyperplane whose normal is a list of floats."""

@@ -57,7 +57,7 @@ class Line:
     def __init__(self, normal, offset: float = 0.0):
         try:
             # a whole string or bytes would unpack into characters or ints
-            if type(normal) is not tuple and isinstance(normal, (str, bytes)):
+            if type(normal) is not tuple and isinstance(normal, TEXT_TYPES):
                 raise TypeError
             nx, ny = normal
             # float() reads digit strings

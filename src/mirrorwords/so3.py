@@ -56,6 +56,11 @@ class Axis(Direction3):
 
     __slots__ = ()
 
+    @property
+    def direction(self) -> tuple[float, float, float]:
+        """`values` under the name perfbench's independent checker reads."""
+        return self.values
+
 
 def mirror_from_floats(values: list[float]) -> Axis:
     """The axis whose direction is three floats."""

@@ -25,8 +25,10 @@ from mirrorwords.cli import (
 from mirrorwords.moves import Move
 from mirrorwords.numerics import DegenerateInput, GeometryError
 
-# the traced benchmark run, whose wrappers look names up on each geometry module
+# the benchmark's traced run, whose wrappers look names up on each geometry
+# module, and its independent checker, which reads the mirrors' coordinates
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checker  # noqa: E402
 import tracing  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -744,6 +746,18 @@ def test_every_geometry_exports_its_record_and_the_traced_names(group):
     assert sorted(name for name in traced if not hasattr(geometry, name)) == []
     # one way to build a mirror
     assert not hasattr(geometry, "mirror_from_values")
+
+
+@pytest.mark.parametrize("group, dim", [("e2", None), ("s2", None), ("so3", None), ("on", 4)])
+def test_the_benchmark_checker_reads_the_mirrors(group, dim):
+    # it reads a line's nx, ny and offset and a vector mirror's `pole`,
+    # `direction` or `normal`, each the tuple `values`
+    geometry = cli.GEOMETRIES[group]
+    word = sampling.random_word(np.random.default_rng(96), group, 7, dim=dim or 3)
+    out = geometry.normalize_word(word, dim=dim)
+    res = cli.residual(group, word, out, dim)
+    assert checker.check_normal_form(group, dim or 3, word, out, res) == []
+    assert checker.check_normal_form(group, dim or 3, word, out[1:], res) != []
 
 
 def test_arc_rejects_other_groups():

@@ -45,6 +45,7 @@ def test_json_names_the_floats():
         pytest.param([b"1", 0], id="digit-bytes-component"),
         pytest.param([bytearray(b"1"), 0], id="digit-bytearray-component"),
         pytest.param(np.array(["1", "0"]), id="digit-str-array"),
+        pytest.param(bytearray(b"12"), id="digit-bytearray"),
         pytest.param([None, 1.0], id="none-component"),
         pytest.param([1j, 0.0], id="complex-component"),
         pytest.param(5.0, id="scalar"),

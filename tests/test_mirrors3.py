@@ -61,6 +61,8 @@ def test_an_axis_is_never_a_great_circle():
         pytest.param((b"1", 0, 0), id="digit-bytes-component"),
         pytest.param((0, bytearray(b"1"), 0), id="digit-bytearray-component"),
         pytest.param(np.array(["1", "0", "0"]), id="digit-str-array"),
+        # unpacking bytes gives ints, which are no components either
+        pytest.param(bytearray(b"123"), id="digit-bytearray"),
         pytest.param((10**400, 0, 0), id="huge-int"),
         pytest.param((10**5000, 0, 0), id="int-past-repr-digit-limit"),
         pytest.param((10**5000, 0), id="wrong-length-int-past-repr-digit-limit"),

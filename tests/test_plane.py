@@ -92,6 +92,7 @@ def mirror_image(line, p):
         pytest.param((b"1", 0), 0.0, id="digit-bytes-normal-component"),
         pytest.param((1, 0), bytearray(b"1"), id="digit-bytearray-offset"),
         pytest.param(np.array(["1", "0"]), 0.0, id="digit-str-array"),
+        pytest.param(bytearray(b"12"), 0.0, id="digit-bytearray"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):
