@@ -16,7 +16,6 @@ from . import so3
 from .numerics import (
     EPS_COINCIDE,
     DegenerateArc,
-    DegenerateInput,
     canonical_unit3,
     components_n,
     cross3,
@@ -29,10 +28,7 @@ _ANCHOR = (1.0, 0.0, 0.0)
 
 
 def _unit_point(p) -> tuple[float, float, float]:
-    c = components_n(p)
-    if len(c) != 3:
-        raise DegenerateInput(f"a point on the sphere needs exactly three coordinates: {p!r}")
-    return tuple(unit_n(c))
+    return tuple(unit_n(components_n(p, 3)))
 
 
 def _points_close(a, b, sign: float = 1.0) -> bool:

@@ -6,6 +6,13 @@ as the tuple `values`, so that one geometric mirror has exactly one stored
 representative, which is what makes exact equality usable in golden tests.
 unit_n is the one normalization rule. Everything here computes in plain
 floats; the module imports no numpy.
+
+components_n is the one reader of numbers from outside the program: the
+mirror constructors, plane.Line, so3.rotation, so3.split_reflection and
+the arrowarc.Arc endpoints read their input through it and nothing else.
+It refuses text as a vector, and text or a memoryview as a component,
+which float() would read as digits. The float paths (from_square,
+from_floats, canonical_unit3) take floats the program computed and skip it.
 """
 
 from __future__ import annotations
@@ -80,24 +87,9 @@ def shown(v) -> str:
 # float() reads these as text ("1", b"1"), and a whole one unpacks into
 # characters or ints, so neither a component nor a vector may be one
 TEXT_TYPES = (str, bytes, bytearray)
-
-
-def components3(v) -> tuple[float, float, float]:
-    """The three components of a 3-vector as floats; DegenerateInput otherwise."""
-    # a whole string or bytes would unpack into characters or ints
-    if type(v) is not tuple and isinstance(v, TEXT_TYPES):
-        raise DegenerateInput(f"a 3-vector needs numeric components: {shown(v)}")
-    try:
-        x, y, z = v
-        if isinstance(x, TEXT_TYPES) or isinstance(y, TEXT_TYPES) or isinstance(z, TEXT_TYPES):
-            raise TypeError
-        return float(x), float(y), float(z)
-    except (TypeError, ValueError):
-        raise DegenerateInput(
-            f"a 3-vector needs exactly three numeric components: {shown(v)}"
-        ) from None
-    except OverflowError:  # an int past the float range; its repr may exceed the digit limit
-        raise DegenerateInput("a 3-vector needs components in the float range") from None
+# float() reads a memoryview of digits as text too; a whole memoryview is
+# read through its tolist(), as an array is
+_NOT_COMPONENTS = (*TEXT_TYPES, memoryview)
 
 
 def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -135,8 +127,13 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
     return x + 0.0, y + 0.0, z + 0.0
 
 
-def components_n(v) -> list[float]:
-    """The components of a flat, non-empty vector as floats; DegenerateInput otherwise."""
+def components_n(v, count: int | None = None) -> list[float]:
+    """The components of a flat vector as floats; DegenerateInput otherwise.
+
+    The one reader of numbers from outside the program: the vector must
+    have exactly `count` components, or at least one when count is None.
+    A scalar (a line's offset, an angle) is read as the vector (x,).
+    """
     if type(v) is not list:
         if isinstance(v, TEXT_TYPES):
             raise DegenerateInput(f"a vector needs numeric components: {shown(v)}")
@@ -147,15 +144,18 @@ def components_n(v) -> list[float]:
     out = []
     try:
         for x in v:
-            if isinstance(x, TEXT_TYPES):
+            if isinstance(x, _NOT_COMPONENTS):
                 raise TypeError
             out.append(float(x))
     except (TypeError, ValueError):
         raise DegenerateInput(f"a vector needs flat, numeric components: {shown(v)}") from None
     except OverflowError:  # an int past the float range; its repr may exceed the digit limit
         raise DegenerateInput("a vector needs components in the float range") from None
-    if not out:
-        raise DegenerateInput("an empty vector cannot define a direction")
+    if count is None:
+        if not out:
+            raise DegenerateInput("an empty vector cannot define a direction")
+    elif len(out) != count:
+        raise DegenerateInput(f"a vector needs exactly {count} components: {shown(v)}")
     return out
 
 
@@ -264,11 +264,11 @@ class Direction3(Direction):
     __slots__ = ()
 
     def __init__(self, v):
-        self.values = canonical_unit3(*components3(v))
+        self.values = canonical_unit3(*components_n(v, 3))
 
     @classmethod
     def from_floats(cls, x: float, y: float, z: float):
-        """cls((x, y, z)), bit for bit, for three floats: it skips components3.
+        """cls((x, y, z)), bit for bit, for three floats: it skips components_n.
 
         For a rewrite step, which builds its mirrors from floats it computed.
         """

@@ -26,10 +26,10 @@ from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
     EPS_VERIFY,
-    TEXT_TYPES,
+    _UNIT_SLACK,
     DegenerateInput,
     NotConcurrent,
-    shown,
+    components_n,
 )
 
 IDENTITY = "identity"
@@ -55,31 +55,13 @@ class Line:
     __slots__ = ("nx", "ny", "offset")
 
     def __init__(self, normal, offset: float = 0.0):
-        try:
-            # a whole string or bytes would unpack into characters or ints
-            if type(normal) is not tuple and isinstance(normal, TEXT_TYPES):
-                raise TypeError
-            nx, ny = normal
-            # float() reads digit strings
-            if isinstance(nx, TEXT_TYPES) or isinstance(ny, TEXT_TYPES) or (
-                isinstance(offset, TEXT_TYPES)
-            ):
-                raise TypeError
-            nx = float(nx)
-            ny = float(ny)
-            d = float(offset)
-        except (TypeError, ValueError):
-            raise DegenerateInput(
-                "a line needs a normal of two numbers and a numeric offset: "
-                f"{shown(normal)}, {shown(offset)}"
-            ) from None
-        except OverflowError:  # an int past the float range; its repr may exceed the digit limit
-            raise DegenerateInput("a line needs a normal and an offset in the float range") from None
+        nx, ny = components_n(normal, 2)
+        (d,) = components_n((offset,), 1)
         self._canonical(nx, ny, d, normal, offset)
 
     @classmethod
     def from_floats(cls, nx: float, ny: float, d: float) -> "Line":
-        """Line((nx, ny), d), bit for bit, for three floats: it skips the type guards.
+        """Line((nx, ny), d), bit for bit, for three floats: it skips components_n.
 
         For a rewrite step, which builds its mirrors from floats it computed.
         """
@@ -92,7 +74,7 @@ class Line:
         norm = math.hypot(nx, ny)
         if norm <= EPS_COINCIDE:
             raise DegenerateInput(f"zero normal cannot define a line: {normal!r}")
-        if abs(norm - 1.0) > 1e-13:
+        if abs(norm - 1.0) > _UNIT_SLACK:
             nx /= norm
             ny /= norm
             d /= norm

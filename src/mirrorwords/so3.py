@@ -35,7 +35,7 @@ from .numerics import (
     NotOrthogonal,
     canonical_unit3,
     coincident3,
-    components3,
+    components_n,
     cross3,
     dot3,
     norm3,
@@ -95,19 +95,15 @@ IDENTITY_ROTATION = Rotation((0.0, 0.0, 1.0), 0.0)
 
 def rotation(axis, angle: float) -> Rotation:
     """Canonicalize an axis-angle pair; (axis, angle) ~ (-axis, -angle)."""
-    try:
-        finite = math.isfinite(angle)
-    except TypeError:  # not a real number: a string, bytes, None
-        finite = False
-    except OverflowError:  # an int past the float range; its repr may exceed the digit limit
-        raise DegenerateInput("a rotation needs an angle in the float range") from None
-    if not finite:
+    v = components_n(axis, 3)
+    (angle,) = components_n((angle,), 1)
+    if not math.isfinite(angle):
         raise DegenerateInput(f"a rotation needs a finite angle: {angle!r}")
     a = wrap_angle(angle)
     if abs(a) <= EPS_COINCIDE:
         return IDENTITY_ROTATION
-    u = canonical_unit3(*components3(axis))
-    if dot3(u, axis) < 0.0:
+    u = canonical_unit3(*v)
+    if dot3(u, v) < 0.0:
         a = wrap_angle(-a)
     return Rotation(u, a)
 
@@ -213,7 +209,7 @@ def split_reflection(k: Axis, plane_normal) -> tuple[Axis, Axis]:
     orthogonal complement every line of it qualifies and the probe rule
     picks one. c completes (k, b) to an orthogonal triple.
     """
-    n = canonical_unit3(*components3(plane_normal))
+    n = canonical_unit3(*components_n(plane_normal, 3))
     d = k.values
     c = cross3(n, d)
     if norm3(c) > EPS_COINCIDE:
@@ -287,8 +283,7 @@ def _reduce_leading_three(w: list, sink: list) -> None:
     cancel. The head it gets is freely reduced.
     """
     k, l, m = w[0], w[1], w[2]
-    plane_normal = canonical_unit3(*cross3(l.values, m.values))
-    b, c = split_reflection(k, plane_normal)
+    b, c = split_reflection(k, cross3(l.values, m.values))
     # R_k = R_c . R_b = R_b . R_c (orthogonal pair), insert as [c, b]
     # so the coplanar triple (b, l, m) sits adjacently
     emit(w, sink, Move(POLAR_SPLIT, 0, (c, b)))

@@ -68,6 +68,8 @@ def test_antipodal_endpoints_rejected():
         ((1, 0, 0), (0, 1, 0, 0)),
         ((0, 0, 0), (1, 0, 0)),
         ("abc", (1, 0, 0)),
+        # float() reads a memoryview of digits as text too
+        pytest.param((1, 0, 0), (memoryview(b"1"), 1, 0), id="digit-memoryview-component"),
     ],
 )
 def test_malformed_endpoints_rejected(tail, head):

@@ -57,6 +57,8 @@ def test_json_names_the_floats():
         pytest.param([10**400, 0], id="huge-int-component"),
         pytest.param([10**5000, 0], id="int-past-repr-digit-limit"),
         pytest.param([[10**5000, 0]], id="nested-int-past-repr-digit-limit"),
+        # float() reads a memoryview of digits as text too
+        pytest.param([memoryview(b"1"), 0], id="digit-memoryview-component"),
     ],
 )
 def test_nested_non_numeric_or_empty_input_is_rejected(v):

@@ -67,6 +67,8 @@ def test_an_axis_is_never_a_great_circle():
         pytest.param((10**400, 0, 0), id="huge-int"),
         pytest.param((10**5000, 0, 0), id="int-past-repr-digit-limit"),
         pytest.param((10**5000, 0), id="wrong-length-int-past-repr-digit-limit"),
+        # float() reads a memoryview of digits as text too
+        pytest.param((memoryview(b"1"), 0, 0), id="digit-memoryview-component"),
     ],
 )
 def test_wrong_number_of_components_is_rejected(cls, v):
@@ -87,6 +89,12 @@ def test_vector_rules_of_canonical_unit_hold(cls):
     with pytest.raises(DegenerateInput):
         cls((1e400, 0.0, 1.0))
     np.testing.assert_allclose(cls((1e200, 1e200, 0)).values, cls((1, 1, 0)).values, atol=1e-15)
+
+
+def test_a_whole_memoryview_of_floats_builds_its_mirror():
+    # a memoryview component is refused, a whole one is read as an array
+    assert orthon.Hyperplane(memoryview(np.array([1.0, 2.0]))) == orthon.Hyperplane((1.0, 2.0))
+    assert so3.Axis(memoryview(np.array([1.0, 2.0, 2.0]))) == so3.Axis((1.0, 2.0, 2.0))
 
 
 def test_wrong_length_input_fails_before_the_rewrite():
@@ -168,7 +176,6 @@ FLOAT_PATH = {
         "Direction.__eq__",
         "Direction3.__init__",
         "Direction3.from_floats",
-        "components3",
         "canonical_unit3",
         "cross3",
         "dot3",
@@ -182,6 +189,26 @@ FLOAT_PATH = {
         "canonical_unit_n",
     ],
 }
+
+
+def test_only_numerics_reads_numbers_from_outside():
+    # components_n is the one reader: no other module screens text or
+    # memoryview components itself, or defines a reader of its own
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
+        readers = [
+            node.name
+            for node in nodes
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("components")
+        ]
+        if path.stem == "numerics":
+            assert readers == ["components_n"]
+            continue
+        assert names.isdisjoint({"TEXT_TYPES", "memoryview"}), path.name
+        assert readers == [], path.name
 
 
 def _functions(tree):

@@ -188,6 +188,11 @@ def test_components_n_takes_flat_numeric_vectors():
     assert components_n(np.array([0.5, -1.0])) == [0.5, -1.0]
     assert components_n(x for x in (1, 2)) == [1.0, 2.0]
     assert all(type(x) is float for x in components_n(np.arange(3)))
+    assert components_n((1, 2), 2) == [1.0, 2.0]
+    assert components_n((0.5,), 1) == [0.5]
+    for v, count in (((1, 2), 3), ((1, 2, 3), 2), ((), 1)):
+        with pytest.raises(DegenerateInput):
+            components_n(v, count)
 
 
 def test_canonical_unit_exactly_idempotent():

@@ -93,6 +93,9 @@ def mirror_image(line, p):
         pytest.param((1, 0), bytearray(b"1"), id="digit-bytearray-offset"),
         pytest.param(np.array(["1", "0"]), 0.0, id="digit-str-array"),
         pytest.param(bytearray(b"12"), 0.0, id="digit-bytearray"),
+        # float() reads a memoryview of digits as text too
+        pytest.param((memoryview(b"1"), 0), 0.0, id="digit-memoryview-normal-component"),
+        pytest.param((1, 0), memoryview(b"2"), id="digit-memoryview-offset"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):

@@ -308,6 +308,12 @@ def test_rotation_rejects_non_finite_angle(angle):
         rotation((0, 0, 1), angle)
 
 
+def test_rotation_rejects_a_memoryview_axis_component():
+    # float() reads a memoryview of digits as text, so it is no axis component
+    with pytest.raises(DegenerateInput):
+        rotation((memoryview(b"1"), 0, 0), 1.0)
+
+
 @pytest.mark.parametrize("angle", [1, np.float64(1.0)])
 def test_rotation_takes_any_real_angle(angle):
     r, expected = rotation((0, 0, -1), angle), rotation((0, 0, -1), 1.0)
