@@ -6,11 +6,13 @@ trace, a residual, an error or a classification moved. Each line gives
 the family, its word count, the number of words that raised a
 GeometryError, the number whose residual exceeds EPS_VERIFY, the worst
 residual of the words that did not raise, and the first 16 hex digits of
-a SHA-256 over its words in order. A word adds the mirror values of its
-normal form, each move of its trace (kind, index and mirror values), its
-oracle residual and the `classification_json` of its normal form, or the
-type name of the error it raised. Floats enter by `repr`, so the digest
-changes with any bit.
+two SHA-256 hashes over its words in order. For the first (`sha256`), a
+word adds the mirror values of its normal form, each move of its trace
+(kind, index and mirror values), its oracle residual and the
+`classification_json` of its normal form, or the type name of the error
+it raised. The second (`rewrite`) reads the same without the residual, so
+a change that moves only residual digits leaves it as it was. Floats
+enter by `repr`, so a digest changes with any bit.
 
 Families (each restarts the generator at SEED):
   random <g> short     RANDOM_WORDS seeded words of lengths 0-12
@@ -117,6 +119,7 @@ def record(label: str, word) -> tuple | str:
 def main() -> int:
     for name, label, words in families():
         digest = hashlib.sha256()
+        rewrite = hashlib.sha256()
         count = raised = over = 0
         worst = 0.0
         for word in words:
@@ -124,14 +127,19 @@ def main() -> int:
             count += 1
             if isinstance(r, str):
                 raised += 1
+                rest = r
             else:
                 over += r[2] > EPS_VERIFY
                 worst = max(worst, r[2])
+                rest = (r[0], r[1], r[3])
             digest.update(repr(r).encode())
             digest.update(b"\n")
+            rewrite.update(repr(rest).encode())
+            rewrite.update(b"\n")
         print(
             f"{name:24s} words {count:5d}  raised {raised:4d}  over {over:4d}  "
-            f"worst {worst:.3e}  sha256 {digest.hexdigest()[:16]}"
+            f"worst {worst:.3e}  sha256 {digest.hexdigest()[:16]}  "
+            f"rewrite {rewrite.hexdigest()[:16]}"
         )
     return 0
 

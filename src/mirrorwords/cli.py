@@ -43,8 +43,9 @@ from .numerics import EPS_VERIFY, GeometryError
 # The one place a group tag is looked up. Each geometry module exports
 # KEYWORD, ARITY, mirror_from_floats (a mirror from its list of floats),
 # mirror_json, normalize_word, word_oracle(word, dim) (the word's isometry,
-# matrix or quaternion), oracle_distance(x, y) (between two such) and
-# classification_json; each mirror is its float tuple `values`.
+# matrix or quaternion), prefix_oracles(word, dim, table) (the function
+# i -> word_oracle(word[:i], dim)), oracle_distance(x, y) (between two
+# such) and classification_json; each mirror is its float tuple `values`.
 GEOMETRIES = {"e2": plane, "s2": sphere, "so3": so3, "on": orthon}
 GROUPS = tuple(GEOMETRIES)
 
@@ -301,27 +302,54 @@ def _move_text(geometry, mv: Move) -> str:
     return f"{mv.kind}({mv.index})"
 
 
-# ((group, dim, tuple(word_in)), oracle) of the last input residual() saw.
-# Mirrors compare by exact float values, so a hit is the oracle a
-# recomputation would give, bit for bit; a replay checks many words against
-# one input. It is replaced by one assignment, after the oracle succeeds.
-_input_oracle: tuple = (None, None)
+# (key, prefix oracles, table) of the last input residual() saw, with key
+# (group, dim, tuple(word_in)). Mirrors compare by exact float values, and
+# the geometry's prefix oracles give its word_oracle of each prefix bit for
+# bit; the first call with an input takes them afresh, and the second
+# builds their table, since a replay checks many words against one input.
+# It is replaced by one assignment, after the input has passed its checks.
+_input_memo: tuple = (None, None, False)
 
 
 def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
-    """Oracle distance between two words of one group."""
-    global _input_oracle
+    """Oracle distance between two words of one group.
+
+    It is the distance between the oracles of the two words without their
+    longest common suffix: that suffix's map acts last on both, as the same
+    orthogonal left factor (a rotation for the quaternions), which no
+    oracle distance sees. Only the heads are multiplied, the input's
+    prefix from the memo's prefix oracles. A word equal to the input gives
+    0.0 and takes no oracle. The input is checked as its oracle checks it
+    when its prefix oracles are made, and the output's head by its oracle,
+    whose dimension O(n) holds to the input's; an empty output takes its
+    oracle as it is.
+    """
+    global _input_memo
     geometry = GEOMETRIES[group]
     word = tuple(word_in)
     key = (group, dim, word)
-    last_key, oracle = _input_oracle
+    last_key, prefix, table = _input_memo
     if key != last_key:
-        oracle = geometry.word_oracle(word, dim)
-        _input_oracle = (key, oracle)
-    # a word the rewrite left as it was has the input's oracle, bit for bit
-    if len(word_out) == len(word) and tuple(word_out) == word:
-        return geometry.oracle_distance(oracle, oracle)
-    return geometry.oracle_distance(oracle, geometry.word_oracle(word_out, dim))
+        prefix = geometry.prefix_oracles(word, dim, False)
+        _input_memo = (key, prefix, False)
+    elif not table:
+        prefix = geometry.prefix_oracles(word, dim, True)
+        _input_memo = (key, prefix, True)
+    i = len(word)
+    j = len(word_out)
+    while i and j:
+        a = word[i - 1]
+        b = word_out[j - 1]
+        if a is not b and a != b:
+            break
+        i -= 1
+        j -= 1
+    if not (i or j):
+        return 0.0
+    oracle = prefix(i)
+    # a head stripped to nothing is the identity of the input's kind
+    head = prefix(0) if word_out and not j else geometry.word_oracle(word_out[:j], dim)
+    return geometry.oracle_distance(oracle, head)
 
 
 def _vec(v) -> str:

@@ -10,9 +10,10 @@ floats; the module imports no numpy.
 components_n is the one reader of numbers from outside the program: the
 mirror constructors, plane.Line, so3.rotation, so3.split_reflection and
 the arrowarc.Arc endpoints read their input through it and nothing else.
-It refuses text as a vector, and text or a memoryview as a component,
-which float() would read as digits. The float paths (from_square,
-from_floats, canonical_unit3) take floats the program computed and skip it.
+It refuses text or a memoryview of bytes as a vector, and text or a
+memoryview as a component, which float() would read as digits. The float
+paths (from_square, from_floats, canonical_unit3) take floats the program
+computed and skip it.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def shown(v) -> str:
 # characters or ints, so neither a component nor a vector may be one
 TEXT_TYPES = (str, bytes, bytearray)
 # float() reads a memoryview of digits as text too; a whole memoryview is
-# read through its tolist(), as an array is
+# read through its tolist(), as an array is, unless it views bytes, whose
+# tolist() gives the ints of the characters
 _NOT_COMPONENTS = (*TEXT_TYPES, memoryview)
 
 
@@ -135,7 +137,9 @@ def components_n(v, count: int | None = None) -> list[float]:
     A scalar (a line's offset, an angle) is read as the vector (x,).
     """
     if type(v) is not list:
-        if isinstance(v, TEXT_TYPES):
+        if isinstance(v, TEXT_TYPES) or (
+            isinstance(v, memoryview) and isinstance(v.obj, TEXT_TYPES)
+        ):
             raise DegenerateInput(f"a vector needs numeric components: {shown(v)}")
         # an array's tolist() nests its rows, which float() then rejects
         tolist = getattr(v, "tolist", None)

@@ -99,10 +99,15 @@ def _word_dimension(word, dim: int | None) -> int:
     return dim
 
 
+def _normals(word, d: int) -> np.ndarray:
+    """The (k, d) array of a word's normals."""
+    rows = np.fromiter(chain.from_iterable([h.values for h in word]), float, len(word) * d)
+    return rows.reshape(-1, d)
+
+
 def word_to_matrix(word, dim: int | None = None) -> np.ndarray:
     d = _word_dimension(word, dim)
-    rows = np.fromiter(chain.from_iterable([h.values for h in word]), float, len(word) * d)
-    return kernels.householder_word_matrix(rows.reshape(-1, d))
+    return kernels.householder_word_matrix(_normals(word, d))
 
 
 def word_oracle(word, dim: int | None = None) -> np.ndarray:
@@ -110,8 +115,26 @@ def word_oracle(word, dim: int | None = None) -> np.ndarray:
     return word_to_matrix(word, dim)
 
 
+def prefix_oracles(word, dim: int | None = None, table: bool = True):
+    """The function i -> word_oracle(word[:i], dim), bit for bit, for a word it checks.
+
+    The word must be one it can take whole: one dimension, `dim` if given,
+    so an empty prefix is the identity of that dimension. With `table`,
+    and a word of at most one kernel chunk, it rebuilds each prefix's
+    product from the levels of the word's product, computed once;
+    otherwise it computes each prefix's oracle afresh.
+    """
+    d = _word_dimension(word, dim)
+    levels = kernels.householder_word_levels(_normals(word, d)) if table else None
+    if levels is None:
+        return lambda i: word_to_matrix(word[:i], d)
+    return lambda i: kernels.levels_prefix_product(levels, i) if i else np.eye(d)
+
+
 def oracle_distance(A, B) -> float:
-    """Frobenius distance between two oracle matrices."""
+    """Frobenius distance between two oracle matrices of one dimension."""
+    if A.shape != B.shape:
+        raise WrongLength(f"oracles of dimensions {len(A)} and {len(B)} cannot be compared")
     return float(np.linalg.norm(A - B))
 
 

@@ -198,6 +198,20 @@ def word_oracle(word, dim: int | None = None) -> Isometry:
     return word_to_isometry(word)
 
 
+def prefix_oracles(word, dim: int | None = None, table: bool = True):
+    """The function i -> word_oracle(word[:i]), bit for bit.
+
+    With `table`, it reads the kernel's state after each mirror, computed
+    once; without, it computes each prefix's oracle afresh.
+    """
+    if not table:
+        return lambda i: word_to_isometry(word[:i])
+    states = kernels.prefix_states(
+        kernels.plane_word_map, [(l.nx, l.ny, l.offset) for l in word], kernels.PLANE_IDENTITY
+    )
+    return lambda i: Isometry(*states[i])
+
+
 oracle_distance = isometry_distance
 
 

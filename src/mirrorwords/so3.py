@@ -140,6 +140,20 @@ def word_oracle(word, dim: int | None = None) -> Quaternion:
     return word_to_quaternion(word)
 
 
+def prefix_oracles(word, dim: int | None = None, table: bool = True):
+    """The function i -> word_oracle(word[:i]), bit for bit.
+
+    With `table`, it reads the kernel's state after each mirror, computed
+    once; without, it computes each prefix's oracle afresh.
+    """
+    if not table:
+        return lambda i: word_to_quaternion(word[:i])
+    states = kernels.prefix_states(
+        kernels.line_word_quaternion, [a.values for a in word], kernels.QUATERNION_IDENTITY
+    )
+    return lambda i: Quaternion(*states[i])
+
+
 def quaternion_to_rotation(q: Quaternion) -> Rotation:
     n = q.norm()
     w, x, y, z = q.w / n, q.x / n, q.y / n, q.z / n

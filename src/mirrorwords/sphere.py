@@ -62,8 +62,13 @@ def word_to_matrix(word) -> np.ndarray:
     half-turn about p, so a word of k circles maps to (-1)^k R(q), with q
     the quaternion of the half-turn word of its poles.
     """
-    w, x, y, z = kernels.line_word_quaternion([c.values for c in word])
-    sign = -1.0 if len(word) & 1 else 1.0
+    return _signed_rotation(kernels.line_word_quaternion([c.values for c in word]), len(word))
+
+
+def _signed_rotation(q, k: int) -> np.ndarray:
+    """(-1)^k R(q), the matrix of k circles whose poles' half-turn word has quaternion q."""
+    w, x, y, z = q
+    sign = -1.0 if k & 1 else 1.0
     # 2 / |q|^2 keeps R(q) a rotation when rounding has moved |q| off 1
     s = 2.0 * sign / (w * w + x * x + y * y + z * z)
     sx, sy, sz = s * x, s * y, s * z
@@ -82,6 +87,20 @@ def word_to_matrix(word) -> np.ndarray:
 def word_oracle(word, dim: int | None = None) -> np.ndarray:
     # looked up at call time: perfbench's traced run wraps `word_to_matrix`
     return word_to_matrix(word)
+
+
+def prefix_oracles(word, dim: int | None = None, table: bool = True):
+    """The function i -> word_oracle(word[:i]), bit for bit.
+
+    With `table`, it reads the quaternion kernel's state after each mirror,
+    computed once; without, it computes each prefix's oracle afresh.
+    """
+    if not table:
+        return lambda i: word_to_matrix(word[:i])
+    states = kernels.prefix_states(
+        kernels.line_word_quaternion, [c.values for c in word], kernels.QUATERNION_IDENTITY
+    )
+    return lambda i: _signed_rotation(states[i], i)
 
 
 def oracle_distance(A, B) -> float:

@@ -70,6 +70,7 @@ def test_antipodal_endpoints_rejected():
         ("abc", (1, 0, 0)),
         # float() reads a memoryview of digits as text too
         pytest.param((1, 0, 0), (memoryview(b"1"), 1, 0), id="digit-memoryview-component"),
+        pytest.param(memoryview(b"123"), (0, 1, 0), id="bytes-memoryview-endpoint"),
     ],
 )
 def test_malformed_endpoints_rejected(tail, head):

@@ -727,6 +727,7 @@ GEOMETRY_RECORD = (
     "mirror_json",
     "normalize_word",
     "word_oracle",
+    "prefix_oracles",
     "oracle_distance",
     "classification_json",
 )
@@ -884,11 +885,14 @@ def _oracle_distance(group, a, b, dim=None):
 
 @pytest.mark.parametrize("group, dim", GROUP_DIMS)
 def test_residual_against_one_input_is_the_oracle_distance_bit_for_bit(group, dim):
+    # words that share no last mirror with the input: nothing is cancelled
     rng = np.random.default_rng(91)
     word = sampling.random_word(rng, group, 12, dim=dim or 3)
     outs = [sampling.random_word(rng, group, k, dim=dim or 3) for k in range(6)]
-    for out in outs + [word[:7], word[:1], [], list(word)]:
+    for out in outs + [word[:7], word[:1], []]:
         assert cli.residual(group, word, out, dim) == _oracle_distance(group, word, out, dim)
+    # the input itself cancels whole: no rounding is left to measure
+    assert cli.residual(group, word, list(word), dim) == 0.0
 
 
 @pytest.mark.parametrize("group, dim", GROUP_DIMS)
@@ -905,49 +909,68 @@ def test_residual_sees_an_input_list_mutated_in_place(group, dim):
     assert cli.residual(group, word, out, dim) == _oracle_distance(group, word, out, dim)
 
 
+# the oracle gather of each group, which perfbench's traced run counts
+ORACLE_GATHERS = {
+    "e2": "word_to_isometry",
+    "s2": "word_to_matrix",
+    "so3": "word_to_quaternion",
+    "on": "word_to_matrix",
+}
+
+
 def _count_oracle_calls(monkeypatch, group):
     geometry = cli.GEOMETRIES[group]
     calls = []
-    oracle = geometry.word_oracle
+    oracle = getattr(geometry, ORACLE_GATHERS[group])
 
-    def counted(word, dim=None):
-        calls.append(len(word))
-        return oracle(word, dim)
+    def counted(*args):
+        calls.append(len(args[0]))
+        return oracle(*args)
 
-    monkeypatch.setattr(geometry, "word_oracle", counted)
+    monkeypatch.setattr(geometry, ORACLE_GATHERS[group], counted)
     # forget the input a previous residual() remembered
-    monkeypatch.setattr(cli, "_input_oracle", (None, None))
+    monkeypatch.setattr(cli, "_input_memo", (None, None, False))
     return calls
 
 
 @pytest.mark.parametrize("group, dim", GROUP_DIMS)
-def test_residual_of_an_unchanged_word_takes_one_oracle(group, dim, monkeypatch):
+def test_residual_of_an_unchanged_word_is_zero_and_takes_no_oracle(group, dim, monkeypatch):
     rng = np.random.default_rng(94)
     for length in (0, 1, 3, 8):
         word = sampling.random_word(rng, group, length, dim=dim or 3)
-        expected = _oracle_distance(group, word, word, dim)
         rebuilt = [cli.GEOMETRIES[group].mirror_from_floats(list(m.values)) for m in word]
         # a copy, as a rewrite that changes nothing returns it, and equal mirrors
         for out in (list(word), rebuilt):
             assert out == word
             calls = _count_oracle_calls(monkeypatch, group)
-            assert cli.residual(group, word, out, dim) == expected
-            assert calls == [length]
+            assert cli.residual(group, word, out, dim) == 0.0
+            assert calls == []
             monkeypatch.undo()
 
 
 @pytest.mark.parametrize("group, dim", GROUP_DIMS)
 def test_residual_of_a_changed_word_takes_two_oracles(group, dim, monkeypatch):
+    # the input's, once for all the words checked against it, and its head's
     rng = np.random.default_rng(95)
     word = sampling.random_word(rng, group, 5, dim=dim or 3)
-    other = sampling.random_word(rng, group, 1, dim=dim or 3)
-    # the same length with one mirror changed, and a shorter word
-    for out in (word[:4] + other, word[:3]):
-        expected = _oracle_distance(group, word, out, dim)
-        calls = _count_oracle_calls(monkeypatch, group)
-        assert cli.residual(group, word, out, dim) == expected
-        assert calls == [5, len(out)]
-        monkeypatch.undo()
+    other = sampling.random_word(rng, group, 2, dim=dim or 3)
+    # (output, the oracles of its head: what is left of it without the
+    # suffix it shares with word; a head cancelled whole takes none)
+    outs = [
+        (word[:4] + other[:1], [5]),
+        (word[:3], [3]),
+        (other[:1] + word[2:], [1]),
+        (other + word[1:], [2]),
+        (word[1:], []),
+    ]
+    expected = [_oracle_distance(group, word, out, dim) for out, _ in outs]
+    calls = _count_oracle_calls(monkeypatch, group)
+    for n, (out, head) in enumerate(outs):
+        assert abs(cli.residual(group, word, out, dim) - expected[n]) <= 1e-12
+        # the first call takes the input's oracle, whole, as no suffix is shared;
+        # from the second on, the input's prefixes come from its table
+        assert calls == ([5] if n == 0 else []) + head
+        calls.clear()
 
 
 def test_residual_of_empty_inputs_tells_groups_and_dimensions_apart():

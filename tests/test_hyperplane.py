@@ -59,6 +59,9 @@ def test_json_names_the_floats():
         pytest.param([[10**5000, 0]], id="nested-int-past-repr-digit-limit"),
         # float() reads a memoryview of digits as text too
         pytest.param([memoryview(b"1"), 0], id="digit-memoryview-component"),
+        # a whole view of bytes would give the ints of the characters
+        pytest.param(memoryview(b"12"), id="bytes-memoryview"),
+        pytest.param(memoryview(bytearray(b"12")), id="bytearray-memoryview"),
     ],
 )
 def test_nested_non_numeric_or_empty_input_is_rejected(v):

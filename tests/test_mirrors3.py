@@ -8,6 +8,7 @@ rewrite on floats. numerics and plane import no numpy at all.
 
 import ast
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,9 @@ def test_an_axis_is_never_a_great_circle():
         pytest.param((10**5000, 0), id="wrong-length-int-past-repr-digit-limit"),
         # float() reads a memoryview of digits as text too
         pytest.param((memoryview(b"1"), 0, 0), id="digit-memoryview-component"),
+        # a whole view of bytes would give the ints of the characters
+        pytest.param(memoryview(b"123"), id="bytes-memoryview"),
+        pytest.param(memoryview(bytearray(b"123")), id="bytearray-memoryview"),
     ],
 )
 def test_wrong_number_of_components_is_rejected(cls, v):
@@ -92,9 +96,13 @@ def test_vector_rules_of_canonical_unit_hold(cls):
 
 
 def test_a_whole_memoryview_of_floats_builds_its_mirror():
-    # a memoryview component is refused, a whole one is read as an array
+    # a memoryview component is refused, a whole one is read as an array,
+    # unless it views bytes
     assert orthon.Hyperplane(memoryview(np.array([1.0, 2.0]))) == orthon.Hyperplane((1.0, 2.0))
     assert so3.Axis(memoryview(np.array([1.0, 2.0, 2.0]))) == so3.Axis((1.0, 2.0, 2.0))
+    uint8 = memoryview(np.array([1, 2, 2], dtype=np.uint8))
+    assert sphere.GreatCircle(uint8) == sphere.GreatCircle((1.0, 2.0, 2.0))
+    assert orthon.Hyperplane(memoryview(array("d", [3.0, 4.0]))) == orthon.Hyperplane((3.0, 4.0))
 
 
 def test_wrong_length_input_fails_before_the_rewrite():

@@ -96,6 +96,9 @@ def mirror_image(line, p):
         # float() reads a memoryview of digits as text too
         pytest.param((memoryview(b"1"), 0), 0.0, id="digit-memoryview-normal-component"),
         pytest.param((1, 0), memoryview(b"2"), id="digit-memoryview-offset"),
+        # a whole view of bytes would give the ints of the characters
+        pytest.param(memoryview(b"12"), 0, id="bytes-memoryview-normal"),
+        pytest.param(memoryview(bytearray(b"12")), 0, id="bytearray-memoryview-normal"),
     ],
 )
 def test_line_rejects_non_finite(normal, offset):
