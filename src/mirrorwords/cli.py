@@ -38,7 +38,7 @@ import numpy as np
 
 from . import arrowarc, orthon, plane, sampling, so3, sphere
 from .moves import Move
-from .numerics import EPS_VERIFY, GeometryError
+from .numerics import EPS_VERIFY, MAX_DIMENSION, GeometryError
 
 # The one place a group tag is looked up. Each geometry module exports
 # KEYWORD, ARITY, mirror_from_floats (a mirror from its list of floats),
@@ -49,9 +49,6 @@ from .numerics import EPS_VERIFY, GeometryError
 GEOMETRIES = {"e2": plane, "s2": sphere, "so3": so3, "on": orthon}
 GROUPS = tuple(GEOMETRIES)
 
-# Largest O(n) dimension accepted in ON(n), --dim and hyper(), checked
-# before anything of that size is allocated.
-MAX_DIMENSION = 64
 # Largest verify --max-len: a word's directions are drawn as one array of
 # max-len rows, checked before anything is drawn.
 MAX_WORD_LENGTH = 1 << 16
@@ -306,9 +303,23 @@ def _move_text(geometry, mv: Move) -> str:
 # (group, dim, tuple(word_in)). Mirrors compare by exact float values, and
 # the geometry's prefix oracles give its word_oracle of each prefix bit for
 # bit; the first call with an input takes them afresh, and the second
-# builds their table, since a replay checks many words against one input.
-# It is replaced by one assignment, after the input has passed its checks.
+# builds their table, since a replay checks many words against one input,
+# and keeps the table's last read, since the states of one reduction step
+# share their input prefix. It is replaced by one assignment, after the
+# input has passed its checks.
 _input_memo: tuple = (None, None, False)
+
+
+def _last_read(prefix):
+    """prefix, which returns its last oracle again when asked for the same i."""
+    last = [None, None]
+
+    def read(i):
+        if i != last[0]:
+            last[:] = i, prefix(i)
+        return last[1]
+
+    return read
 
 
 def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
@@ -333,7 +344,7 @@ def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
         prefix = geometry.prefix_oracles(word, dim, False)
         _input_memo = (key, prefix, False)
     elif not table:
-        prefix = geometry.prefix_oracles(word, dim, True)
+        prefix = _last_read(geometry.prefix_oracles(word, dim, True))
         _input_memo = (key, prefix, True)
     i = len(word)
     j = len(word_out)

@@ -12,8 +12,8 @@ mirror constructors, plane.Line, so3.rotation, so3.split_reflection and
 the arrowarc.Arc endpoints read their input through it and nothing else.
 It refuses text or a memoryview of bytes as a vector, and text or a
 memoryview as a component, which float() would read as digits. The float
-paths (from_square, from_floats, canonical_unit3) take floats the program
-computed and skip it.
+paths (from_square, from_floats, from_unit, canonical_unit3) take floats
+the program computed and skip it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ EPS_VERIFY = 1e-8
 # Relative norm deviation below which a vector is treated as already unit;
 # skipping the redundant division makes unit_n exactly idempotent.
 _UNIT_SLACK = 1e-13
+
+# Largest O(n) dimension accepted in ON(n), --dim, hyper() and by the
+# sampler, checked before anything of that size is allocated. A vector of
+# at most this many components, divided by its norm, has a norm within
+# about (MAX_DIMENSION + 4) 2^-53 = 7.5e-15 of 1, far inside _UNIT_SLACK,
+# so the constructors leave it undivided (from_unit).
+MAX_DIMENSION = 64
 
 
 class GeometryError(Exception):
@@ -116,6 +123,11 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
             )
     if abs(norm - 1.0) > _UNIT_SLACK:
         x, y, z = x / norm, y / norm, z / norm
+    return canonical_sign3(x, y, z)
+
+
+def canonical_sign3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """canonical_sign_n of the 3-vector (x, y, z), for a unit vector."""
     # the first component above eps decides the sign; a unit vector has one
     if abs(x) > EPS_COINCIDE:
         flip = x < 0.0
@@ -123,9 +135,9 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
         flip = y < 0.0
     else:
         flip = z < 0.0
+    # +0.0 uniformly, as in canonical_sign_n
     if flip:
-        x, y, z = -x, -y, -z
-    # +0.0 uniformly, as in canonical_unit_n
+        return -x + 0.0, -y + 0.0, -z + 0.0
     return x + 0.0, y + 0.0, z + 0.0
 
 
@@ -250,6 +262,17 @@ class Direction:
         d.values = canonical_sign_n(unit_from_square(v, square))
         return d
 
+    @classmethod
+    def from_unit(cls, v: list[float]):
+        """cls(v), bit for bit, for a list of floats v divided by its norm.
+
+        Such a v, of at most MAX_DIMENSION components, passes the
+        constructor's unit test undivided, so only the sign rule is left.
+        """
+        d = object.__new__(cls)
+        d.values = canonical_sign_n(v)
+        return d
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -278,6 +301,13 @@ class Direction3(Direction):
         """
         d = object.__new__(cls)
         d.values = canonical_unit3(x, y, z)
+        return d
+
+    @classmethod
+    def from_unit(cls, x: float, y: float, z: float):
+        """cls((x, y, z)), bit for bit, for three floats divided by their norm."""
+        d = object.__new__(cls)
+        d.values = canonical_sign3(x, y, z)
         return d
 
 

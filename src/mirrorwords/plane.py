@@ -81,6 +81,21 @@ class Line:
         # a NaN norm fails both the test above and this one
         if not (norm < math.inf and math.isfinite(d)):
             raise DegenerateInput(f"line needs a finite normal and offset: {normal!r}, {offset!r}")
+        self._signed(nx, ny, d)
+
+    @classmethod
+    def from_unit(cls, nx: float, ny: float, d: float) -> "Line":
+        """Line((nx, ny), d), bit for bit, for a normal divided by its norm and a finite d.
+
+        Such a normal passes the constructor's unit test undivided, so
+        only the sign rule is left.
+        """
+        line = object.__new__(cls)
+        line._signed(nx, ny, d)
+        return line
+
+    def _signed(self, nx: float, ny: float, d: float) -> None:
+        """Store the line of a unit normal, with the sign rule applied."""
         if (nx < 0.0 and abs(nx) > EPS_COINCIDE) or (
             abs(nx) <= EPS_COINCIDE and ny < 0.0
         ):

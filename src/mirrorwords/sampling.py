@@ -12,7 +12,17 @@ per-mirror samplers (`random_circle`, `random_axis`, `random_hyperplane`)
 would draw in turn. A row too short to normalize is dropped and the word
 topped up by per-mirror draws, which continue the same stream. An E2 line
 draws its normal pair and its offset in turn, so E2 words are drawn line
-by line.
+by line; the offset is -10 + 20 random(), the one uint64 and the two float
+operations of `Generator.uniform(-10, 10)`.
+
+Each row divided by its norm (an O(n) row by numpy, a 3-vector or a
+line's normal one float at a time, the same IEEE division) becomes its
+mirror through `from_unit`, which applies only the constructor's sign
+rule and skips its type checks on floats drawn here. That is the
+constructor's value bit for bit: a row of d components divided by its
+norm has a norm within about (d + 4) 2^-53 of 1, below the 1e-13 at which
+the constructor would divide it again, for every d up to MAX_DIMENSION
+(64), the largest dimension drawn.
 """
 
 from __future__ import annotations
@@ -21,31 +31,52 @@ import math
 
 import numpy as np
 
-from .arrowarc import Arc, rotation_to_arc, slide
-from .numerics import dot_n
+from .numerics import MAX_DIMENSION
 from .orthon import Hyperplane
 from .plane import Line
-from .so3 import Axis, rotation
+from .so3 import Axis
 from .sphere import GreatCircle
 
 OFFSET_RANGE = 10.0
 # a Gaussian direction this short is redrawn
 _MIN_NORM = 1e-6
+# np.vecdot is new in numpy 2
+_vecdot = getattr(np, "vecdot", None)
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _gaussian(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
+    """A standard normal vector not too short to normalize, and its norm."""
     while True:
         v = rng.standard_normal(dim)
         # the dot and square root np.linalg.norm takes, bit for bit
         n = math.sqrt(v.dot(v))
         if n > _MIN_NORM:
-            return v / n
+            return v, n
+
+
+def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v, n = _gaussian(rng, dim)
+    return v / n
+
+
+def _lines(rng: np.random.Generator, length: int) -> list[Line]:
+    """length random lines, each drawing its normal pair, then its offset."""
+    normal, uniform, make = rng.standard_normal, rng.random, Line.from_unit
+    word = []
+    for _ in range(length):
+        v = normal(2)
+        # _gaussian's first draw, inline
+        n = math.sqrt(v.dot(v))
+        if not n > _MIN_NORM:
+            v, n = _gaussian(rng, 2)
+        # _unit's division, one float at a time
+        nx, ny = v.tolist()
+        word.append(make(nx / n, ny / n, -OFFSET_RANGE + 2 * OFFSET_RANGE * uniform()))
+    return word
 
 
 def random_line(rng: np.random.Generator) -> Line:
-    nx, ny = _unit(rng, 2).tolist()
-    # the constructor's floats, without its type checks on floats drawn here
-    return Line.from_floats(nx, ny, rng.uniform(-OFFSET_RANGE, OFFSET_RANGE))
+    return _lines(rng, 1)[0]
 
 
 def random_circle(rng: np.random.Generator) -> GreatCircle:
@@ -57,9 +88,10 @@ def random_axis(rng: np.random.Generator) -> Axis:
 
 
 def _check_dimension(dim: int) -> None:
-    if dim < 1:
-        # _unit would redraw a zero-length vector forever
-        raise ValueError(f"hyperplanes need a dimension of at least 1, got {dim}")
+    # below 1, _unit would redraw a zero-length vector forever; above
+    # MAX_DIMENSION, from_unit would no longer be the constructor
+    if not 1 <= dim <= MAX_DIMENSION:
+        raise ValueError(f"hyperplanes need a dimension from 1 to {MAX_DIMENSION}, got {dim}")
 
 
 def random_hyperplane(rng: np.random.Generator, dim: int) -> Hyperplane:
@@ -71,15 +103,17 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of V, bit for bit.
 
     Each row's dot with itself goes through the same BLAS dot as
-    np.linalg.norm; a left-to-right or einsum sum differs in the last bit
-    on some rows.
+    np.linalg.norm, in np.vecdot or, before numpy 2, a stacked matmul; a
+    left-to-right or einsum sum differs in the last bit on some rows.
     """
+    if _vecdot is not None:
+        return np.sqrt(_vecdot(V, V))
     return np.sqrt((V[:, None, :] @ V[:, :, None]).ravel())
 
 
 def random_word(rng: np.random.Generator, group: str, length: int, dim: int = 3) -> list:
     if group == "e2":
-        return [random_line(rng) for _ in range(length)]
+        return _lines(rng, length)
     if group == "s2":
         cls, dim = GreatCircle, 3
     elif group == "so3":
@@ -94,33 +128,15 @@ def random_word(rng: np.random.Generator, group: str, length: int, dim: int = 3)
         return []
     V = rng.standard_normal((length, dim))
     norms = _row_norms(V)
-    keep = norms > _MIN_NORM
-    if not keep.all():
+    if min(norms.tolist()) <= _MIN_NORM:
+        keep = norms > _MIN_NORM
         V, norms = V[keep], norms[keep]
-    rows = (V / norms[:, None]).tolist()
-    # the constructor's floats, without its type checks on floats drawn here
     if cls is Hyperplane:
-        word = [cls.from_square(row, dot_n(row, row)) for row in rows]
+        word = [cls.from_unit(row) for row in (V / norms[:, None]).tolist()]
     else:
-        word = [cls.from_floats(x, y, z) for x, y, z in rows]
+        # the same division, one float at a time
+        make = cls.from_unit
+        word = [make(x / n, y / n, z / n) for (x, y, z), n in zip(V.tolist(), norms.tolist())]
     while len(word) < length:
         word.append(cls(_unit(rng, dim)))
     return word
-
-
-def random_rotation(rng: np.random.Generator):
-    angle = rng.uniform(-np.pi, np.pi)
-    return rotation(_unit(rng, 3), angle)
-
-
-def random_arc(rng: np.random.Generator) -> Arc:
-    arc = rotation_to_arc(random_rotation(rng))
-    if arc.is_identity:
-        return arc
-    return slide(arc, rng.uniform(0.0, 2.0 * np.pi))
-
-
-def random_arc_on_axis(rng: np.random.Generator, axis) -> Arc:
-    """Random non-degenerate arc on the great circle polar to the given axis."""
-    r = rotation(axis, float(rng.uniform(0.05, np.pi - 0.05) * rng.choice([-1.0, 1.0])))
-    return slide(rotation_to_arc(r), rng.uniform(0.0, 2.0 * np.pi))

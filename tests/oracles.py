@@ -4,14 +4,16 @@ These deliberately avoid the library's own code paths: affine maps are
 composed with plain numpy, classification reads numpy eigendecompositions.
 Helpers that only tests need live here too: a rotation's quaternion, the
 angle between two unoriented lines, the matrix rebuilt from an O(n)
-spectral split, and arrays of a mirror's floats and of a plane isometry.
+spectral split, arrays of a mirror's floats and of a plane isometry, and
+seeded random rotations and arrow arcs.
 """
 
 import math
 
 import numpy as np
 
-from mirrorwords.so3 import Quaternion
+from mirrorwords.arrowarc import Arc, rotation_to_arc, slide
+from mirrorwords.so3 import Quaternion, rotation
 
 IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
 
@@ -224,3 +226,24 @@ def quaternion_matrix(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def random_rotation(rng: np.random.Generator):
+    """A rotation about a uniform random axis by an angle uniform in [-pi, pi)."""
+    angle = rng.uniform(-np.pi, np.pi)
+    axis = rng.standard_normal(3)
+    return rotation(axis / np.linalg.norm(axis), angle)
+
+
+def random_arc(rng: np.random.Generator) -> Arc:
+    """The arc of a random rotation, slid a uniform random angle along its circle."""
+    arc = rotation_to_arc(random_rotation(rng))
+    if arc.is_identity:
+        return arc
+    return slide(arc, rng.uniform(0.0, 2.0 * np.pi))
+
+
+def random_arc_on_axis(rng: np.random.Generator, axis) -> Arc:
+    """Random non-degenerate arc on the great circle polar to the given axis."""
+    r = rotation(axis, float(rng.uniform(0.05, np.pi - 0.05) * rng.choice([-1.0, 1.0])))
+    return slide(rotation_to_arc(r), rng.uniform(0.0, 2.0 * np.pi))

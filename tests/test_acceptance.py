@@ -20,6 +20,8 @@ from oracles import (
     classify_sphere_matrix,
     line_reflection_matrix,
     plane_word_map,
+    random_arc,
+    random_arc_on_axis,
     rotation_matrix,
     rotation_matrix_distance,
     rotation_to_quaternion,
@@ -163,19 +165,19 @@ def test_criterion_5_triangle_rule():
 
     worst = 0.0
     for _ in range(10_000):
-        worst = max(worst, check(sampling.random_arc(rng), sampling.random_arc(rng)))
+        worst = max(worst, check(random_arc(rng), random_arc(rng)))
 
     for _ in range(200):
         axis = vector(sampling.random_axis(rng))
-        u = sampling.random_arc_on_axis(rng, axis)
-        v = sampling.random_arc_on_axis(rng, axis * float(rng.choice([-1.0, 1.0])))
+        u = random_arc_on_axis(rng, axis)
+        v = random_arc_on_axis(rng, axis * float(rng.choice([-1.0, 1.0])))
         worst = max(worst, check(u, v))
 
     for _ in range(200):
         axis1 = vector(sampling.random_axis(rng))
         perp = so3.probe_perpendicular(axis1)
-        u = sampling.random_arc_on_axis(rng, axis1)
-        v = sampling.random_arc_on_axis(rng, perp)
+        u = random_arc_on_axis(rng, axis1)
+        v = random_arc_on_axis(rng, perp)
         worst = max(worst, check(u, v))
 
     u = arrowarc.rotation_to_arc(so3.rotation((0, 0, 1), math.pi / 2))

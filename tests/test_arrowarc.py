@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import rotation_to_quaternion, same_axis_angle, vector
+from oracles import (
+    random_arc,
+    random_arc_on_axis,
+    random_rotation,
+    rotation_to_quaternion,
+    same_axis_angle,
+    vector,
+)
 from mirrorwords import sampling
 from mirrorwords.arrowarc import (
     Arc,
@@ -103,7 +110,7 @@ def test_rotation_to_arc_examples():
 def test_round_trip_rotation_arc_rotation():
     rng = np.random.default_rng(50)
     for _ in range(300):
-        r = sampling.random_rotation(rng)
+        r = random_rotation(rng)
         arc = rotation_to_arc(r)
         back = arc_to_rotation(arc)
         assert quaternion_distance(
@@ -114,7 +121,7 @@ def test_round_trip_rotation_arc_rotation():
 def test_arc_lies_on_polar_circle():
     rng = np.random.default_rng(51)
     for _ in range(200):
-        r = sampling.random_rotation(rng)
+        r = random_rotation(rng)
         if r.is_identity:
             continue
         arc = rotation_to_arc(r)
@@ -136,7 +143,7 @@ def test_slide_examples():
 def test_slide_inverse_restores():
     rng = np.random.default_rng(52)
     for _ in range(200):
-        arc = sampling.random_arc(rng)
+        arc = random_arc(rng)
         if arc.is_identity:
             continue
         d = rng.uniform(-math.pi, math.pi)
@@ -148,7 +155,7 @@ def test_slide_inverse_restores():
 def test_slide_keeps_rotation():
     rng = np.random.default_rng(53)
     for _ in range(300):
-        arc = sampling.random_arc(rng)
+        arc = random_arc(rng)
         if arc.is_identity:
             continue
         d = rng.uniform(-2 * math.pi, 2 * math.pi)
@@ -187,7 +194,7 @@ def test_antipode_head_example():
 def test_antipode_head_keeps_rotation():
     rng = np.random.default_rng(54)
     for _ in range(300):
-        arc = sampling.random_arc(rng)
+        arc = random_arc(rng)
         if arc.is_identity:
             continue
         assert quaternion_distance(arc_quaternion(antipode_head(arc)), arc_quaternion(arc)) <= 1e-9
@@ -201,7 +208,7 @@ def test_antipode_head_rejects_identity_arc():
 def test_triangle_identity_neutral():
     rng = np.random.default_rng(55)
     e = identity_arc()
-    v = sampling.random_arc(rng)
+    v = random_arc(rng)
     assert triangle_compose(e, v) is v
     assert triangle_compose(v, e) is v
 
@@ -229,7 +236,7 @@ def test_triangle_worked_example():
 def test_triangle_matches_quaternion_oracle():
     rng = np.random.default_rng(56)
     for _ in range(1000):
-        u, v = sampling.random_arc(rng), sampling.random_arc(rng)
+        u, v = random_arc(rng), random_arc(rng)
         w = triangle_compose(u, v)
         assert quaternion_distance(arc_quaternion(w), arc_quaternion(v) * arc_quaternion(u)) <= 1e-9
 
@@ -238,8 +245,8 @@ def test_triangle_same_and_opposite_axis():
     rng = np.random.default_rng(57)
     for _ in range(300):
         axis = vector(sampling.random_axis(rng))
-        u = sampling.random_arc_on_axis(rng, axis)
-        v = sampling.random_arc_on_axis(rng, axis * float(rng.choice([-1.0, 1.0])))
+        u = random_arc_on_axis(rng, axis)
+        v = random_arc_on_axis(rng, axis * float(rng.choice([-1.0, 1.0])))
         w = triangle_compose(u, v)
         assert quaternion_distance(arc_quaternion(w), arc_quaternion(v) * arc_quaternion(u)) <= 1e-9
 
@@ -253,7 +260,7 @@ def test_triangle_full_turn_collapses_to_identity():
 
 def test_svg_output_is_well_formed():
     rng = np.random.default_rng(58)
-    arcs = [sampling.random_arc(rng) for _ in range(3)] + [identity_arc()]
+    arcs = [random_arc(rng) for _ in range(3)] + [identity_arc()]
     svg = arcs_to_svg(arcs)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")

@@ -179,3 +179,32 @@ def test_residual_of_an_output_ending_in_the_whole_input_strips_the_input(group,
         res = cli.residual(group, word, head + word, d)
         assert math.isclose(res, _unstripped(group, word, head + word, d), abs_tol=1e-12)
         assert abs(res - _unstripped(group, [], head, dim)) <= 1e-12
+
+
+@pytest.mark.parametrize("group, dim", [("e2", None), ("s2", None), ("so3", None), ("on", 5)])
+def test_a_replay_series_reads_each_prefix_once_a_step(monkeypatch, group, dim):
+    # the states of one reduction step share their input prefix: the table
+    # is read when the prefix changes, not once a state
+    geometry = cli.GEOMETRIES[group]
+    word, states = _replay(group, dim, 40, 21)
+    make = geometry.prefix_oracles
+    reads: list = []
+
+    def counted(word, dim, table=True):
+        prefix = make(word, dim, table)
+
+        def read(i):
+            if table:
+                reads.append(i)
+            return prefix(i)
+
+        return read
+
+    monkeypatch.setattr(geometry, "prefix_oracles", counted)
+    _forget()
+    series = [cli.residual(group, word, state, dim) for state in states[1:]]
+    assert 0 < len(reads) < len(states) - 2
+    assert all(a != b for a, b in zip(reads, reads[1:]))
+    _forget()
+    monkeypatch.undo()
+    assert [cli.residual(group, word, state, dim) for state in states[1:]] == series

@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from mirrorwords import cli, sampling
+from mirrorwords.numerics import EPS_COINCIDE, MAX_DIMENSION
+from mirrorwords.orthon import Hyperplane
+from mirrorwords.plane import Line
+from mirrorwords.so3 import Axis
+from mirrorwords.sphere import GreatCircle
 
 # verify-mix's group configurations, then the CLI's other O(n) dimensions
 # from the least to the largest
@@ -10,10 +17,15 @@ CONFIGS += [("on", 2), ("on", 16), ("on", cli.MAX_DIMENSION)]
 LENGTHS = list(range(9)) + [64]
 
 
+def _reference_line(rng):
+    """A line built by its constructor from a unit pair and Generator.uniform."""
+    return Line(sampling._unit(rng, 2), rng.uniform(-sampling.OFFSET_RANGE, sampling.OFFSET_RANGE))
+
+
 def _per_mirror(rng, group, length, dim):
-    """A word drawn one mirror at a time, the reference stream."""
+    """A word drawn one mirror at a time by the constructors, the reference stream."""
     draw = {
-        "e2": sampling.random_line,
+        "e2": _reference_line,
         "s2": sampling.random_circle,
         "so3": sampling.random_axis,
         "on": lambda r: sampling.random_hyperplane(r, dim),
@@ -22,7 +34,8 @@ def _per_mirror(rng, group, length, dim):
 
 
 def _values(word):
-    return [(type(m), m.values) for m in word]
+    # repr tells -0.0 from 0.0, which == does not
+    return [(type(m), repr(m.values)) for m in word]
 
 
 @pytest.mark.parametrize("group, dim", CONFIGS)
@@ -38,10 +51,18 @@ def test_random_word_is_the_per_mirror_stream(group, dim, seed):
 
 
 class ScriptedRows:
-    """A Generator stand-in whose standard_normal hands out fixed rows in order."""
+    """A Generator stand-in whose standard_normal and random hand out fixed draws in order."""
 
-    def __init__(self, rows):
+    def __init__(self, rows, draws=()):
         self.rows = [np.array(r, dtype=float) for r in rows]
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+    def uniform(self, low, high):
+        # Generator.uniform's two float operations
+        return low + (high - low) * self.random()
 
     def standard_normal(self, size):
         if isinstance(size, tuple):
@@ -73,14 +94,88 @@ def test_short_rows_are_dropped_and_the_word_topped_up(group, short_at):
     assert len(batch.rows) == len(single.rows)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 8])
-def test_row_norms_equal_numpy_norm_row_by_row(dim):
+@pytest.mark.parametrize("vecdot", [True, False], ids=["vecdot", "matmul"])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, MAX_DIMENSION])
+def test_row_norms_equal_numpy_norm_row_by_row(monkeypatch, dim, vecdot):
+    if not vecdot:
+        # the stacked matmul, the path before numpy 2
+        monkeypatch.setattr(sampling, "_vecdot", None)
+    elif sampling._vecdot is None:
+        pytest.skip("np.vecdot needs numpy 2")
     V = np.random.default_rng(dim).standard_normal((20_000, dim))
     expected = [float(np.linalg.norm(v)) for v in V]
     assert sampling._row_norms(V).tolist() == expected
+
+
+@pytest.mark.parametrize("short_at", [[0], [2], [0, 1]], ids=["first", "last", "two-first"])
+def test_short_normal_pairs_are_redrawn_in_the_stream(short_at):
+    rows = np.random.default_rng(4).standard_normal((8, 2)).tolist()
+    for i in short_at:
+        rows[i] = SHORT[:2]
+    draws = np.random.default_rng(5).random(3).tolist()
+    batch, single = ScriptedRows(rows, draws), ScriptedRows(rows, draws)
+    assert _values(sampling.random_word(batch, "e2", 3)) == _values(_per_mirror(single, "e2", 3, 2))
+    assert len(batch.rows) == len(single.rows)
+    assert batch.draws == single.draws == []
 
 
 def test_random_word_of_length_zero_draws_nothing():
     # a stand-in with no rows fails on any draw
     for group in ("e2", "s2", "so3", "on"):
         assert sampling.random_word(ScriptedRows([]), group, 0) == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_offset_formula_is_generator_uniform_bit_for_bit(seed):
+    r = sampling.OFFSET_RANGE
+    draws = np.random.default_rng(seed).random(100_000).tolist()
+    offsets = [-r + 2 * r * u for u in draws]
+    assert offsets == np.random.default_rng(seed).uniform(-r, r, 100_000).tolist()
+
+
+def _unit_rows(rng, count, dim):
+    """Gaussian rows divided by _row_norms, the first 1-3 components of some near 0.
+
+    A near-zero leading component leaves the sign to a later one.
+    """
+    V = rng.standard_normal((count, dim))
+    tiny = [0.0, -0.0, 1e-12, -1e-12, 0.5 * EPS_COINCIDE, -0.5 * EPS_COINCIDE]
+    for k in range(1, min(dim - 1, 3) + 1):
+        block = V[100 * k : 100 * (k + 1)]
+        block[:, :k] = rng.choice(tiny, size=(len(block), k))
+    return (V / sampling._row_norms(V)[:, None]).tolist()
+
+
+@pytest.mark.parametrize("dim", range(2, MAX_DIMENSION + 1))
+def test_from_unit_is_the_constructor_on_normalized_rows(dim):
+    rng = np.random.default_rng(dim)
+    for row in _unit_rows(rng, 1000, dim):
+        assert _values([Hyperplane.from_unit(row)]) == _values([Hyperplane(row)])
+        if dim == 3:
+            for cls in (GreatCircle, Axis):
+                assert _values([cls.from_unit(*row)]) == _values([cls(row)])
+
+
+def test_line_from_unit_is_the_constructor_on_normalized_pairs():
+    rng = np.random.default_rng(2)
+    V = rng.standard_normal((20_000, 2))
+    V[:300, 0] = rng.choice([0.0, -0.0, 1e-12, -1e-12, 0.5 * EPS_COINCIDE], size=300)
+    offsets = rng.uniform(-sampling.OFFSET_RANGE, sampling.OFFSET_RANGE, len(V)).tolist()
+    for v, d in zip(V, offsets):
+        # random_line's norm and division
+        n = math.sqrt(v.dot(v))
+        nx, ny = v.tolist()
+        nx, ny = nx / n, ny / n
+        assert _values([Line.from_unit(nx, ny, d)]) == _values([Line((nx, ny), d)])
+
+
+def test_random_word_refuses_a_dimension_past_the_cap_and_draws_nothing():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for draw in (
+        lambda: sampling.random_word(rng, "on", 3, dim=MAX_DIMENSION + 1),
+        lambda: sampling.random_hyperplane(rng, MAX_DIMENSION + 1),
+    ):
+        with pytest.raises(ValueError, match="dimension"):
+            draw()
+    assert rng.bit_generator.state == state

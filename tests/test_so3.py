@@ -10,6 +10,7 @@ from oracles import (
     householder,
     line_reflection_matrix,
     quaternion_matrix,
+    random_rotation,
     rotation_from_matrix_eig,
     rotation_matrix,
     rotation_matrix_distance,
@@ -116,7 +117,7 @@ def test_rotation_to_line_pair_quarter_turn():
 def test_rotation_to_line_pair_round_trip():
     rng = np.random.default_rng(22)
     for _ in range(300):
-        r = sampling.random_rotation(rng)
+        r = random_rotation(rng)
         if r.is_identity:
             continue
         a, b = rotation_to_line_pair(r)
@@ -275,7 +276,7 @@ def test_rotation_quaternion_bridge_examples(r, expected):
 def test_quaternion_round_trip():
     rng = np.random.default_rng(30)
     for _ in range(300):
-        r = sampling.random_rotation(rng)
+        r = random_rotation(rng)
         back = quaternion_to_rotation(rotation_to_quaternion(r))
         assert same_axis_angle(back.axis, back.angle, r.axis, r.angle, eps=1e-10)
 
@@ -283,8 +284,8 @@ def test_quaternion_round_trip():
 def test_quaternion_composition_matches_matrices():
     rng = np.random.default_rng(31)
     for _ in range(200):
-        r1 = sampling.random_rotation(rng)
-        r2 = sampling.random_rotation(rng)
+        r1 = random_rotation(rng)
+        r2 = random_rotation(rng)
         q = rotation_to_quaternion(r2) * rotation_to_quaternion(r1)
         M = rotation_matrix(r2) @ rotation_matrix(r1)
         assert rotation_matrix_distance(quaternion_matrix(q), M) <= 1e-9
