@@ -28,6 +28,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse, usage or geometry error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -310,18 +311,6 @@ def _move_text(geometry, mv: Move) -> str:
 _input_memo: tuple = (None, None, False)
 
 
-def _last_read(prefix):
-    """prefix, which returns its last oracle again when asked for the same i."""
-    last = [None, None]
-
-    def read(i):
-        if i != last[0]:
-            last[:] = i, prefix(i)
-        return last[1]
-
-    return read
-
-
 def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
     """Oracle distance between two words of one group.
 
@@ -344,7 +333,7 @@ def residual(group: str, word_in, word_out, dim: int | None = None) -> float:
         prefix = geometry.prefix_oracles(word, dim, False)
         _input_memo = (key, prefix, False)
     elif not table:
-        prefix = _last_read(geometry.prefix_oracles(word, dim, True))
+        prefix = functools.lru_cache(maxsize=1)(geometry.prefix_oracles(word, dim, True))
         _input_memo = (key, prefix, True)
     i = len(word)
     j = len(word_out)

@@ -22,7 +22,8 @@ rule and skips its type checks on floats drawn here. That is the
 constructor's value bit for bit: a row of d components divided by its
 norm has a norm within about (d + 4) 2^-53 of 1, below the 1e-13 at which
 the constructor would divide it again, for every d up to MAX_DIMENSION
-(64), the largest dimension drawn.
+(64), so `random_word` refuses a larger dimension. `random_hyperplane`
+builds through the constructor and takes any dimension from 1.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .sphere import GreatCircle
 OFFSET_RANGE = 10.0
 # a Gaussian direction this short is redrawn
 _MIN_NORM = 1e-6
-# np.vecdot is new in numpy 2
-_vecdot = getattr(np, "vecdot", None)
 
 
 def _gaussian(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
@@ -75,10 +74,6 @@ def _lines(rng: np.random.Generator, length: int) -> list[Line]:
     return word
 
 
-def random_line(rng: np.random.Generator) -> Line:
-    return _lines(rng, 1)[0]
-
-
 def random_circle(rng: np.random.Generator) -> GreatCircle:
     return GreatCircle(_unit(rng, 3))
 
@@ -87,15 +82,10 @@ def random_axis(rng: np.random.Generator) -> Axis:
     return Axis(_unit(rng, 3))
 
 
-def _check_dimension(dim: int) -> None:
-    # below 1, _unit would redraw a zero-length vector forever; above
-    # MAX_DIMENSION, from_unit would no longer be the constructor
-    if not 1 <= dim <= MAX_DIMENSION:
-        raise ValueError(f"hyperplanes need a dimension from 1 to {MAX_DIMENSION}, got {dim}")
-
-
 def random_hyperplane(rng: np.random.Generator, dim: int) -> Hyperplane:
-    _check_dimension(dim)
+    if dim < 1:
+        # _unit would redraw a zero-length vector forever
+        raise ValueError(f"hyperplanes need a dimension of at least 1, got {dim}")
     return Hyperplane(_unit(rng, dim))
 
 
@@ -103,11 +93,9 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of V, bit for bit.
 
     Each row's dot with itself goes through the same BLAS dot as
-    np.linalg.norm, in np.vecdot or, before numpy 2, a stacked matmul; a
-    left-to-right or einsum sum differs in the last bit on some rows.
+    np.linalg.norm, in a stacked matmul; a left-to-right or einsum sum
+    differs in the last bit on some rows.
     """
-    if _vecdot is not None:
-        return np.sqrt(_vecdot(V, V))
     return np.sqrt((V[:, None, :] @ V[:, :, None]).ravel())
 
 
@@ -120,8 +108,9 @@ def random_word(rng: np.random.Generator, group: str, length: int, dim: int = 3)
         cls, dim = Axis, 3
     elif group == "on":
         cls = Hyperplane
-        if length > 0:
-            _check_dimension(dim)
+        # past MAX_DIMENSION, from_unit would no longer be the constructor
+        if length > 0 and not 1 <= dim <= MAX_DIMENSION:
+            raise ValueError(f"hyperplanes need a dimension from 1 to {MAX_DIMENSION}, got {dim}")
     else:
         raise ValueError(f"unknown group {group!r}")
     if length < 1:

@@ -173,7 +173,7 @@ def test_reflect_point_examples(line, point, expected):
 def test_reflect_point_involution():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        l = sampling.random_line(rng)
+        (l,) = sampling.random_word(rng, "e2", 1)
         p = rng.uniform(-10, 10, 2)
         np.testing.assert_allclose(mirror_image(l, mirror_image(l, p)), p, atol=1e-9)
 
@@ -246,7 +246,7 @@ def test_pencil_completion_rejects_outsiders():
 def test_pencil_completion_oracle_equality():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        l, m = sampling.random_line(rng), sampling.random_line(rng)
+        l, m = sampling.random_word(rng, "e2", 2)
         if abs(l.nx * m.ny - l.ny * m.nx) <= EPS_COINCIDE:
             l2 = Line((l.nx, l.ny), rng.uniform(-10, 10))
         else:
@@ -281,7 +281,7 @@ def test_pencil_completion_rejects_random_triples():
     # three independent random lines share no pencil, almost surely
     rng = np.random.default_rng(8)
     for _ in range(100):
-        l, m, l2 = (sampling.random_line(rng) for _ in range(3))
+        l, m, l2 = sampling.random_word(rng, "e2", 3)
         with pytest.raises(NotConcurrent):
             pencil_completion(l, m, l2)
 
