@@ -22,16 +22,27 @@ Families (each restarts the generator at SEED):
                        (g: e2, s2, so3, on2, on3, on5, on8)
   near <g> <jitter>    perfbench's near_degenerate_word, six mirrors
                        jittered about one direction, repeated to lengths
-                       6, 12 and 36, NEAR_WORDS words a length, as in
-                       scripts/robustness.py; S2 circles are the SO(3)
-                       axes' directions (g: e2, s2, so3, on3, on5)
+                       6, 12 and 36, NEAR_WORDS words a length (each
+                       length restarts the generator); S2 circles are
+                       the SO(3) axes' directions (g: e2, s2, so3, on3,
+                       on5)
 
-    python3 scripts/corpus_digest.py
+With --out PATH it also writes the near families' counts per length
+(words within EPS_VERIFY, raised, over, and the worst residual of the
+words that did not raise) to PATH in BENCH_robust.json's schema, one cell
+per group, jitter and length; without it, it writes nothing.
+tests/test_robust.py pins the raised and over counts of every cell, on
+the first 100 words of each (near_words).
+
+    python3 scripts/corpus_digest.py [--out BENCH_robust.json]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -55,6 +66,7 @@ GROUPS = {
     "on8": ("on", 8),
 }
 NEAR_GROUPS = ("e2", "s2", "so3", "on3", "on5")
+NEAR_FAMILY = "near-parallel"
 JITTERS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)
 LENGTHS = (6, 12, 36)
 RANDOM_WORDS = 600
@@ -78,27 +90,31 @@ def _sandwiches(label: str, count: int):
         yield u + v + v[::-1] + w
 
 
-def _near_words(label: str, jitter: float):
+def near_words(label: str, jitter: float, length: int):
+    """The NEAR_WORDS words of one near cell, the generator restarted at SEED."""
     group, dim = GROUPS[label]
     source = "so3" if group == "s2" else group
-    for length in LENGTHS:
-        rng = np.random.default_rng(SEED)
-        for _ in range(NEAR_WORDS):
-            six = workloads.near_degenerate_word(rng, source, dim, jitter)
-            if group == "s2":
-                six = [GreatCircle(a.values) for a in six]
-            yield [six[i % 6] for i in range(length)]
+    rng = np.random.default_rng(SEED)
+    for _ in range(NEAR_WORDS):
+        six = workloads.near_degenerate_word(rng, source, dim, jitter)
+        if group == "s2":
+            six = [GreatCircle(a.values) for a in six]
+        yield [six[i % 6] for i in range(length)]
 
 
 def families():
-    """(name, group label, words) for every family, in output order."""
+    """(name, group label, jitter, words) for every family, in output order.
+
+    The jitter is None for the random families.
+    """
     for label in GROUPS:
-        yield f"random {label} short", label, _random_words(label, 0, 12, RANDOM_WORDS)
-        yield f"random {label} long", label, _random_words(label, 64, 256, LONG_WORDS)
-        yield f"random {label} sandwich", label, _sandwiches(label, LONG_WORDS)
+        yield f"random {label} short", label, None, _random_words(label, 0, 12, RANDOM_WORDS)
+        yield f"random {label} long", label, None, _random_words(label, 64, 256, LONG_WORDS)
+        yield f"random {label} sandwich", label, None, _sandwiches(label, LONG_WORDS)
     for label in NEAR_GROUPS:
         for jitter in JITTERS:
-            yield f"near {label} {jitter:.0e}", label, _near_words(label, jitter)
+            words = itertools.chain.from_iterable(near_words(label, jitter, n) for n in LENGTHS)
+            yield f"near {label} {jitter:.0e}", label, jitter, words
 
 
 def record(label: str, word) -> tuple | str:
@@ -116,31 +132,52 @@ def record(label: str, word) -> tuple | str:
     return tuple(x.values for x in out), moves, residual, classification
 
 
+def new_cell() -> dict:
+    return {"within": 0, "raised": 0, "over": 0, "worst_residual": 0.0}
+
+
+def count(cell: dict, r) -> None:
+    """Add one word's record to a cell's counts."""
+    if isinstance(r, str):
+        cell["raised"] += 1
+        return
+    cell["over" if r[2] > EPS_VERIFY else "within"] += 1
+    cell["worst_residual"] = max(cell["worst_residual"], r[2])
+
+
 def main() -> int:
-    for name, label, words in families():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="write the near families' counts per length here")
+    args = parser.parse_args()
+    cells = []
+    for name, label, jitter, words in families():
         digest = hashlib.sha256()
         rewrite = hashlib.sha256()
-        count = raised = over = 0
-        worst = 0.0
+        total = new_cell()
+        by_length = {}
         for word in words:
             r = record(label, word)
-            count += 1
-            if isinstance(r, str):
-                raised += 1
-                rest = r
-            else:
-                over += r[2] > EPS_VERIFY
-                worst = max(worst, r[2])
-                rest = (r[0], r[1], r[3])
+            count(total, r)
+            if jitter is not None:  # a near word's length names its cell
+                count(by_length.setdefault(len(word), new_cell()), r)
+            rest = r if isinstance(r, str) else (r[0], r[1], r[3])
             digest.update(repr(r).encode())
             digest.update(b"\n")
             rewrite.update(repr(rest).encode())
             rewrite.update(b"\n")
+        cells += [
+            {"group": label, "family": NEAR_FAMILY, "jitter": jitter, "length": length, **cell}
+            for length, cell in by_length.items()
+        ]
         print(
-            f"{name:24s} words {count:5d}  raised {raised:4d}  over {over:4d}  "
-            f"worst {worst:.3e}  sha256 {digest.hexdigest()[:16]}  "
+            f"{name:24s} words {total['within'] + total['raised'] + total['over']:5d}  "
+            f"raised {total['raised']:4d}  over {total['over']:4d}  "
+            f"worst {total['worst_residual']:.3e}  sha256 {digest.hexdigest()[:16]}  "
             f"rewrite {rewrite.hexdigest()[:16]}"
         )
+    if args.out is not None:
+        result = {"seed": SEED, "words_per_cell": NEAR_WORDS, "bound": EPS_VERIFY, "cells": cells}
+        args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -107,20 +107,12 @@ def canonical_unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
     The same floats, bit for bit; it is kept because the S2 and SO(3)
     rewrites build a 3-vector mirror for every move they record.
     """
-    norm = math.sqrt(x * x + y * y + z * z)
-    # the common case first: a norm that passes both tests below
+    square = x * x + y * y + z * z
+    norm = math.sqrt(square)
+    # the common case here; an overflowing, zero or non-finite norm goes
+    # to unit_from_square's guards
     if not EPS_COINCIDE < norm < math.inf:
-        if norm == math.inf and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-            # finite components whose squares overflow still define a direction
-            top = max(abs(x), abs(y), abs(z))
-            x, y, z = x / top, y / top, z / top
-            norm = math.sqrt(x * x + y * y + z * z)
-        if norm <= EPS_COINCIDE:
-            raise DegenerateInput(f"zero vector cannot define a direction: {(x, y, z)!r}")
-        if not norm < math.inf:  # also false for NaN
-            raise DegenerateInput(
-                f"vector with a non-finite norm cannot define a direction: {(x, y, z)!r}"
-            )
+        return canonical_sign3(*unit_from_square((x, y, z), square))
     if abs(norm - 1.0) > _UNIT_SLACK:
         x, y, z = x / norm, y / norm, z / norm
     return canonical_sign3(x, y, z)

@@ -121,10 +121,12 @@ def test_canonical_unit3_sign_and_zero_rules(v, expected):
     "v", [(0.0, 0.0, 0.0), (1e-10, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (1e400, 1.0, 0.0)]
 )
 def test_canonical_unit3_rejects_what_canonical_unit_rejects(v):
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput) as listed:
         canonical_unit(v)
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput) as unpacked:
         canonical_unit3(*v)
+    # the same reason, each naming the vector as its caller built it
+    assert str(unpacked.value) == str(listed.value).replace(repr(list(v)), repr(v))
 
 
 def _numpy_canonical_unit(v) -> np.ndarray:

@@ -1,6 +1,4 @@
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +32,6 @@ from mirrorwords.plane import (
     verify_pencil_relation,
     word_to_isometry,
 )
-
-# the benchmark's near-degenerate E2 words, which the ratchet below and
-# scripts/robustness.py repeat to longer words
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
 
 X_AXIS = Line((0, 1), 0)
 Y_AXIS = Line((1, 0), 0)
@@ -553,25 +546,3 @@ def test_classify_matches_eigen_oracle():
         elif c["kind"] == GLIDE:
             assert same_direction(c["axis"]["normal"], ref[1])
             np.testing.assert_allclose(c["vector"], ref[3], atol=1e-7)
-
-
-@pytest.mark.parametrize("jitter", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
-def test_near_parallel_words_meet_eps_verify(jitter):
-    # a ratchet over the E2 cells of scripts/robustness.py, with 100 words
-    # per cell instead of 200: per (jitter, length) the words silently over
-    # EPS_VERIFY and the words rejected with a GeometryError are pinned at
-    # their present counts, 0 in every cell, and may never rise. Any other
-    # exception fails the test.
-    for length in (6, 12, 36):
-        rng = np.random.default_rng(77)
-        over = raised = 0
-        for _ in range(100):
-            six = workloads.near_degenerate_word(rng, "e2", 2, jitter)
-            w = [six[i % 6] for i in range(length)]
-            try:
-                out = normalize_word(w)
-            except GeometryError:
-                raised += 1
-                continue
-            over += cli.residual("e2", w, out) > EPS_VERIFY
-        assert (over, raised) == (0, 0), f"length {length}"
