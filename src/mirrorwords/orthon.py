@@ -306,8 +306,8 @@ def decompose(M) -> list:
     return word
 
 
-def _steer_moves(w: list, sink: list) -> int:
-    """Steer two of the n+1 mirrors in w onto each other; return the pair's index.
+def _steer_moves(w: list, sink: list) -> None:
+    """Steer two of the n+1 mirrors in w onto each other.
 
     No two adjacent mirrors of w coincide (the rewrite loop's contract).
     The n+1 normals obey one linear dependency sum c_i v_i = 0, found as
@@ -315,7 +315,7 @@ def _steer_moves(w: list, sink: list) -> int:
     pencil move rotates the pair (s, s+1) so that its second mirror is
     x ~ c_s v_s + c_{s+1} v_{s+1}, which lies in the span of the normals
     after it; x carries the pair's share of the dependency to the right
-    until two adjacent mirrors coincide; the caller cancels them. The
+    until two adjacent mirrors coincide; the rewrite loop cancels them. The
     first mirror of the pair is x turned back in the pair's plane by the
     angle from e1 to v, the pencil turn of S2 and SO(3) with its double
     cross product expanded, (v.e1) x + e1 (v.x) - v (e1.x), which holds in
@@ -358,27 +358,19 @@ def _steer_moves(w: list, sink: list) -> int:
         s += 1
         # only a pencil move can have made the next pair coincide
         if coincident(w[s], w[s + 1]):
-            return s
+            return
 
 
 def reduce_word(word, trace: list | None = None, dim: int | None = None) -> list:
-    """Rewrite n+1 mirrors into n-1 by single pencil and involution moves."""
-    w = list(word)
-    n = _word_dimension(w, dim)
-    if len(w) != n + 1:
-        raise WrongLength(f"need exactly {n + 1} mirrors in dimension {n}, got {len(w)}")
-    sink = []
-    # a raw word may hold a coincident pair, which steering must not get
-    for i in range(n):
-        if coincident(w[i], w[i + 1]):
-            break
-    else:
-        i = _steer_moves(w, sink)
-    sink.append(Move(INVOLUTION, i))
-    del w[i : i + 2]
-    if trace is not None:
-        trace.extend(sink)
-    return w
+    """Rewrite n+1 mirrors into n-1 by single pencil and involution moves.
+
+    The rewrite loop freely reduces the word first, so a word with more
+    than one coincident pair comes out shorter.
+    """
+    n = _word_dimension(word, dim)
+    if len(word) != n + 1:
+        raise WrongLength(f"need exactly {n + 1} mirrors in dimension {n}, got {len(word)}")
+    return normalize(word, coincident, _steer_moves, n, trace)
 
 
 def normalize_word(word, trace: list | None = None, dim: int | None = None) -> list:

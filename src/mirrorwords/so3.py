@@ -19,20 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .moves import PENCIL, POLAR_SPLIT, Move, emit, normalize, replay
 # perfbench's traced run wraps `coincident` and `apply_move` on every geometry module
 from .moves import apply_move  # noqa: F401
 from .numerics import (
     EPS_COINCIDE,
-    EPS_VERIFY,
     DegenerateInput,
     Direction3,
     IdentityInput,
     NotConcurrent,
-    NotOrthogonal,
     canonical_unit3,
     coincident3,
     components_n,
@@ -332,19 +328,6 @@ def classification_json(word, dim: int | None = None) -> dict:
     if r.is_identity:
         return {"kind": "identity"}
     return {"kind": "rotation", "axis": list(r.axis), "angle": r.angle}
-
-
-def projective_representative(M) -> np.ndarray:
-    """The det +1 member of {M, -M} for an orthogonal 3x3 matrix.
-
-    This realizes the isomorphism between isometries of the projective
-    plane and orientation-preserving isometries of the sphere: it is
-    idempotent and multiplicative on +-M classes.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3) or float(np.abs(M.T @ M - np.eye(3)).max()) > EPS_VERIFY:
-        raise NotOrthogonal("projective representative needs an orthogonal 3x3 matrix")
-    return M if np.linalg.det(M) > 0.0 else -M
 
 
 def replay_moves(word, moves) -> list:

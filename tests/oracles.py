@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: affine maps are
 composed with plain numpy, classification reads numpy eigendecompositions.
 Helpers that only tests need live here too: a rotation's quaternion, the
 angle between two unoriented lines, the matrix rebuilt from an O(n)
-spectral split, arrays of a mirror's floats and of a plane isometry, and
-seeded random rotations and arrow arcs.
+spectral split, arrays of a mirror's floats and of a plane isometry,
+seeded random rotations and arrow arcs, and the det +1 representative of
+a projective-plane isometry.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from mirrorwords.arrowarc import Arc, rotation_to_arc, slide
+from mirrorwords.numerics import EPS_VERIFY, NotOrthogonal
 from mirrorwords.so3 import Quaternion, rotation
 
 IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -226,6 +228,19 @@ def quaternion_matrix(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def projective_representative(M) -> np.ndarray:
+    """The det +1 member of {M, -M} for an orthogonal 3x3 matrix.
+
+    This realizes the isomorphism between isometries of the projective
+    plane and orientation-preserving isometries of the sphere: it is
+    idempotent and multiplicative on +-M classes.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3, 3) or float(np.abs(M.T @ M - np.eye(3)).max()) > EPS_VERIFY:
+        raise NotOrthogonal("projective representative needs an orthogonal 3x3 matrix")
+    return M if np.linalg.det(M) > 0.0 else -M
 
 
 def random_rotation(rng: np.random.Generator):

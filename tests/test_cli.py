@@ -781,6 +781,15 @@ def test_reduce_of_an_empty_word_uses_the_given_dimension(args, capsys):
     assert err["message"] == "need exactly 3 mirrors in dimension 2, got 0"
 
 
+def test_reduce_cancels_nested_pairs_to_the_identity(capsys):
+    text = "ON(3): refl(hyper(1,2,3)) * refl(hyper(0,1,-1)) * refl(hyper(0,1,-1)) * refl(hyper(1,2,3))"
+    assert cli.main(["reduce", text]) == 0
+    out = capsys.readouterr().out
+    assert "reduced:  ON(3): id\n" in out
+    assert "length:   4 -> 0\n" in out
+    assert out.endswith("  involution(1)\n  involution(0)\n")
+
+
 def test_arc_svg_output(tmp_path):
     path = tmp_path / "arc.svg"
     result = run_cli("arc", "SO3: refl(axis(0,1,0)) * refl(axis(1,0,0))", "--svg", str(path))

@@ -274,7 +274,7 @@ def test_arrowarc_imports_no_numpy():
     assert _numpy_imports(arrowarc) == []
 
 
-@pytest.mark.parametrize("module", [numerics, plane], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [numerics, plane, so3], ids=lambda m: m.__name__)
 def test_float_module_imports_no_numpy(module):
     assert _numpy_imports(module) == []
 

@@ -1,15 +1,20 @@
 """The shared rewrite loop: free reduction, trace indices and linear cost."""
 
+import ast
 import copy
 import operator
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mirrorwords
 from mirrorwords import moves, orthon, plane, sampling, so3, sphere
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import GeometryError
+
+PACKAGE = sorted(Path(mirrorwords.__file__).parent.glob("*.py"))
 
 GEOMETRIES = {
     "e2": (plane, lambda w, trace: plane.normalize_word(w, trace), 2),
@@ -142,20 +147,38 @@ STEPS = {
 @pytest.mark.parametrize("name", list(STEPS))
 def test_each_step_records_pencil_and_polar_split_moves_and_leaves_a_pair(name):
     # the rewrite loop is the only place that cancels: a step records no
-    # involution and hands back the coincident pair it built
+    # involution, leaves the coincident pair it built in place and returns
+    # nothing, since the loop finds the pair itself
     step, same, length, group, dim = STEPS[name]
     rng = np.random.default_rng(514)
     for _ in range(50):
         head = sampling.random_word(rng, group, length, dim=dim)
         assert not any(same(a, b) for a, b in zip(head, head[1:]))
         w, sink = list(head), []
-        index = step(w, sink)
+        assert step(w, sink) is None
         assert sink and all(m.kind in (PENCIL, POLAR_SPLIT) for m in sink)
         assert moves.replay(head, sink, same)[-1] == w
-        pairs = [i for i in range(len(w) - 1) if same(w[i], w[i + 1])]
-        assert pairs
-        if step is orthon._steer_moves:
-            assert index in pairs
+        assert any(same(a, b) for a, b in zip(w, w[1:]))
+
+
+def _builds_an_involution(node) -> bool:
+    """Whether an AST node calls Move with the kind INVOLUTION (or its text)."""
+    if not isinstance(node, ast.Call) or ast.unparse(node.func).rpartition(".")[2] != "Move":
+        return False
+    kinds = node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"]
+    return any(ast.unparse(k).rpartition(".")[2] in ("INVOLUTION", repr(INVOLUTION)) for k in kinds)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_rewrite_loop_builds_an_involution(path):
+    # every cancellation goes through moves.normalize; a geometry may
+    # compare a move's kind with INVOLUTION but never record one itself
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    built = [node.lineno for node in ast.walk(tree) if _builds_an_involution(node)]
+    if path.name == "moves.py":
+        assert built
+    else:
+        assert built == [], f"{path.name} builds an involution move on lines {built}"
 
 
 def _palindrome(word):

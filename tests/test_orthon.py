@@ -314,6 +314,34 @@ def test_reduce_word_plane_examples():
                 assert trace == [Move(INVOLUTION, i)]
 
 
+def test_reduce_word_cancels_nested_pairs_in_a_cascade():
+    # the rewrite loop cancels the middle pair, then the pair it exposes
+    a, b = Hyperplane((1, 2, 3)), Hyperplane((0, 1, -1))
+    trace = []
+    assert reduce_word([a, b, b, a], trace) == []
+    assert trace == [Move(INVOLUTION, 1), Move(INVOLUTION, 0)]
+
+
+# a 4-mirror head of a random O(3) word of 512 mirrors (long-words, seed 2,
+# item random/on3/L512); its first three normals are dependent to 1.2e-7
+_STEERING_REPRODUCER = (
+    (0.7589351096506478, 0.6018265722610505, 0.2486408579861218),
+    (0.04813795008008054, -0.859772338013755, -0.5084036433272775),
+    (0.1844409600710452, 0.8594658917239223, 0.4767598066230775),
+    (0.5347201832376084, -0.4304563564652687, 0.727173741836835),
+)
+
+
+@pytest.mark.xfail(raises=DegenerateSteering, strict=True)
+def test_reduce_word_steers_a_nearly_dependent_triple():
+    # steering starts at the first mirror: after two pencil moves the pair
+    # (2, 3) is 2.5e-9 apart, over EPS_COINCIDE, and no mirror is left
+    w = [orthon.mirror_from_floats(list(v)) for v in _STEERING_REPRODUCER]
+    out = reduce_word(w)
+    assert len(out) == 2
+    assert orthon.oracle_distance(word_to_matrix(w), word_to_matrix(out, 3)) <= EPS_VERIFY
+
+
 def test_reduce_word_wrong_length():
     with pytest.raises(WrongLength):
         reduce_word([plane_mirror(0), plane_mirror(30)])
@@ -606,7 +634,7 @@ def _steering_move(monkeypatch, e1, v, cs, cv):
     null = np.array([[cs, cv, 0.0]])
     with monkeypatch.context() as m:
         m.setattr(orthon.np.linalg, "svd", lambda a: (None, None, null))
-        assert orthon._steer_moves(w, sink) == 1
+        orthon._steer_moves(w, sink)
     (move,) = sink
     return move
 

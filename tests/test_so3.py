@@ -9,6 +9,7 @@ from oracles import (
     IDENTITY_QUATERNION,
     householder,
     line_reflection_matrix,
+    projective_representative,
     quaternion_matrix,
     random_rotation,
     rotation_from_matrix_eig,
@@ -29,7 +30,6 @@ from mirrorwords.so3 import (
     coincident,
     compose_line_reflections,
     normalize_word,
-    projective_representative,
     quaternion_distance,
     quaternion_to_rotation,
     replay_moves,

@@ -26,7 +26,6 @@ WAITING = {
     "arrowarc.triangle_compose": "items 2 and 12",
     "orthon.decompose": "item 13",
     "plane.verify_pencil_relation": "item 5",
-    "so3.projective_representative": "item 9",
     # the references of the per-mirror stream test
     "sampling.random_circle": "item 12",
     "sampling.random_axis": "item 12",
