@@ -30,10 +30,35 @@ from .numerics import (
 )
 
 # Steering starts at the first mirror whose coefficient in the normals'
-# linear dependency (a unit null vector) exceeds this.
+# linear dependency (a unit vector) exceeds this. It also sets where the
+# dependency stops coming from cofactors (_dependency).
 _RANK_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+
+# Up to this dimension the dependency comes from cofactors. One batched LU
+# of n+1 minors costs O(n^4) against the SVD's O(n^3); alone they cost the
+# same at about n = 16. But the certificate of _dependency sends more heads
+# back to the SVD as n grows (|c| of random heads falls with n: median 0.9
+# at n = 3, 0.09 at n = 8, 0.002 at n = 16), so normalize_word gains from
+# cofactors only up to about n = 9 (0.80 of the SVD's time at n = 3, about
+# 0.9 at n = 9, 1.0-1.1 at n = 10 and 1.2 at n = 16).
+_COFACTOR_MAX_DIM = 9
+
+
+def _minor_rows(n: int) -> np.ndarray:
+    """Row indices of the n+1 minors of an (n+1, n) stack; minor i drops row i.
+
+    An odd minor has its first two rows swapped, which negates its
+    determinant, so det of minor i is (-1)^i det(V without row i).
+    """
+    rows = [[j for j in range(n + 1) if j != i] for i in range(n + 1)]
+    for r in rows[1::2]:
+        r[0], r[1] = r[1], r[0]
+    return np.array(rows)
+
+
+_MINOR_ROWS = {n: _minor_rows(n) for n in range(2, _COFACTOR_MAX_DIM + 1)}
 
 KEYWORD = "hyper"
 # a hyperplane takes as many components as its dimension
@@ -306,22 +331,58 @@ def decompose(M) -> list:
     return word
 
 
+def _dependency(w: list) -> list:
+    """The unit linear dependency sum c_i v_i = 0 of the n+1 normals v_i of w.
+
+    Its coefficients are the generalized cross product of the (n+1, n)
+    stack V of normals, c_i = (-1)^i det(V without row i), taken by one
+    batched determinant and divided by |c|; up to sign that is the unit
+    null vector of V^T. By Cauchy-Binet |c|^2 = det(V^T V), the product of
+    V's squared singular values, so |c| certifies the head's conditioning
+    for free.
+
+    LU leaves each cofactor of unit rows off by about n eps, so the unit
+    dependency leaves a residual sum c_i v_i of up to about n eps / |c|,
+    where the SVD's is about eps. Steering divides that residual by about
+    the smallest singular value, which is about |c| when the others are of
+    order 1 (their squares sum to n + 1). So cofactors serve while
+    n eps / |c|^2 <= _RANK_TOL; below that (|c| < 0.026 at n = 3, 0.042 at
+    n = 8) the head is nearly rank-deficient, and there, and above
+    _COFACTOR_MAX_DIM, the dependency is the last right singular vector of
+    V^T, from one SVD. On O(3) heads with one small singular value, the
+    median error of one reduction from cofactors was 27 times the SVD's at
+    1e-3, 1.5 times at 0.03 and equal at 0.1.
+    """
+    normals = np.array([h.values for h in w])
+    n = len(w) - 1
+    rows = _MINOR_ROWS.get(n)
+    if rows is not None:
+        c = np.linalg.det(normals[rows]).tolist()
+        square = 0.0
+        for t in c:
+            square += t * t
+        if square * _RANK_TOL >= n * _EPS:
+            norm = math.sqrt(square)
+            return [t / norm for t in c]
+    return np.linalg.svd(normals.T)[2][-1].tolist()
+
+
 def _steer_moves(w: list, sink: list) -> None:
     """Steer two of the n+1 mirrors in w onto each other.
 
     No two adjacent mirrors of w coincide (the rewrite loop's contract).
-    The n+1 normals obey one linear dependency sum c_i v_i = 0, found as
-    the null vector of their stack. From the first nonzero c_s on, each
-    pencil move rotates the pair (s, s+1) so that its second mirror is
-    x ~ c_s v_s + c_{s+1} v_{s+1}, which lies in the span of the normals
-    after it; x carries the pair's share of the dependency to the right
-    until two adjacent mirrors coincide; the rewrite loop cancels them. The
-    first mirror of the pair is x turned back in the pair's plane by the
-    angle from e1 to v, the pencil turn of S2 and SO(3) with its double
-    cross product expanded, (v.e1) x + e1 (v.x) - v (e1.x), which holds in
-    every dimension. Records pencil moves only.
+    The n+1 normals obey one linear dependency sum c_i v_i = 0, from their
+    cofactors or their SVD (_dependency). From the first c_s over
+    _RANK_TOL on, each pencil move rotates the pair (s, s+1) so that its
+    second mirror is x ~ c_s v_s + c_{s+1} v_{s+1}, which lies in the span
+    of the normals after it; x carries the pair's share of the dependency
+    to the right until two adjacent mirrors coincide; the rewrite loop
+    cancels them. The first mirror of the pair is x turned back in the
+    pair's plane by the angle from e1 to v, the pencil turn of S2 and SO(3)
+    with its double cross product expanded, (v.e1) x + e1 (v.x) - v (e1.x),
+    which holds in every dimension. Records pencil moves only.
     """
-    c = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
+    c = _dependency(w)
     s = 0
     while abs(c[s]) <= _RANK_TOL:
         s += 1

@@ -132,8 +132,9 @@ def test_oracle_gathers_read_the_floats():
 
 # Functions of the E2, S2, SO(3) and O(n) rewrite paths, and of the
 # classifiers, 3-space rotations and arcs that read their results, which
-# compute on plain floats. The one exception is the SVD that finds the O(n)
-# head's linear dependency, once per reduction.
+# compute on plain floats. The one exception is orthon._dependency, which
+# finds the O(n) head's linear dependency once per reduction (one batched
+# determinant, or one SVD).
 FLOAT_PATH = {
     orthon: [
         "coincident",
@@ -229,38 +230,29 @@ def _functions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _is_svd_call(node) -> bool:
-    f = node.func if isinstance(node, ast.Call) else None
-    return (
-        isinstance(f, ast.Attribute)
-        and f.attr == "svd"
-        and isinstance(f.value, ast.Attribute)
-        and f.value.attr == "linalg"
-        and isinstance(f.value.value, ast.Name)
-        and f.value.value.id == "np"
-    )
-
-
 @pytest.mark.parametrize("module", list(FLOAT_PATH), ids=lambda m: m.__name__)
 def test_rewrite_path_makes_no_numpy_call(module):
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     functions = dict(_functions(tree))
     for name in FLOAT_PATH[module]:
         assert name in functions, f"{module.__name__} defines no function {name}"
-        body = list(ast.walk(functions[name]))
-        svds = [node for node in body if _is_svd_call(node)]
-        # the SVD call may gather its argument with numpy too
-        allowed = {id(node) for call in svds for node in ast.walk(call)}
         uses = [
             node.lineno
-            for node in body
-            if id(node) not in allowed
-            and isinstance(node, ast.Name)
-            and node.id == "np"
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id == "np"
         ]
         assert uses == [], f"{module.__name__}.{name} uses numpy on lines {uses}"
-        expected = (module, name) == (orthon, "_steer_moves")
-        assert len(svds) == expected, f"{name} makes {len(svds)} SVD calls"
+
+
+def test_the_on_step_takes_its_dependency_from_one_helper():
+    functions = dict(_functions(ast.parse(Path(orthon.__file__).read_text(encoding="utf-8"))))
+    calls = [
+        node.func.id
+        for node in ast.walk(functions["_steer_moves"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert calls.count("_dependency") == 1
+    assert "_dependency" not in FLOAT_PATH[orthon]
 
 
 def _numpy_imports(module) -> list:

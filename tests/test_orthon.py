@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,9 @@ from mirrorwords.orthon import (
     validate_move,
     word_to_matrix,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import corpus_digest  # noqa: E402
 
 
 def plane_mirror(theta_deg, dim=2):
@@ -323,10 +329,12 @@ def test_reduce_word_cancels_nested_pairs_in_a_cascade():
 
 
 # a 4-mirror head of a random O(3) word of 512 mirrors (long-words, seed 2,
-# item random/on3/L512); its first three normals are dependent to 1.2e-7
+# item random/on3/L512, the 233rd round); its first three normals are
+# dependent to 1.2e-7, the last entry of its dependency, yet the head is
+# well conditioned (|c| = 0.94), so the dependency comes from cofactors
 _STEERING_REPRODUCER = (
-    (0.7589351096506478, 0.6018265722610505, 0.2486408579861218),
-    (0.04813795008008054, -0.859772338013755, -0.5084036433272775),
+    (0.7589351096506605, 0.6018265722610345, 0.24864085798610147),
+    (0.04813795008006205, -0.8597723380137424, -0.5084036433272997),
     (0.1844409600710452, 0.8594658917239223, 0.4767598066230775),
     (0.5347201832376084, -0.4304563564652687, 0.727173741836835),
 )
@@ -335,7 +343,7 @@ _STEERING_REPRODUCER = (
 @pytest.mark.xfail(raises=DegenerateSteering, strict=True)
 def test_reduce_word_steers_a_nearly_dependent_triple():
     # steering starts at the first mirror: after two pencil moves the pair
-    # (2, 3) is 2.5e-9 apart, over EPS_COINCIDE, and no mirror is left
+    # (2, 3) is 1.03e-9 apart, over EPS_COINCIDE, and no mirror is left
     w = [orthon.mirror_from_floats(list(v)) for v in _STEERING_REPRODUCER]
     out = reduce_word(w)
     assert len(out) == 2
@@ -370,28 +378,50 @@ def test_reduce_word_random_with_replay():
             assert state == out
 
 
+def _counting(monkeypatch, *names) -> dict:
+    """Count the calls of np.linalg functions by name, for the test's duration."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _takes_cofactors(w) -> bool:
+    """Whether w's dependency may come from cofactors: a dimension up to the
+    cap, and det(V^T V) = |c|^2 at least n eps / _RANK_TOL."""
+    V = np.array([h.values for h in w])
+    n = V.shape[1]
+    gram = float(np.linalg.det(V.T @ V))
+    return n <= orthon._COFACTOR_MAX_DIM and gram * orthon._RANK_TOL >= n * orthon._EPS
+
+
 def test_reduction_makes_at_most_one_svd(monkeypatch):
-    calls = 0
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    # one dependency per reduction: one batched determinant up to the cap,
+    # and an SVD only below the certificate or above the cap
     rng = np.random.default_rng(68)
-    for n in (2, 3, 5, 8):
-        for _ in range(20):
-            w = sampling.random_word(rng, "on", n + 1, dim=n)
-            calls = 0
+    heads = {n: [sampling.random_word(rng, "on", n + 1, dim=n) for _ in range(20)]
+             for n in (2, 3, 5, 8, orthon._COFACTOR_MAX_DIM, orthon._COFACTOR_MAX_DIM + 1)}
+    cofactors = {id(w): _takes_cofactors(w) for ws in heads.values() for w in ws}
+    calls = _counting(monkeypatch, "det", "svd")
+    for n, ws in heads.items():
+        for w in ws:
+            calls.update(det=0, svd=0)
             reduce_word(w)
-            assert calls == 1
-            # a reduction that starts with an involution factors nothing
+            det = int(n <= orthon._COFACTOR_MAX_DIM)
+            assert calls == {"det": det, "svd": 1 - cofactors[id(w)]}
+            # a reduction that starts with an involution finds no dependency
             w[n - 1] = w[n]
-            calls = 0
+            calls.update(det=0, svd=0)
             reduce_word(w)
-            assert calls == 0
+            assert calls == {"det": 0, "svd": 0}
+    # random heads of the benchmark's dimensions take cofactors
+    assert all(cofactors[id(w)] for n in (2, 3, 5) for w in heads[n])
 
     steps = 0
     steer = orthon._steer_moves
@@ -402,10 +432,74 @@ def test_reduction_makes_at_most_one_svd(monkeypatch):
         steer(w, sink)
 
     monkeypatch.setattr(orthon, "_steer_moves", counted_steer)
-    calls = 0
+    calls.update(det=0, svd=0)
     normalize_word(sampling.random_word(rng, "on", 64, dim=5))
     assert steps > 0
-    assert calls <= steps
+    assert calls["det"] == steps
+    assert calls["svd"] <= steps
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("the SVD was called")
+
+
+@pytest.mark.parametrize("n", range(2, orthon._COFACTOR_MAX_DIM + 1))
+def test_cofactor_dependency_is_the_svd_null_vector(monkeypatch, n):
+    # above the certificate the cofactors give the SVD's null vector, up to sign
+    rng = np.random.default_rng(80 + n)
+    compared = 0
+    for _ in range(100):
+        w = sampling.random_word(rng, "on", n + 1, dim=n)
+        if not _takes_cofactors(w):
+            continue
+        null = np.linalg.svd(np.array([h.values for h in w]).T)[2][-1]
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", _no_svd)
+            unit = np.array(orthon._dependency(w))
+        assert min(np.abs(unit - null).max(), np.abs(unit + null).max()) <= 1e-13
+        compared += 1
+    assert compared >= 50
+
+
+@pytest.mark.parametrize("n", range(2, orthon._COFACTOR_MAX_DIM + 1))
+def test_cofactors_are_a_dependency_whose_square_is_the_gram_determinant(n):
+    # c_i = (-1)^i det(V without row i), and |c|^2 = det(V^T V) (Cauchy-Binet)
+    rng = np.random.default_rng(90 + n)
+    for _ in range(50):
+        w = sampling.random_word(rng, "on", n + 1, dim=n)
+        V = np.array([h.values for h in w])
+        c = np.linalg.det(V[orthon._MINOR_ROWS[n]])
+        expected = [(-1) ** i * np.linalg.det(np.delete(V, i, axis=0)) for i in range(n + 1)]
+        assert np.abs(c - expected).max() <= 1e-14
+        assert np.abs(V.T @ c).max() <= 1e-14
+        gram = np.linalg.det(V.T @ V)
+        assert abs(c @ c - gram) <= 1e-11 * gram
+
+
+@pytest.mark.parametrize("label", ["on3", "on5"])
+def test_near_degenerate_heads_take_the_svd(monkeypatch, label):
+    # the near-parallel heads of the digest's jitter-1e-9 cells are far
+    # below the certificate: their dependency is the SVD's null vector
+    n = int(label[2:])
+    heads = [word[: n + 1] for word in itertools.islice(corpus_digest.near_words(label, 1e-9, 6), 50)]
+    calls = _counting(monkeypatch, "det", "svd")
+    for w in heads:
+        calls.update(det=0, svd=0)
+        c = orthon._dependency(w)
+        assert calls == {"det": 1, "svd": 1}
+        assert c == np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
+
+
+def test_heads_above_the_cofactor_cap_take_the_svd(monkeypatch):
+    n = orthon._COFACTOR_MAX_DIM + 1
+    rng = np.random.default_rng(91)
+    calls = _counting(monkeypatch, "det", "svd")
+    for _ in range(10):
+        w = sampling.random_word(rng, "on", n + 1, dim=n)
+        calls.update(det=0, svd=0)
+        c = orthon._dependency(w)
+        assert calls == {"det": 0, "svd": 1}
+        assert c == np.linalg.svd(np.array([h.values for h in w]).T)[2][-1].tolist()
 
 
 def _in_plane(n, *angles):
@@ -630,10 +724,9 @@ def _steering_move(monkeypatch, e1, v, cs, cv):
     # the third mirror is the move's x itself, so steering stops after one move
     w = [Hyperplane(e1), Hyperplane(v), Hyperplane(y)]
     sink = []
-    # the SVD's last right singular vector is the chosen dependency
-    null = np.array([[cs, cv, 0.0]])
+    # the chosen dependency
     with monkeypatch.context() as m:
-        m.setattr(orthon.np.linalg, "svd", lambda a: (None, None, null))
+        m.setattr(orthon, "_dependency", lambda w: [cs, cv, 0.0])
         orthon._steer_moves(w, sink)
     (move,) = sink
     return move

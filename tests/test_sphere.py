@@ -308,8 +308,9 @@ def test_normal_form_matches_the_o3_rewrite_of_the_poles(poles):
 
 
 # Poles on which the O(3) rewrite loses digits: against a 50-digit product
-# of the input its normal form misses by 2.0e-12, the S2 one by 3.6e-16, so
-# the two oracles differ by 2.0e-12. The test above draws them only by chance.
+# of the input its normal form misses by 4.0e-13 in the largest entry (by
+# 2.0e-12 when each step's dependency came from an SVD), the S2 one by
+# 3.6e-16. The test above draws them only by chance.
 _O3_DIGIT_LOSS_POLES = [
     (0.52011364, 2.58498848, 0.87868133),
     (1, 2, 2),
@@ -320,7 +321,6 @@ _O3_DIGIT_LOSS_POLES = [
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the O(3) rewrite loses digits here")
 def test_normal_form_matches_the_o3_rewrite_of_the_digit_loss_poles():
     w = [GreatCircle(p) for p in _O3_DIGIT_LOSS_POLES]
     out = normalize_word(w)
