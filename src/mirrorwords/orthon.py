@@ -41,8 +41,9 @@ _EPS = float(np.finfo(float).eps)
 # same at about n = 16. But the certificate of _dependency sends more heads
 # back to the SVD as n grows (|c| of random heads falls with n: median 0.9
 # at n = 3, 0.09 at n = 8, 0.002 at n = 16), so normalize_word gains from
-# cofactors only up to about n = 9 (0.80 of the SVD's time at n = 3, about
-# 0.9 at n = 9, 1.0-1.1 at n = 10 and 1.2 at n = 16).
+# cofactors only up to about n = 9 (in-process on a shared 2-core Xeon:
+# 0.80 of the SVD's time at n = 3, about 0.9 at n = 9, 1.0-1.1 at n = 10
+# and 1.2 at n = 16).
 _COFACTOR_MAX_DIM = 9
 
 
@@ -357,7 +358,7 @@ def _dependency(w: list) -> list:
     n = len(w) - 1
     rows = _MINOR_ROWS.get(n)
     if rows is not None:
-        c = np.linalg.det(normals[rows]).tolist()
+        c = np.linalg.det(normals.take(rows, axis=0)).tolist()
         square = 0.0
         for t in c:
             square += t * t
