@@ -244,17 +244,6 @@ def test_rewrite_path_makes_no_numpy_call(module):
         assert uses == [], f"{module.__name__}.{name} uses numpy on lines {uses}"
 
 
-def test_the_on_step_takes_its_dependency_from_one_helper():
-    functions = dict(_functions(ast.parse(Path(orthon.__file__).read_text(encoding="utf-8"))))
-    calls = [
-        node.func.id
-        for node in ast.walk(functions["_steer_moves"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    ]
-    assert calls.count("_dependency") == 1
-    assert "_dependency" not in FLOAT_PATH[orthon]
-
-
 def _numpy_imports(module) -> list:
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
