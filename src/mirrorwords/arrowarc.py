@@ -1,11 +1,12 @@
 """Directed great-circle arcs encoding rotations, and the triangle rule.
 
 An arc from tail to head encodes the rotation R_b . R_a where a and b are
-the lines through the endpoints; the rotation angle is twice the arc
-length. Sliding an arc along its great circle and replacing the head by
-its antipode leave the rotation unchanged, which is exactly the freedom
-the triangle rule exploits: slide two arcs until head meets tail on the
-other circle and close the triangle.
+the lines through the endpoints, so3.twice_angle_rotation(tail, head);
+the rotation angle is twice the arc length. Two arcs encode the same
+rotation when one is the other slid along their great circle, or with
+its head replaced by the antipode. That freedom is what the triangle rule
+exploits: slide two arcs until head meets tail on the other circle and
+close the triangle.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ def identity_arc() -> Arc:
     return Arc(_ANCHOR, _ANCHOR)
 
 
-def arc_to_rotation(arc: Arc) -> so3.Rotation:
-    """The rotation encoded by an arc: twice the arc length about its axis."""
-    return so3.twice_angle_rotation(arc.tail, arc.head)
-
-
 def _turn(v, axis, angle: float) -> tuple[float, float, float]:
     """v turned about the unit axis by angle, for a v perpendicular to the axis."""
     c, s = math.cos(angle), math.sin(angle)
@@ -96,21 +92,6 @@ def rotation_to_arc(r: so3.Rotation) -> Arc:
         return identity_arc()
     tail = so3.probe_perpendicular(r.axis)
     return Arc(tail, _turn(tail, r.axis, r.angle / 2.0))
-
-
-def slide(arc: Arc, delta: float) -> Arc:
-    """Glide the arc along its great circle; the encoded rotation is unchanged."""
-    if arc.is_identity:
-        return arc
-    axis = arc.circle_axis()
-    return Arc(_turn(arc.tail, axis, delta), _turn(arc.head, axis, delta))
-
-
-def antipode_head(arc: Arc) -> Arc:
-    """Replace the head by its antipodal point; an involution on arcs."""
-    if arc.is_identity:
-        raise DegenerateArc("the identity arc has no antipodal-head variant")
-    return Arc(arc.tail, tuple(-x for x in arc.head))
 
 
 def _closing_arc(a, d) -> Arc:

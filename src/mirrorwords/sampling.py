@@ -7,10 +7,10 @@ numpy Generator so batches are reproducible bit for bit.
 `random_word` draws the directions of an S2, SO(3) or O(n) word with one
 `standard_normal((length, dim))` call. The Generator fills that array from
 the same stream as `length` calls of size `dim`, and each row's norm is the
-one `np.linalg.norm` gives, so the word is, value for value, the one the
-per-mirror samplers (`random_circle`, `random_axis`, `random_hyperplane`)
-would draw in turn. A row too short to normalize is dropped and the word
-topped up by per-mirror draws, which continue the same stream. An E2 line
+one `np.linalg.norm` gives, so the word is, value for value, the one that
+drawing and normalizing one mirror at a time, through the constructors,
+would give. A row too short to normalize is dropped and the word topped
+up by such per-mirror draws, which continue the same stream. An E2 line
 draws its normal pair and its offset in turn, so E2 words are drawn line
 by line; the offset is -10 + 20 random(), the one uint64 and the two float
 operations of `Generator.uniform(-10, 10)`.
@@ -22,8 +22,7 @@ rule and skips its type checks on floats drawn here. That is the
 constructor's value bit for bit: a row of d components divided by its
 norm has a norm within about (d + 4) 2^-53 of 1, below the 1e-13 at which
 the constructor would divide it again, for every d up to MAX_DIMENSION
-(64), so `random_word` refuses a larger dimension. `random_hyperplane`
-builds through the constructor and takes any dimension from 1.
+(64), so `random_word` refuses a larger dimension.
 """
 
 from __future__ import annotations
@@ -72,21 +71,6 @@ def _lines(rng: np.random.Generator, length: int) -> list[Line]:
         nx, ny = v.tolist()
         word.append(make(nx / n, ny / n, -OFFSET_RANGE + 2 * OFFSET_RANGE * uniform()))
     return word
-
-
-def random_circle(rng: np.random.Generator) -> GreatCircle:
-    return GreatCircle(_unit(rng, 3))
-
-
-def random_axis(rng: np.random.Generator) -> Axis:
-    return Axis(_unit(rng, 3))
-
-
-def random_hyperplane(rng: np.random.Generator, dim: int) -> Hyperplane:
-    if dim < 1:
-        # _unit would redraw a zero-length vector forever
-        raise ValueError(f"hyperplanes need a dimension of at least 1, got {dim}")
-    return Hyperplane(_unit(rng, dim))
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:

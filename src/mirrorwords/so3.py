@@ -197,11 +197,6 @@ def twice_angle_rotation(u, v) -> Rotation:
     return rotation((c[0] / s, c[1] / s, c[2] / s), 2.0 * theta)
 
 
-def compose_line_reflections(a: Axis, b: Axis) -> Rotation:
-    """R_b . R_a: rotation about the common perpendicular by twice the angle."""
-    return twice_angle_rotation(a.values, b.values)
-
-
 def probe_perpendicular(axis) -> tuple[float, float, float]:
     """Deterministic unit vector perpendicular to axis (probe-projection rule)."""
     for p in _PROBES:
@@ -320,7 +315,7 @@ def word_to_rotation(word) -> Rotation:
         return IDENTITY_ROTATION
     if len(w) == 1:
         return rotation(w[0].values, math.pi)
-    return compose_line_reflections(w[0], w[1])
+    return twice_angle_rotation(w[0].values, w[1].values)
 
 
 def classification_json(word, dim: int | None = None) -> dict:

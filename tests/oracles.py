@@ -5,17 +5,21 @@ composed with plain numpy, classification reads numpy eigendecompositions.
 Helpers that only tests need live here too: a rotation's quaternion, the
 angle between two unoriented lines, the matrix rebuilt from an O(n)
 spectral split, arrays of a mirror's floats and of a plane isometry,
-seeded random rotations and arrow arcs, and the det +1 representative of
-a projective-plane isometry.
+seeded random rotations and arrow arcs, the det +1 representative of a
+projective-plane isometry, the slide of an arc along its circle, and the
+per-mirror samplers that `sampling.random_word` must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from mirrorwords.arrowarc import Arc, rotation_to_arc, slide
+from mirrorwords.arrowarc import Arc, _turn, rotation_to_arc
 from mirrorwords.numerics import EPS_VERIFY, NotOrthogonal
-from mirrorwords.so3 import Quaternion, rotation
+from mirrorwords.orthon import Hyperplane
+from mirrorwords.sampling import _unit
+from mirrorwords.so3 import Axis, Quaternion, rotation
+from mirrorwords.sphere import GreatCircle
 
 IDENTITY_QUATERNION = Quaternion(1.0, 0.0, 0.0, 0.0)
 
@@ -241,6 +245,29 @@ def projective_representative(M) -> np.ndarray:
     if M.shape != (3, 3) or float(np.abs(M.T @ M - np.eye(3)).max()) > EPS_VERIFY:
         raise NotOrthogonal("projective representative needs an orthogonal 3x3 matrix")
     return M if np.linalg.det(M) > 0.0 else -M
+
+
+def random_circle(rng: np.random.Generator) -> GreatCircle:
+    """A great circle with a Gaussian pole, built by its constructor: one mirror of the stream."""
+    return GreatCircle(_unit(rng, 3))
+
+
+def random_axis(rng: np.random.Generator) -> Axis:
+    """An axis along a Gaussian direction, built by its constructor: one mirror of the stream."""
+    return Axis(_unit(rng, 3))
+
+
+def random_hyperplane(rng: np.random.Generator, dim: int) -> Hyperplane:
+    """A hyperplane with a Gaussian normal, built by its constructor; dim must be at least 1."""
+    return Hyperplane(_unit(rng, dim))
+
+
+def slide(arc: Arc, delta: float) -> Arc:
+    """Glide the arc along its great circle; the encoded rotation is unchanged."""
+    if arc.is_identity:
+        return arc
+    axis = arc.circle_axis()
+    return Arc(_turn(arc.tail, axis, delta), _turn(arc.head, axis, delta))
 
 
 def random_rotation(rng: np.random.Generator):

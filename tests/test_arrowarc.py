@@ -9,20 +9,18 @@ import pytest
 from oracles import (
     random_arc,
     random_arc_on_axis,
+    random_axis,
     random_rotation,
     rotation_to_quaternion,
     same_axis_angle,
+    slide,
     vector,
 )
-from mirrorwords import sampling
 from mirrorwords.arrowarc import (
     Arc,
-    antipode_head,
-    arc_to_rotation,
     arcs_to_svg,
     identity_arc,
     rotation_to_arc,
-    slide,
     triangle_compose,
 )
 from mirrorwords.numerics import (
@@ -33,23 +31,24 @@ from mirrorwords.numerics import (
     cross3,
     dot3,
 )
-from mirrorwords.so3 import quaternion_distance, rotation
+from mirrorwords.so3 import quaternion_distance, rotation, twice_angle_rotation
 
 SQ2 = math.sqrt(2) / 2
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def arc_quaternion(arc):
-    return rotation_to_quaternion(arc_to_rotation(arc))
+    return rotation_to_quaternion(twice_angle_rotation(arc.tail, arc.head))
 
 
 def assert_same_rotation(arc, axis, angle, eps=1e-9):
-    r = arc_to_rotation(arc)
+    r = twice_angle_rotation(arc.tail, arc.head)
     assert same_axis_angle(r.axis, r.angle, axis, angle, eps=eps)
 
 
 def test_degenerate_arc_is_identity():
-    assert arc_to_rotation(Arc((1, 0, 0), (1, 0, 0))).is_identity
+    arc = Arc((1, 0, 0), (1, 0, 0))
+    assert twice_angle_rotation(arc.tail, arc.head).is_identity
 
 
 def test_quarter_arc_is_half_turn():
@@ -112,7 +111,7 @@ def test_round_trip_rotation_arc_rotation():
     for _ in range(300):
         r = random_rotation(rng)
         arc = rotation_to_arc(r)
-        back = arc_to_rotation(arc)
+        back = twice_angle_rotation(arc.tail, arc.head)
         assert quaternion_distance(
             rotation_to_quaternion(back), rotation_to_quaternion(r)
         ) <= 1e-9
@@ -182,27 +181,17 @@ def test_slide_and_rotation_to_arc_turn_about_the_axis():
             assert dot3(before, after) == pytest.approx(math.cos(delta), abs=1e-12)
 
 
-def test_antipode_head_example():
-    arc = Arc((1, 0, 0), (0, 1, 0))
-    out = antipode_head(arc)
-    np.testing.assert_allclose(out.tail, [1, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(out.head, [0, -1, 0], atol=1e-15)
-    back = antipode_head(out)
-    np.testing.assert_allclose(back.head, arc.head, atol=1e-15)
-
-
 def test_antipode_head_keeps_rotation():
+    # from the tail to the head's antipode is pi - t about the opposite
+    # axis: the turn by 2 pi - 2t the other way, the same rotation
     rng = np.random.default_rng(54)
     for _ in range(300):
         arc = random_arc(rng)
         if arc.is_identity:
             continue
-        assert quaternion_distance(arc_quaternion(antipode_head(arc)), arc_quaternion(arc)) <= 1e-9
-
-
-def test_antipode_head_rejects_identity_arc():
-    with pytest.raises(DegenerateArc):
-        antipode_head(identity_arc())
+        antipode = tuple(-x for x in arc.head)
+        q = rotation_to_quaternion(twice_angle_rotation(arc.tail, antipode))
+        assert quaternion_distance(q, arc_quaternion(arc)) <= 1e-9
 
 
 def test_triangle_identity_neutral():
@@ -244,7 +233,7 @@ def test_triangle_matches_quaternion_oracle():
 def test_triangle_same_and_opposite_axis():
     rng = np.random.default_rng(57)
     for _ in range(300):
-        axis = vector(sampling.random_axis(rng))
+        axis = vector(random_axis(rng))
         u = random_arc_on_axis(rng, axis)
         v = random_arc_on_axis(rng, axis * float(rng.choice([-1.0, 1.0])))
         w = triangle_compose(u, v)

@@ -175,8 +175,6 @@ FLOAT_PATH = {
         "Arc.circle_axis",
         "_unit_point",
         "rotation_to_arc",
-        "slide",
-        "antipode_head",
         "triangle_compose",
     ],
     numerics: [

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import pair_product_distance, plane_singular_value, reassemble, vector
+from oracles import pair_product_distance, plane_singular_value, random_hyperplane, reassemble, vector
 from mirrorwords import cli, kernels, orthon, sampling, so3, sphere
 from mirrorwords.moves import INVOLUTION, PENCIL, POLAR_SPLIT, Move
 from mirrorwords.numerics import (
@@ -64,7 +64,7 @@ def test_householder_properties():
     rng = np.random.default_rng(60)
     for _ in range(100):
         n = int(rng.integers(2, 8))
-        H = householder(sampling.random_hyperplane(rng, n))
+        H = householder(random_hyperplane(rng, n))
         np.testing.assert_allclose(H, H.T, atol=1e-12)
         np.testing.assert_allclose(H @ H, np.eye(n), atol=1e-12)
         assert np.linalg.det(H) == pytest.approx(-1.0, abs=1e-10)
@@ -138,7 +138,7 @@ def test_decompose_random_matrices():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         if rng.random() < 0.5:
-            M = word_to_matrix([sampling.random_hyperplane(rng, n) for _ in range(n)], n)
+            M = word_to_matrix([random_hyperplane(rng, n) for _ in range(n)], n)
         else:
             M = random_orthogonal(rng, n)
         word = decompose(M)

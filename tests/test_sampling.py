@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import random_axis, random_circle, random_hyperplane
 from mirrorwords import cli, sampling
 from mirrorwords.numerics import EPS_COINCIDE, MAX_DIMENSION
 from mirrorwords.orthon import Hyperplane
@@ -26,9 +27,9 @@ def _per_mirror(rng, group, length, dim):
     """A word drawn one mirror at a time by the constructors, the reference stream."""
     draw = {
         "e2": _reference_line,
-        "s2": sampling.random_circle,
-        "so3": sampling.random_axis,
-        "on": lambda r: sampling.random_hyperplane(r, dim),
+        "s2": random_circle,
+        "so3": random_axis,
+        "on": lambda r: random_hyperplane(r, dim),
     }[group]
     return [draw(rng) for _ in range(length)]
 
@@ -170,4 +171,4 @@ def test_random_word_refuses_a_dimension_past_the_cap_and_draws_nothing():
         sampling.random_word(rng, "on", 3, dim=MAX_DIMENSION + 1)
     assert rng.bit_generator.state == state
     # the per-mirror sampler builds through the constructor, with no cap
-    assert len(sampling.random_hyperplane(rng, MAX_DIMENSION + 1).values) == MAX_DIMENSION + 1
+    assert len(random_hyperplane(rng, MAX_DIMENSION + 1).values) == MAX_DIMENSION + 1

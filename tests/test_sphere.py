@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracles import (
     angle_between_directions,
     classify_sphere_matrix,
+    random_axis,
+    random_circle,
     rotation_matrix,
     rotation_matrix_distance,
     same_axis_angle,
@@ -64,8 +66,8 @@ def test_reflect_point_examples(circle, point, expected):
 def test_reflect_point_involution():
     rng = np.random.default_rng(40)
     for _ in range(200):
-        c = sampling.random_circle(rng)
-        p = vector(sampling.random_axis(rng))
+        c = random_circle(rng)
+        p = vector(random_axis(rng))
         np.testing.assert_allclose(mirror_image(c, mirror_image(c, p)), p, atol=1e-12)
         assert np.linalg.norm(mirror_image(c, p)) == pytest.approx(1.0, abs=1e-12)
 
@@ -89,7 +91,7 @@ def test_compose_longitudes():
 def test_compose_matches_matrix_oracle():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        l, m = sampling.random_circle(rng), sampling.random_circle(rng)
+        l, m = random_circle(rng), random_circle(rng)
         c = compose_reflections(l, m)
         if c["kind"] == IDENTITY:
             continue
@@ -127,7 +129,7 @@ def test_pencil_completion_rejects_outsiders():
 def test_pencil_completion_angle_equalities():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        l, m = sampling.random_circle(rng), sampling.random_circle(rng)
+        l, m = random_circle(rng), random_circle(rng)
         if coincident(l, m):
             continue
         from mirrorwords.so3 import rotation
